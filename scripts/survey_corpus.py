@@ -34,7 +34,7 @@ def main():
     profile = Counter()
     rigid = 0
     for table in lifted:
-        alg = AntiPreLieAlgebra(table, True)
+        alg = AntiPreLieAlgebra.verify(table)
         spaces = cohomology_spaces(alg, regular_representation(alg))
         profile[(spaces.z2_dim, spaces.b2_dim, spaces.h2_dim)] += 1
         if spaces.h2_dim == 0:

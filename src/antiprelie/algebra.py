@@ -7,9 +7,14 @@ table satisfying, for all x, y, z and with [x,y] = x.y - y.x,
     x.(y.z) - y.(x.z) = [y,x].z            (exchange law)
     [x,y].z + [y,z].x + [z,x].y = 0        (cyclic law)
 
-Checks run over all ordered basis triples and report exact residual vectors;
-the evaluation is matrix-based (composed left/right multiplication operators),
-with a naive nested-loop oracle kept in the test suite.
+Checks run over all ordered basis triples and report exact residual vectors.
+Both laws are evaluated by one routine, _law_matrices, as compositions of
+left/right multiplication operators of an outer and an inner product; the
+anti-pre-Lie check uses one product in both places and the deformation
+equations sum it over pairs of deformation terms.  Every law family in the
+package has one lazy violation walk: its check_* collects the walk, its is_*
+stops at the first violation.  A naive nested-loop oracle is kept in the test
+suite.
 """
 
 from __future__ import annotations
@@ -33,15 +38,14 @@ class Violation:
     at: tuple
     residual: tuple
 
-    def describe(self, field: Field) -> str:
-        res = _render(self.residual, field)
-        return f"{self.law} at {self.at}: residual {res}"
+    def rendered(self) -> list:
+        """The residual as canonical scalar strings (a list of rows for a matrix)."""
+        if self.residual and isinstance(self.residual[0], tuple):
+            return [[str(x) for x in row] for row in self.residual]
+        return [str(x) for x in self.residual]
 
-
-def _render(residual, field: Field):
-    if residual and isinstance(residual[0], tuple):
-        return [[field.to_str(x) for x in row] for row in residual]
-    return [field.to_str(x) for x in residual]
+    def describe(self) -> str:
+        return f"{self.law} at {self.at}: residual {self.rendered()}"
 
 
 @dataclass(frozen=True)
@@ -55,8 +59,14 @@ class Report:
     def ok(self) -> bool:
         return not self.violations
 
-    def describe(self, field: Field) -> list[str]:
-        return [v.describe(field) for v in self.violations]
+    def describe(self) -> list[str]:
+        return [v.describe() for v in self.violations]
+
+    def require(self, message: str) -> None:
+        """Raise StructureError carrying this report unless it passed;
+        ``{count}`` in the message becomes the number of violations."""
+        if self.violations:
+            raise StructureError(message.format(count=len(self.violations)), self)
 
 
 class StructureError(ValueError):
@@ -109,23 +119,7 @@ class MultTable:
 
     def multiply(self, x: Vec, y: Vec) -> Vec:
         """Bilinear extension of the table to arbitrary coordinate vectors."""
-        n = self.dim
-        if len(x) != n or len(y) != n:
-            raise ValueError(f"operands must have length {n}")
-        z = self.field.zero()
-        out = [z] * n
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                fib = self.tensor.entries[i][j]
-                for k in range(n):
-                    if fib[k]:
-                        out[k] = out[k] + c * fib[k]
-        return tuple(out)
+        return self.tensor.contract(x, y)
 
     def commutator(self, x: Vec, y: Vec) -> Vec:
         return vec_sub(self.multiply(x, y), self.multiply(y, x))
@@ -179,63 +173,68 @@ def transpose_table(table: MultTable) -> MultTable:
     return MultTable.from_entries(table.field, ent)
 
 
-def _apl_residual_matrices(table: MultTable) -> Iterator[tuple]:
-    """Per ordered basis pair (i, j), the residual matrices of both laws.
+def _law_matrices(outer: MultTable, inner: MultTable, i: int, j: int) -> tuple:
+    """Residual matrices (exchange, cyclic) at the basis pair (e_i, e_j), with
+    the outer product applied to the result of the inner one.
 
-    Column k of each yielded matrix is the residual vector of the law at the
-    basis triple (e_i, e_j, e_k).  Exchange law as a matrix identity in z:
-    L_i L_j - L_j L_i - L([e_j, e_i]); cyclic law:
-    L([e_i, e_j]) + R_i (L_j - R_j) + R_j (R_i - L_i).
+    Column k of each matrix is the residual at the triple (e_i, e_j, e_k).
+    With L, R the outer table's left/right multiplication operators, L', R'
+    the inner table's and [e_i, e_j]' the inner commutator:
+
+        exchange:  L_i L'_j - L_j L'_i + L([e_i, e_j]')
+        cyclic:    L([e_i, e_j]') + R_i (L'_j - R'_j) + R_j (R'_i - L'_i)
+
+    With outer = inner these are the anti-pre-Lie laws; summed over outer =
+    w_p, inner = w_q with p + q = n they are the degree-n deformation
+    equations.
     """
-    ell = table.left_matrices
-    arr = table.right_matrices
+    ell, arr = outer.left_matrices, outer.right_matrices
+    ell_in, arr_in = inner.left_matrices, inner.right_matrices
+    l_comm = outer.left_matrix(inner.commutator_basis(i, j))
+    m1 = ell[i] @ ell_in[j] - ell[j] @ ell_in[i] + l_comm
+    m2 = l_comm + arr[i] @ (ell_in[j] - arr_in[j]) + arr[j] @ (arr_in[i] - ell_in[i])
+    return m1, m2
+
+
+def _column_violations(at: tuple, laws: tuple, mats: tuple) -> Iterator[Violation]:
+    """Nonzero columns k of the residual matrices as violations at (*at, k),
+    in k order and, within one k, in the order of laws."""
+    for k in range(mats[0].cols):
+        for law, m in zip(laws, mats):
+            col = m.col(k)
+            if not vec_is_zero(col):
+                yield Violation(law, (*at, k), col)
+
+
+def _apl_violations(table: MultTable) -> Iterator[Violation]:
     n = table.dim
     for i in range(n):
         for j in range(n):
-            comm_ji = table.commutator_basis(j, i)
-            m1 = ell[i] @ ell[j] - ell[j] @ ell[i] - table.left_matrix(comm_ji)
-            comm_ij = table.commutator_basis(i, j)
-            m2 = table.left_matrix(comm_ij) + arr[i] @ (ell[j] - arr[j]) + arr[j] @ (arr[i] - ell[i])
-            yield i, j, m1, m2
+            yield from _column_violations(
+                (i, j), (LAW_EXCHANGE, LAW_CYCLIC), _law_matrices(table, table, i, j)
+            )
 
 
 def check_anti_pre_lie(table: MultTable) -> Report:
     """Verify both anti-pre-Lie laws on all basis triples, with exact residuals."""
-    violations = []
-    for i, j, m1, m2 in _apl_residual_matrices(table):
-        for k in range(table.dim):
-            c1 = m1.col(k)
-            if not vec_is_zero(c1):
-                violations.append(Violation(LAW_EXCHANGE, (i, j, k), c1))
-            c2 = m2.col(k)
-            if not vec_is_zero(c2):
-                violations.append(Violation(LAW_CYCLIC, (i, j, k), c2))
-    return Report("anti-pre-lie", tuple(violations))
+    return Report("anti-pre-lie", tuple(_apl_violations(table)))
 
 
 def is_anti_pre_lie(table: MultTable) -> bool:
     """Early-exit boolean form of check_anti_pre_lie (used by the search corpus)."""
-    for _, _, m1, m2 in _apl_residual_matrices(table):
-        if not (m1.is_zero() and m2.is_zero()):
-            return False
-    return True
+    return next(_apl_violations(table), None) is None
 
 
 @dataclass(frozen=True)
 class AntiPreLieAlgebra:
-    """A multiplication table together with a record that verification passed."""
+    """A multiplication table that passed check_anti_pre_lie; build it with verify."""
 
     table: MultTable
-    verified: bool = False
 
     @classmethod
     def verify(cls, table: MultTable) -> "AntiPreLieAlgebra":
-        report = check_anti_pre_lie(table)
-        if not report.ok:
-            raise StructureError(
-                f"not an anti-pre-Lie table: {len(report.violations)} violated triples", report
-            )
-        return cls(table, True)
+        check_anti_pre_lie(table).require("not an anti-pre-Lie table: {count} violated triples")
+        return cls(table)
 
     @property
     def dim(self) -> int:
@@ -262,9 +261,6 @@ class LieTable:
 
     def bracket_basis(self, i: int, j: int) -> Vec:
         return self.tensor.fiber(i, j)
-
-    def bracket(self, x: Vec, y: Vec) -> Vec:
-        return MultTable(self.tensor).multiply(x, y)
 
 
 def check_lie_table(table: MultTable) -> Report:
@@ -300,12 +296,8 @@ def sub_adjacent_lie(alg: AntiPreLieAlgebra) -> LieTable:
     The bracket of an anti-pre-Lie product always satisfies antisymmetry and
     Jacobi; this is still asserted, and a failure signals a corrupted input.
     """
-    if not alg.verified:
-        raise StructureError("sub_adjacent_lie requires a verified algebra")
     bracket = commutator_table(alg.table)
-    report = check_lie_table(bracket)
-    if not report.ok:
-        raise StructureError("commutator of a supposedly verified table fails the Lie laws", report)
+    check_lie_table(bracket).require("commutator of a supposedly verified table fails the Lie laws")
     return LieTable(bracket.tensor)
 
 

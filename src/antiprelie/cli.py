@@ -83,23 +83,17 @@ def _report_doc(report: Report) -> dict:
         "ok": report.ok,
         "subject": report.subject,
         "violations": [
-            {"law": v.law, "at": list(v.at), "residual": _residual_doc(v.residual)}
+            {"law": v.law, "at": list(v.at), "residual": v.rendered()}
             for v in report.violations
         ],
     }
-
-
-def _residual_doc(residual) -> list:
-    if residual and isinstance(residual[0], tuple):
-        return [[str(x) for x in row] for row in residual]
-    return [str(x) for x in residual]
 
 
 def _finish_report(report: Report) -> int:
     _emit(_report_doc(report))
     if not report.ok:
         for v in report.violations:
-            sys.stderr.write(f"{v.law} at {v.at}: residual {_residual_doc(v.residual)}\n")
+            sys.stderr.write(v.describe() + "\n")
         return FAIL
     return PASS
 

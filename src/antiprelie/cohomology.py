@@ -30,7 +30,7 @@ from typing import Optional
 
 from .algebra import AntiPreLieAlgebra, MultTable, StructureError
 from .fields import Field
-from .linalg import Matrix, Tensor3, Vec, in_span, kernel_basis, pivot_columns, solve, vec_sub
+from .linalg import Matrix, Tensor3, Vec, basis_vec, in_span, kernel_basis, pivot_columns, solve, vec_sub
 from .representation import AlgebraLike, Representation, as_table
 
 
@@ -68,46 +68,6 @@ class Cochain2:
 
     def value(self, i: int, j: int) -> Vec:
         return self.tensor.fiber(i, j)
-
-    def evaluate(self, x: Vec, y: Vec) -> Vec:
-        z = self.field.zero()
-        out = [z] * self.dim_v
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                fib = self.tensor.entries[i][j]
-                for k in range(self.dim_v):
-                    if fib[k]:
-                        out[k] = out[k] + c * fib[k]
-        return tuple(out)
-
-    def value_on_left(self, v: Vec, j: int) -> Vec:
-        """f(v, e_j) for a coordinate vector v."""
-        z = self.field.zero()
-        out = [z] * self.dim_v
-        for w, vw in enumerate(v):
-            if vw:
-                fib = self.tensor.entries[w][j]
-                for k in range(self.dim_v):
-                    if fib[k]:
-                        out[k] = out[k] + vw * fib[k]
-        return tuple(out)
-
-    def value_on_right(self, i: int, v: Vec) -> Vec:
-        """f(e_i, v) for a coordinate vector v."""
-        z = self.field.zero()
-        out = [z] * self.dim_v
-        for w, vw in enumerate(v):
-            if vw:
-                fib = self.tensor.entries[i][w]
-                for k in range(self.dim_v):
-                    if fib[k]:
-                        out[k] = out[k] + vw * fib[k]
-        return tuple(out)
 
     def __add__(self, other: "Cochain2") -> "Cochain2":
         return Cochain2(self.tensor + other.tensor)
@@ -180,6 +140,8 @@ def d2(alg: AlgebraLike, rep: Representation, f: Cochain2) -> Cochain3Pair:
     rho, mu = rep.rho, rep.mu
     comm = [[table.commutator_basis(i, j) for j in range(n)] for i in range(n)]
     prod = [[table.basis_product(i, j) for j in range(n)] for i in range(n)]
+    e = [basis_vec(table.field, n, i) for i in range(n)]
+    f_of = f.tensor.contract
     c1 = []
     c2 = []
     for a in range(n):
@@ -194,17 +156,17 @@ def d2(alg: AlgebraLike, rep: Representation, f: Cochain2) -> Cochain3Pair:
                     tuple(-x for x in rho[b].apply(f.value(a, c))),
                     tuple(-x for x in mu[c].apply(f.value(b, a))),
                     mu[c].apply(f.value(a, b)),
-                    tuple(-x for x in f.value_on_right(b, prod[a][c])),
-                    f.value_on_right(a, prod[b][c]),
-                    f.value_on_left(comm[a][b], c),
+                    tuple(-x for x in f_of(e[b], prod[a][c])),
+                    f_of(e[a], prod[b][c]),
+                    f_of(comm[a][b], e[c]),
                 )
                 v2 = _vadd(
                     mu[a].apply(vec_sub(f.value(b, c), f.value(c, b))),
                     mu[b].apply(vec_sub(f.value(c, a), f.value(a, c))),
                     mu[c].apply(vec_sub(f.value(a, b), f.value(b, a))),
-                    f.value_on_left(comm[a][b], c),
-                    f.value_on_left(comm[b][c], a),
-                    f.value_on_left(comm[c][a], b),
+                    f_of(comm[a][b], e[c]),
+                    f_of(comm[b][c], e[a]),
+                    f_of(comm[c][a], e[b]),
                 )
                 q1.append(v1)
                 q2.append(v2)

@@ -22,7 +22,7 @@ order by order, which rigidity_certificate performs and records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .algebra import (
     AntiPreLieAlgebra,
@@ -30,6 +30,8 @@ from .algebra import (
     Report,
     StructureError,
     Violation,
+    _column_violations,
+    _law_matrices,
 )
 from .cohomology import (
     Cochain2,
@@ -39,7 +41,7 @@ from .cohomology import (
     is_cocycle,
 )
 from .fields import Field
-from .linalg import Matrix, solve, vec_is_zero
+from .linalg import Matrix, solve
 from .representation import regular_representation
 
 LAW_DEF_EXCHANGE = "deformation-exchange"
@@ -110,70 +112,35 @@ class TruncatedIsomorphism:
         return out
 
 
-def _deformation_residual_matrices(d: TruncatedDeformation):
-    """Per degree n and pair (a, b), residual matrices of both equation families.
+def _deformation_violations(d: TruncatedDeformation) -> Iterator[Violation]:
+    """Both equation families per degree n and pair (a, b).
 
-    Column c of each yielded matrix is the residual at the triple
-    (e_a, e_b, e_c); each convolution term is evaluated through composed
-    left/right multiplication operators of the participating tables.
+    The degree-n residual matrices are the anti-pre-Lie law matrices with
+    w_i as the outer and w_j as the inner product, summed over i + j = n;
+    column c is the residual at the triple (e_a, e_b, e_c).
     """
     tables = d.tables()
-    n_max = d.order
-    dim = d.dim
-    field = d.field
-    for deg in range(1, n_max + 1):
-        for a in range(dim):
-            for b in range(dim):
-                m1 = Matrix.zero(field, dim, dim)
-                m2 = Matrix.zero(field, dim, dim)
-                for i in range(max(0, deg - n_max), min(deg, n_max) + 1):
-                    j = deg - i
-                    ti, tj = tables[i], tables[j]
-                    li = ti.left_matrices
-                    ri = ti.right_matrices
-                    lj = tj.left_matrices
-                    rj = tj.right_matrices
-                    m1 = m1 + (
-                        li[a] @ lj[b]
-                        - li[b] @ lj[a]
-                        - ti.left_matrix(tj.basis_product(b, a))
-                        + ti.left_matrix(tj.basis_product(a, b))
-                    )
-                    m2 = m2 + (
-                        ti.left_matrix(tj.commutator_basis(a, b))
-                        + ri[a] @ (lj[b] - rj[b])
-                        + ri[b] @ (rj[a] - lj[a])
-                    )
-                yield deg, a, b, m1, m2
+    zero = Matrix.zero(d.field, d.dim, d.dim)
+    laws = (LAW_DEF_EXCHANGE, LAW_DEF_CYCLIC)
+    for deg in range(1, d.order + 1):
+        for a in range(d.dim):
+            for b in range(d.dim):
+                terms = [_law_matrices(tables[i], tables[deg - i], a, b) for i in range(deg + 1)]
+                sums = tuple(sum(mats, zero) for mats in zip(*terms))
+                yield from _column_violations((deg, a, b), laws, sums)
 
 
 def check_deformation(d: TruncatedDeformation) -> Report:
     """Verify both deformation equation families for every degree 1..order."""
-    violations = []
-    for deg, a, b, m1, m2 in _deformation_residual_matrices(d):
-        for c in range(d.dim):
-            col = m1.col(c)
-            if not vec_is_zero(col):
-                violations.append(Violation(LAW_DEF_EXCHANGE, (deg, a, b, c), col))
-            col = m2.col(c)
-            if not vec_is_zero(col):
-                violations.append(Violation(LAW_DEF_CYCLIC, (deg, a, b, c), col))
-    return Report("deformation", tuple(violations))
+    return Report("deformation", tuple(_deformation_violations(d)))
 
 
 def is_deformation(d: TruncatedDeformation) -> bool:
-    for _, _, _, m1, m2 in _deformation_residual_matrices(d):
-        if not (m1.is_zero() and m2.is_zero()):
-            return False
-    return True
+    return next(_deformation_violations(d), None) is None
 
 
 def verify_deformation(d: TruncatedDeformation) -> TruncatedDeformation:
-    report = check_deformation(d)
-    if not report.ok:
-        raise StructureError(
-            f"deformation equations fail at {len(report.violations)} places", report
-        )
+    check_deformation(d).require("deformation equations fail at {count} places")
     return d
 
 

@@ -23,6 +23,7 @@ from .algebra import (
     Report,
     StructureError,
     Violation,
+    _column_violations,
 )
 from .fields import Field
 from .linalg import Matrix, invert, rank, vec_is_zero, vec_sub
@@ -63,8 +64,8 @@ class AntiLDendriform:
         return AntiLDendriform(MultTable.zero(field, n), MultTable.zero(field, n))
 
 
-def _dendriform_residuals(d: AntiLDendriform) -> Iterator[tuple]:
-    """Residual matrices of the three identities per ordered pair (i, j).
+def _dendriform_violations(d: AntiLDendriform) -> Iterator[Violation]:
+    """The three identities per ordered pair (i, j), as residual matrices.
 
     Column k of each matrix is the residual at the triple (e_i, e_j, e_k);
     the identities are evaluated as operator compositions of the left
@@ -93,35 +94,22 @@ def _dendriform_residuals(d: AntiLDendriform) -> Iterator[tuple]:
                 - ll[i] @ lr[j]
                 - ll[i] @ ll[j]
             )
-            yield i, j, m1, m2, m3
+            yield from _column_violations((i, j), (LAW_D1, LAW_D2, LAW_D3), (m1, m2, m3))
 
 
 def check_anti_L_dendriform(d: AntiLDendriform) -> Report:
     """Verify the three identities on all basis triples, with exact residuals."""
-    violations = []
-    for i, j, m1, m2, m3 in _dendriform_residuals(d):
-        for k in range(d.dim):
-            for law, m in ((LAW_D1, m1), (LAW_D2, m2), (LAW_D3, m3)):
-                col = m.col(k)
-                if not vec_is_zero(col):
-                    violations.append(Violation(law, (i, j, k), col))
-    return Report("anti-L-dendriform", tuple(violations))
+    return Report("anti-L-dendriform", tuple(_dendriform_violations(d)))
 
 
 def is_anti_L_dendriform(d: AntiLDendriform) -> bool:
-    for _, _, m1, m2, m3 in _dendriform_residuals(d):
-        if not (m1.is_zero() and m2.is_zero() and m3.is_zero()):
-            return False
-    return True
+    return next(_dendriform_violations(d), None) is None
 
 
 def verify_anti_L_dendriform(d: AntiLDendriform) -> AntiLDendriform:
-    report = check_anti_L_dendriform(d)
-    if not report.ok:
-        raise StructureError(
-            f"not an anti-L-dendriform structure: {len(report.violations)} violated triples",
-            report,
-        )
+    check_anti_L_dendriform(d).require(
+        "not an anti-L-dendriform structure: {count} violated triples"
+    )
     return d
 
 
@@ -158,13 +146,10 @@ def left_mult_representation(d: AntiLDendriform) -> Representation:
 LAW_O = "o-operator"
 
 
-def check_O_operator(alg: AlgebraLike, rep: Representation, t: Matrix) -> Report:
-    """T(u) . T(v) = T(rho(T(u)) v + mu(T(v)) u) on all basis pairs of V."""
-    table = as_table(alg)
+def _o_operator_violations(table: MultTable, rep: Representation, t: Matrix) -> Iterator[Violation]:
     n, m = table.dim, rep.dim_v
     if (t.rows, t.cols) != (n, m):
         raise ValueError(f"operator matrix must be {n}x{m}, got {t.rows}x{t.cols}")
-    violations = []
     tcols = [t.col(a) for a in range(m)]
     for a in range(m):
         rho_ta = rep.rho_of(tcols[a])
@@ -173,12 +158,16 @@ def check_O_operator(alg: AlgebraLike, rep: Representation, t: Matrix) -> Report
             inner = tuple(x + y for x, y in zip(rho_ta.col(b), mu_tb.col(a)))
             res = vec_sub(table.multiply(tcols[a], tcols[b]), t.apply(inner))
             if not vec_is_zero(res):
-                violations.append(Violation(LAW_O, (a, b), res))
-    return Report("o-operator", tuple(violations))
+                yield Violation(LAW_O, (a, b), res)
+
+
+def check_O_operator(alg: AlgebraLike, rep: Representation, t: Matrix) -> Report:
+    """T(u) . T(v) = T(rho(T(u)) v + mu(T(v)) u) on all basis pairs of V."""
+    return Report("o-operator", tuple(_o_operator_violations(as_table(alg), rep, t)))
 
 
 def is_O_operator(alg: AlgebraLike, rep: Representation, t: Matrix) -> bool:
-    return check_O_operator(alg, rep, t).ok
+    return next(_o_operator_violations(as_table(alg), rep, t), None) is None
 
 
 def induced_dendriform(alg: AlgebraLike, rep: Representation, t: Matrix) -> AntiLDendriform:
@@ -190,9 +179,7 @@ def induced_dendriform(alg: AlgebraLike, rep: Representation, t: Matrix) -> Anti
     the test suite; the first is asserted here).
     """
     table = as_table(alg)
-    report = check_O_operator(table, rep, t)
-    if not report.ok:
-        raise StructureError("matrix is not an O-operator", report)
+    check_O_operator(table, rep, t).require("matrix is not an O-operator")
     m = rep.dim_v
     field = table.field
     right = [[None] * m for _ in range(m)]
@@ -224,9 +211,7 @@ def compatible_from_invertible_O(
     t_inv = invert(t)
     if t_inv is None:
         raise StructureError("operator matrix is singular")
-    report = check_O_operator(table, rep, t)
-    if not report.ok:
-        raise StructureError("matrix is not an O-operator", report)
+    check_O_operator(table, rep, t).require("matrix is not an O-operator")
     n = table.dim
     field = table.field
     right = [
@@ -316,9 +301,9 @@ def dendriform_from_bilinear_form(
     two products; the form must be nondegenerate and invariant (refused
     otherwise).  Both products are unchanged if B is scaled."""
     table = as_table(alg)
-    report = check_form_invariance(table, b, strict_skew=strict_skew)
-    if not report.ok:
-        raise StructureError("bilinear form fails nondegeneracy or invariance", report)
+    check_form_invariance(table, b, strict_skew=strict_skew).require(
+        "bilinear form fails nondegeneracy or invariance"
+    )
     n = table.dim
     field = table.field
     bt_inv = invert(b.transpose())

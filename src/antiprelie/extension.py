@@ -182,9 +182,7 @@ def extract_cocycle(ext: AbelianExtension, section: Optional[Matrix] = None) -> 
         rho.append(Matrix.from_cols(field, rho_cols, rows=m))
         mu.append(Matrix.from_cols(field, mu_cols, rows=m))
     rep = Representation(n, m, tuple(rho), tuple(mu))
-    rep_report = check_representation(base, rep)
-    if not rep_report.ok:
-        raise StructureError("extracted action pair fails the representation axioms", rep_report)
+    check_representation(base, rep).require("extracted action pair fails the representation axioms")
     return theta, rep
 
 
@@ -237,9 +235,7 @@ def normalize_extension(
     iota_std, proj_std, section_std = canonical_maps(field, n, m)
     ext = AbelianExtension(std_total, n, m, iota_std, proj_std, section_std)
     base = ext.base_table()
-    morph = check_morphism(proj, total.table, base)
-    if not morph.ok:
-        raise StructureError("projection is not an algebra morphism", morph)
+    check_morphism(proj, total.table, base).require("projection is not an algebra morphism")
     return ext
 
 

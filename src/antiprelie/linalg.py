@@ -282,6 +282,24 @@ class Tensor3:
         """The vector [i][j][.] along the third index."""
         return self.entries[i][j]
 
+    def contract(self, x: Vec, y: Vec) -> Vec:
+        """The bilinear map the tensor represents: sum over i, j of x_i y_j [i][j][.]."""
+        d1, d2, d3 = self.dims
+        if len(x) != d1 or len(y) != d2:
+            raise ValueError(f"operands must have lengths {d1} and {d2}")
+        out = [self.field.zero()] * d3
+        for i, xi in enumerate(x):
+            if not xi:
+                continue
+            for j, yj in enumerate(y):
+                if not yj:
+                    continue
+                c = xi * yj
+                for k, t in enumerate(self.entries[i][j]):
+                    if t:
+                        out[k] = out[k] + c * t
+        return tuple(out)
+
     def __add__(self, other: "Tensor3") -> "Tensor3":
         if self.dims != other.dims:
             raise ValueError("tensor dims mismatch")

@@ -23,7 +23,6 @@ from .algebra import (
     LieTable,
     MultTable,
     Report,
-    StructureError,
     Violation,
 )
 from .fields import Field
@@ -73,9 +72,11 @@ LAW_MIXED = "rep-mixed"
 LAW_MU = "rep-mu"
 
 
-def _representation_residuals(table: MultTable, rep: Representation) -> Iterator[tuple]:
-    """Residual matrices of the three axioms at each ordered basis pair (i, j)."""
+def _representation_violations(table: MultTable, rep: Representation) -> Iterator[Violation]:
+    """The three axioms at each ordered basis pair (i, j), as residual matrices."""
     n = table.dim
+    if rep.dim_a != n:
+        raise ValueError(f"representation is over a dim-{rep.dim_a} algebra, table has dim {n}")
     rho, mu = rep.rho, rep.mu
     for i in range(n):
         for j in range(n):
@@ -85,38 +86,22 @@ def _representation_residuals(table: MultTable, rep: Representation) -> Iterator
             r1 = rho[i] @ rho[j] - rho[j] @ rho[i] - rep.rho_of(comm_ji)
             r2 = rep.mu_of(prod_ij) - rho[i] @ mu[j] - mu[j] @ rho[i] + mu[j] @ mu[i]
             r3 = mu[j] @ mu[i] - mu[i] @ mu[j] + rep.rho_of(comm_ij) - mu[j] @ rho[i] + mu[i] @ rho[j]
-            yield i, j, r1, r2, r3
+            for law, res in ((LAW_RHO, r1), (LAW_MIXED, r2), (LAW_MU, r3)):
+                if not res.is_zero():
+                    yield Violation(law, (i, j), res.entries)
 
 
 def check_representation(alg: AlgebraLike, rep: Representation) -> Report:
     """Verify the three representation axioms on all basis pairs."""
-    table = as_table(alg)
-    if rep.dim_a != table.dim:
-        raise ValueError(f"representation is over a dim-{rep.dim_a} algebra, table has dim {table.dim}")
-    violations = []
-    for i, j, r1, r2, r3 in _representation_residuals(table, rep):
-        for law, res in ((LAW_RHO, r1), (LAW_MIXED, r2), (LAW_MU, r3)):
-            if not res.is_zero():
-                violations.append(Violation(law, (i, j), res.entries))
-    return Report("representation", tuple(violations))
+    return Report("representation", tuple(_representation_violations(as_table(alg), rep)))
 
 
 def is_representation(alg: AlgebraLike, rep: Representation) -> bool:
-    table = as_table(alg)
-    if rep.dim_a != table.dim:
-        raise ValueError(f"representation is over a dim-{rep.dim_a} algebra, table has dim {table.dim}")
-    for _, _, r1, r2, r3 in _representation_residuals(table, rep):
-        if not (r1.is_zero() and r2.is_zero() and r3.is_zero()):
-            return False
-    return True
+    return next(_representation_violations(as_table(alg), rep), None) is None
 
 
 def verify_representation(alg: AlgebraLike, rep: Representation) -> Representation:
-    report = check_representation(alg, rep)
-    if not report.ok:
-        raise StructureError(
-            f"not a representation: {len(report.violations)} violated basis pairs", report
-        )
+    check_representation(alg, rep).require("not a representation: {count} violated basis pairs")
     return rep
 
 
@@ -131,32 +116,16 @@ def semidirect_product(alg: AntiPreLieAlgebra, rep: Representation) -> AntiPreLi
 
         (x + u) . (y + v) = x.y + rho(x)(v) + mu(y)(u),
 
-    refusing representations that fail verification.  The result is verified
-    before it is returned.
+    the abelian extension table with theta = 0, refusing representations that
+    fail verification.  The result is verified before it is returned.
     """
+    from .cohomology import Cochain2
+    from .extension import extension_table
+
     table = as_table(alg)
     verify_representation(table, rep)
-    n, m = table.dim, rep.dim_v
-    field = table.field
-    z = field.zero()
-    total = [[[z] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            prod = table.basis_product(i, j)
-            for k in range(n):
-                total[i][j][k] = prod[k]
-    for i in range(n):
-        for b in range(m):
-            col = rep.rho[i].col(b)
-            for k in range(m):
-                total[i][n + b][n + k] = col[k]
-    for a in range(m):
-        for j in range(n):
-            col = rep.mu[j].col(a)
-            for k in range(m):
-                total[n + a][j][n + k] = col[k]
-    result = MultTable.from_entries(field, total)
-    return AntiPreLieAlgebra.verify(result)
+    theta = Cochain2.zero(table.field, table.dim, rep.dim_v)
+    return AntiPreLieAlgebra.verify(extension_table(table, rep, theta))
 
 
 @dataclass(frozen=True)
@@ -191,9 +160,9 @@ def sub_adjacent_representation(alg: AntiPreLieAlgebra, rep: Representation) -> 
 
     action = tuple(r - m for r, m in zip(rep.rho, rep.mu))
     lierep = LieRepresentation(rep.dim_v, action)
-    report = check_lie_representation(sub_adjacent_lie(alg), lierep)
-    if not report.ok:
-        raise StructureError("rho - mu fails the Lie action law; input was not a representation", report)
+    check_lie_representation(sub_adjacent_lie(alg), lierep).require(
+        "rho - mu fails the Lie action law; input was not a representation"
+    )
     return lierep
 
 

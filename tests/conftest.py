@@ -58,6 +58,20 @@ def fp_table(p: int, n: int, nonzero: dict) -> MultTable:
     return MultTable.from_dict(PrimeField(p), n, nonzero)
 
 
+def bump_table(t: MultTable, i: int, j: int, k: int) -> MultTable:
+    """The table with entry [i][j][k] increased by one."""
+    ent = [[list(f) for f in plane] for plane in t.tensor.entries]
+    ent[i][j][k] += t.field.one()
+    return MultTable.from_entries(t.field, ent)
+
+
+def bump_matrix(m: Matrix, r: int, c: int) -> Matrix:
+    """The matrix with entry [r][c] increased by one."""
+    rows = [list(row) for row in m.entries]
+    rows[r][c] += m.field.one()
+    return Matrix.from_rows(m.field, rows)
+
+
 @pytest.fixture(scope="session")
 def named_algebras():
     """Hand-entered rational algebras, each verified on construction.
@@ -102,7 +116,7 @@ def corpus_algebras(named_algebras, lifted_algebras):
     out = dict(named_algebras)
     picks = [10, 40, 90, 150, 200]
     for rank, idx in enumerate(picks):
-        out[f"lift{rank}"] = AntiPreLieAlgebra(lifted_algebras[idx], True)
+        out[f"lift{rank}"] = AntiPreLieAlgebra.verify(lifted_algebras[idx])
     a2 = named_algebras["a2"]
     out["sd_a2_reg"] = semidirect_product(a2, regular_representation(a2))
     out["sd_a2_triv"] = semidirect_product(a2, Representation.zero(QQ, 2, 1))

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from antiprelie import documents as docs
-from antiprelie.algebra import MultTable
+from antiprelie.algebra import AntiPreLieAlgebra, MultTable
 from antiprelie.cli import main
 from antiprelie.cohomology import Cochain2, cohomology_spaces
 from antiprelie.deformation import TruncatedDeformation, TruncatedIsomorphism
@@ -12,6 +12,8 @@ from antiprelie.extension import build_extension
 from antiprelie.fields import QQ
 from antiprelie.linalg import Matrix
 from antiprelie.representation import Representation, regular_representation
+
+from conftest import bump_matrix, q_table
 
 
 @pytest.fixture()
@@ -50,6 +52,61 @@ def test_check_pass_and_fail(write_doc, capsys, named_algebras, abar2_table):
     assert payload["ok"] is False
     assert payload["violations"][0]["at"] == [0, 1, 0]
     assert "exchange" in err
+
+
+def _failing_report_docs(command, named_algebras):
+    """Documents whose check fails at several places, some with two or more laws."""
+    a2 = named_algebras["a2"]
+    if command == "check":
+        return [docs.encode_algebra(q_table(3, {(0, 1, 1): 1, (1, 2, 2): 1}))]
+    if command == "rep-check":
+        reg = regular_representation(a2)
+        rep = Representation(2, 2, reg.rho, (bump_matrix(reg.mu[0], 1, 1), reg.mu[1]))
+        return [docs.encode_algebra(a2), docs.encode_representation(rep)]
+    if command == "dend-check":
+        return [docs.encode_dendriform(AntiLDendriform(a2.table, q_table(2, {(0, 1, 0): 1})))]
+    base = AntiPreLieAlgebra.verify(q_table(3, {(0, 1, 1): 1}))
+    return [docs.encode_deformation(TruncatedDeformation(base, (q_table(3, {(0, 2, 0): 1}),)))]
+
+
+FAILING_ORDER = {
+    "check": (
+        ("exchange", "cyclic"),
+        [("exchange", [0, 1, 2]), ("cyclic", [0, 1, 2]), ("cyclic", [0, 2, 1]),
+         ("exchange", [1, 0, 2]), ("cyclic", [1, 0, 2]), ("cyclic", [1, 2, 0]),
+         ("cyclic", [2, 0, 1]), ("cyclic", [2, 1, 0])],
+    ),
+    "rep-check": (
+        ("rep-rho", "rep-mixed", "rep-mu"),
+        [("rep-mixed", [0, 0]), ("rep-mu", [0, 1]), ("rep-mixed", [1, 0]), ("rep-mu", [1, 0])],
+    ),
+    "dend-check": (
+        ("dendriform-1", "dendriform-2", "dendriform-3"),
+        [("dendriform-2", [0, 0, 1]), ("dendriform-1", [0, 1, 1]), ("dendriform-3", [0, 1, 1]),
+         ("dendriform-1", [1, 0, 1]), ("dendriform-2", [1, 0, 1]), ("dendriform-3", [1, 0, 1])],
+    ),
+    "deform-check": (
+        ("deformation-exchange", "deformation-cyclic"),
+        [("deformation-cyclic", [1, 0, 1, 2]), ("deformation-exchange", [1, 0, 2, 1]),
+         ("deformation-cyclic", [1, 0, 2, 1]), ("deformation-cyclic", [1, 1, 0, 2]),
+         ("deformation-cyclic", [1, 1, 2, 0]), ("deformation-exchange", [1, 2, 0, 1]),
+         ("deformation-cyclic", [1, 2, 0, 1]), ("deformation-cyclic", [1, 2, 1, 0])],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(FAILING_ORDER))
+def test_failing_report_violation_order(command, write_doc, capsys, named_algebras):
+    """Violations come lexicographically in `at`, then in law order within one `at`,
+    on standard output and standard error alike."""
+    paths = [write_doc(doc) for doc in _failing_report_docs(command, named_algebras)]
+    code, out, err = run_cli(capsys, command, *paths)
+    assert code == 1
+    got = [(v["law"], v["at"]) for v in out_json(out)["violations"]]
+    law_order, expected = FAILING_ORDER[command]
+    assert got == sorted(got, key=lambda v: (v[1], law_order.index(v[0])))
+    assert got == expected
+    assert [line.split(" at ")[0] for line in err.splitlines()] == [law for law, _ in got]
 
 
 def test_malformed_input_exit_code(tmp_path, capsys):
