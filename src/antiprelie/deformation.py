@@ -35,6 +35,7 @@ from .algebra import (
 )
 from .cohomology import (
     Cochain2,
+    cochain1_from_vec,
     cochain2_to_vec,
     cohomology_spaces,
     d1_matrix,
@@ -100,6 +101,11 @@ class TruncatedIsomorphism:
     def order(self) -> int:
         return len(self.phis)
 
+    @property
+    def field(self) -> Optional[Field]:
+        """None at order 0, where no scalars are held."""
+        return self.phis[0].field if self.phis else None
+
     @staticmethod
     def identity(field: Field, n: int, order: int) -> "TruncatedIsomorphism":
         return TruncatedIsomorphism((Matrix.zero(field, n, n),) * order)
@@ -156,23 +162,20 @@ def infinitesimal(d: TruncatedDeformation) -> Cochain2:
     return w1
 
 
-def inverse_series(phis: Sequence[Matrix], field: Field, n: int, order: int) -> list:
-    """[psi_0 .. psi_order] of the truncated inverse of Id + sum phi_k t^k."""
-    ident = Matrix.identity(field, n)
-    padded = [ident] + [
-        phis[k] if k < len(phis) else Matrix.zero(field, n, n) for k in range(order)
-    ]
+def inverse_series(phis: Sequence[Matrix]) -> list:
+    """[psi_0 .. psi_N] of the truncated inverse of sum phi_k t^k, given [phi_0 = Id .. phi_N]."""
+    ident = phis[0]
     psis = [ident]
-    for k in range(1, order + 1):
-        acc = Matrix.zero(field, n, n)
+    for k in range(1, len(phis)):
+        acc = Matrix.zero(ident.field, ident.rows, ident.cols)
         for i in range(1, k + 1):
-            acc = acc + padded[i] @ psis[k - i]
+            acc = acc + phis[i] @ psis[k - i]
         psis.append(-acc)
     return psis
 
 
 def inverse_isomorphism(iso: TruncatedIsomorphism, field: Field, n: int, order: int) -> TruncatedIsomorphism:
-    psis = inverse_series(iso.phis, field, n, order)
+    psis = inverse_series(iso.padded(field, n, order))
     return TruncatedIsomorphism(tuple(psis[1:]))
 
 
@@ -207,7 +210,7 @@ def apply_isomorphism(d: TruncatedDeformation, iso: TruncatedIsomorphism) -> Tru
     field = d.field
     order = d.order
     phis = iso.padded(field, n, order)
-    psis = inverse_series(iso.phis, field, n, order)
+    psis = inverse_series(phis)
     tables = d.tables()
     new_terms = []
     for deg in range(0, order + 1):
@@ -251,9 +254,7 @@ def trivialize_step(d: TruncatedDeformation, n: int) -> Optional[tuple]:
     phi_vec = solve(dd1, target)
     if phi_vec is None:
         return None
-    phi = Matrix(field, dim, dim, tuple(
-        tuple(phi_vec[l * dim + i] for i in range(dim)) for l in range(dim)
-    ))
+    phi = cochain1_from_vec(field, dim, dim, phi_vec)
     zero = Matrix.zero(field, dim, dim)
     iso = TruncatedIsomorphism(tuple(zero if k != n - 1 else phi for k in range(n)))
     transformed = apply_isomorphism(d, iso)

@@ -260,7 +260,7 @@ def decode_deformation(doc: dict) -> TruncatedDeformation:
     if not isinstance(base_doc, dict):
         raise DocumentError("deformation document needs a base algebra document")
     table = decode_algebra(base_doc)
-    base = _verified(table)
+    base = AntiPreLieAlgebra.verify(table)
     order = _int(doc, "order")
     terms = doc.get("terms")
     if not isinstance(terms, list) or len(terms) != order:
@@ -270,10 +270,6 @@ def decode_deformation(doc: dict) -> TruncatedDeformation:
         base,
         tuple(MultTable(decode_tensor3(table.field, t, (n, n, n))) for t in terms),
     )
-
-
-def _verified(table: MultTable) -> AntiPreLieAlgebra:
-    return AntiPreLieAlgebra.verify(table)
 
 
 def encode_isomorphism(iso: TruncatedIsomorphism, field: Field) -> dict:
@@ -320,5 +316,5 @@ def decode_extension(doc: dict) -> AbelianExtension:
     iota = decode_matrix(field, doc.get("iota"))
     proj = decode_matrix(field, doc.get("p"))
     section = decode_matrix(field, doc.get("section")) if "section" in doc else None
-    total = _verified(table)
+    total = AntiPreLieAlgebra.verify(table)
     return normalize_extension(total, iota, proj, section)

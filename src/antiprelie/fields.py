@@ -119,9 +119,6 @@ class Rationals:
     def to_str(self, a: Fraction) -> str:
         return str(a)
 
-    def contains(self, a) -> bool:
-        return isinstance(a, Fraction)
-
     def to_json(self) -> dict:
         return {"type": "rational"}
 
@@ -159,9 +156,6 @@ class PrimeField:
 
     def to_str(self, a: Fp) -> str:
         return f"{a.value} mod {self.p}"
-
-    def contains(self, a) -> bool:
-        return isinstance(a, Fp) and a.p == self.p
 
     def elements(self) -> Iterator[Fp]:
         return (Fp(k, self.p) for k in range(self.p))

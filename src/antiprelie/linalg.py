@@ -16,30 +16,13 @@ from .fields import Field, Scalar
 Vec = tuple  # tuple[Scalar, ...]
 
 
-def vec_zero(field: Field, n: int) -> Vec:
-    z = field.zero()
-    return tuple(z for _ in range(n))
-
-
 def basis_vec(field: Field, n: int, i: int) -> Vec:
     z, o = field.zero(), field.one()
     return tuple(o if k == i else z for k in range(n))
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def vec_sub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vec_neg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
-
-
-def vec_scale(c: Scalar, a: Vec) -> Vec:
-    return tuple(c * x for x in a)
 
 
 def vec_is_zero(a: Vec) -> bool:

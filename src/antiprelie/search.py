@@ -7,9 +7,9 @@ keep the ones that pass the exact verification for their kind, and optionally
 lift small instances to the rationals (centered residues) for re-verification
 over Q.
 
-Exhaustive enumeration refuses spaces larger than MAX_EXHAUSTIVE candidates,
-reporting the computed size; bounded random sampling (seeded, deterministic)
-covers the rest.
+Exhaustive enumeration refuses spaces larger than MAX_EXHAUSTIVE candidates
+before their size p**cells is computed, reporting it in that form; bounded
+random sampling (seeded, deterministic) covers the rest.
 """
 
 from __future__ import annotations
@@ -30,9 +30,26 @@ MAX_EXHAUSTIVE = 2_000_000
 
 
 class SearchSpaceTooLarge(ValueError):
-    def __init__(self, size: int):
-        super().__init__(f"search space has {size} candidates; exhaustive bound is {MAX_EXHAUSTIVE}")
-        self.size = size
+    def __init__(self, p: int, cells: int):
+        super().__init__(
+            f"search space has {p}**{cells} candidates; exhaustive bound is {MAX_EXHAUSTIVE}"
+        )
+        self.p, self.cells = p, cells
+
+    @property
+    def size(self) -> int:
+        return self.p**self.cells
+
+
+def _size(p: int, cells: int, exhaustive: bool) -> int:
+    """p**cells, refused for an exhaustive scan above MAX_EXHAUSTIVE before it is computed.
+
+    p >= 2, so at MAX_EXHAUSTIVE.bit_length() cells or more the space already
+    exceeds the bound; below that p**cells is small enough to compare exactly.
+    """
+    if exhaustive and (cells >= MAX_EXHAUSTIVE.bit_length() or p**cells > MAX_EXHAUSTIVE):
+        raise SearchSpaceTooLarge(p, cells)
+    return p**cells
 
 
 @dataclass(frozen=True)
@@ -55,6 +72,7 @@ class SearchSpec:
 
 
 def space_size(spec: SearchSpec) -> int:
+    """Candidates in the space; an exhaustive spec beyond MAX_EXHAUSTIVE is refused."""
     cells = {
         "algebra": spec.dim**3,
         "representation": 2 * spec.dim * spec.dim_v * spec.dim_v,
@@ -63,15 +81,13 @@ def space_size(spec: SearchSpec) -> int:
     }
     if spec.kind not in cells:
         raise ValueError(f"unknown search kind: {spec.kind!r}")
-    return spec.p ** cells[spec.kind]
+    return _size(spec.p, cells[spec.kind], spec.exhaustive)
 
 
 def _candidates(spec: SearchSpec, n_cells: int) -> Iterator[tuple]:
     """Cell-value tuples in deterministic order (lexicographic or seeded)."""
-    size = spec.p**n_cells
+    size = _size(spec.p, n_cells, spec.exhaustive)
     if spec.exhaustive:
-        if size > MAX_EXHAUSTIVE:
-            raise SearchSpaceTooLarge(size)
         yield from product(range(spec.p), repeat=n_cells)
     else:
         rng = random.Random(spec.seed)

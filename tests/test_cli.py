@@ -429,3 +429,88 @@ def test_cohomology_output_byte_identical(write_doc, capsys, named_algebras):
     _, out1, _ = run_cli(capsys, "cohomology", alg, rep)
     _, out2, _ = run_cli(capsys, "cohomology", alg, rep)
     assert out1 == out2
+
+
+def test_apply_iso_field_mismatch_is_input_error(write_doc, capsys, named_algebras):
+    """A QQ deformation pulled back along an F3 isomorphism is refused at the field gate."""
+    from antiprelie.fields import PrimeField
+
+    d = write_doc(docs.encode_deformation(TruncatedDeformation.trivial(named_algebras["a2"], 1)))
+    f3 = PrimeField(3)
+    iso = write_doc(docs.encode_isomorphism(TruncatedIsomorphism((Matrix.identity(f3, 2),)), f3))
+    code, _, err = run_cli(capsys, "apply-iso", d, iso)
+    assert code == 2
+    assert err == "input error: documents live over different fields\n"
+
+
+def test_search_rep_field_mismatch_is_input_error(write_doc, capsys, named_algebras, f3_algebras):
+    ctx = write_doc(docs.encode_algebra(f3_algebras["a2@3"]))
+    rep = write_doc(docs.encode_representation(regular_representation(named_algebras["a2"])))
+    code, _, err = run_cli(
+        capsys, "search", "--kind", "o-operator", "--dim", "2", "--prime", "3",
+        "--dim-v", "2", "--context", ctx, "--rep", rep,
+    )
+    assert code == 2
+    assert err == "input error: documents live over different fields\n"
+
+
+def test_search_rep_dimension_mismatch_is_input_error(write_doc, capsys, f3_algebras):
+    from antiprelie.fields import PrimeField
+
+    ctx = write_doc(docs.encode_algebra(f3_algebras["a2@3"]))
+    rep = write_doc(docs.encode_representation(Representation.zero(PrimeField(3), 1, 2)))
+    code, _, err = run_cli(
+        capsys, "search", "--kind", "o-operator", "--dim", "2", "--prime", "3",
+        "--dim-v", "2", "--context", ctx, "--rep", rep,
+    )
+    assert code == 2
+    assert err == "input error: representation is over a dim-1 algebra, document has dim 2\n"
+
+
+def test_rigidity_sample_field_mismatch_is_input_error(write_doc, capsys, named_algebras, f3_algebras):
+    """Refused before H2 is computed, so a nonzero H2 no longer hides the bad sample."""
+    alg = write_doc(docs.encode_algebra(named_algebras["zero2"]))
+    f3_base = AntiPreLieAlgebra.verify(f3_algebras["a2@3"])
+    sample = write_doc(docs.encode_deformation(TruncatedDeformation.trivial(f3_base, 1)))
+    code, out, err = run_cli(capsys, "rigidity", alg, sample, "--order", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "input error: documents live over different fields\n"
+
+
+@pytest.mark.parametrize("dim, prime", [(25, "2"), (200, "5")])
+def test_search_refuses_oversized_space_quickly(capsys, dim, prime):
+    """The refusal comes before p**cells is computed or printed."""
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "search", "--kind", "algebra", "--dim", str(dim),
+                             "--prime", prime)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("refused: ")
+    assert "Traceback" not in err
+
+
+def test_readme_lists_every_subcommand():
+    """The command-line block of the README names every subcommand the parser has."""
+    import re
+    from pathlib import Path
+
+    from antiprelie.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    listed = set(re.findall(r"^antiprelie ([a-z-]+)", block, flags=re.M))
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert set(sub.choices) == listed
+
+
+def test_extend_combined_document_with_non_object_parts(write_doc, capsys):
+    path = write_doc({"algebra": "a2", "rep": 1, "theta": []})
+    code, out, err = run_cli(capsys, "extend", path)
+    assert code == 2
+    assert out == ""
+    assert err == "input error: combined build document needs algebra, rep and theta\n"
