@@ -30,7 +30,7 @@ from typing import Optional
 
 from .algebra import AntiPreLieAlgebra, MultTable, StructureError
 from .fields import Field
-from .linalg import Matrix, Tensor3, Vec, basis_vec, in_span, kernel_basis, pivot_columns, solve, vec_sub
+from .linalg import Matrix, Tensor3, Vec, basis_vec, kernel_basis, pivot_columns, solve, vec_sub
 from .representation import AlgebraLike, Representation, as_table
 
 
@@ -371,33 +371,30 @@ def cohomology_spaces(alg: AntiPreLieAlgebra, rep: Representation) -> Cohomology
     """Z2 as the kernel of the d2 linearization, B2 as the column space of d1,
     and H2 representatives chosen by greedily extending the B2 basis along the
     deterministic Z2 kernel basis (lexicographic coordinate order).
+
+    The representatives and the check that B2 lies inside Z2 both come from
+    one elimination of the column block [B2 | Z2].  Its pivot columns are the
+    lexicographically first independent columns: B2 is independent, so it is
+    all pivots, and a Z2 vector is a pivot exactly when it lies outside the
+    span of B2 and the Z2 vectors before it, which is the greedy choice, in
+    the same order.  Z2 is independent too, so the block has exactly len(Z2)
+    pivots if and only if B2 lies inside Z2.
     """
     table = as_table(alg)
     n, m = table.dim, rep.dim_v
     field = table.field
-    dd2 = d2_matrix(table, rep)
-    z2_vecs = kernel_basis(dd2)
+    z2_vecs = kernel_basis(d2_matrix(table, rep))
     dd1 = d1_matrix(table, rep)
     b2_vecs = [dd1.col(c) for c in pivot_columns(dd1)]
-    for v in b2_vecs:
-        if not in_span(z2_vecs, v, field):
-            raise StructureError("a coboundary fell outside Z2; (alg, rep) was not verified")
-    h2_dim = len(z2_vecs) - len(b2_vecs)
-    span = list(b2_vecs)
-    reps = []
-    for v in z2_vecs:
-        if len(reps) == h2_dim:
-            break
-        if not in_span(span, v, field):
-            reps.append(v)
-            span.append(v)
-    if len(reps) != h2_dim:
-        raise RuntimeError("failed to extend B2 basis to Z2; kernel computation inconsistent")
+    pivots = pivot_columns(Matrix.from_cols(field, b2_vecs + z2_vecs, rows=n * n * m))
+    if len(pivots) != len(z2_vecs):
+        raise StructureError("a coboundary fell outside Z2; (alg, rep) was not verified")
+    reps = [z2_vecs[c - len(b2_vecs)] for c in pivots[len(b2_vecs):]]
     mk = lambda v: cochain2_from_vec(field, n, m, v)
     return CohomologySpaces(
         tuple(mk(v) for v in z2_vecs),
         tuple(mk(v) for v in b2_vecs),
-        h2_dim,
+        len(reps),
         tuple(mk(v) for v in reps),
     )
 

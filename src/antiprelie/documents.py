@@ -173,6 +173,7 @@ def decode_representation(doc: dict) -> Representation:
             m,
             tuple(decode_matrix(field, x, m, m) for x in rho),
             tuple(decode_matrix(field, x, m, m) for x in mu),
+            field,
         )
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc

@@ -15,8 +15,8 @@ report for (mu - rho, mu) / (rho*, mu*) / mu(x.y) + mu(y.x) = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Union
+from dataclasses import dataclass, field as dataclass_field
+from typing import Iterator, Optional, Union
 
 from .algebra import (
     AntiPreLieAlgebra,
@@ -43,6 +43,8 @@ class Representation:
     dim_v: int
     rho: tuple  # tuple[Matrix, ...], length dim_a, each dim_v x dim_v
     mu: tuple
+    # The field when there are no matrices to read it from (dim_a = 0).
+    scalars: Optional[Field] = dataclass_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.rho) != self.dim_a or len(self.mu) != self.dim_a:
@@ -52,13 +54,13 @@ class Representation:
                 raise ValueError(f"action matrices must be {self.dim_v}x{self.dim_v}")
 
     @property
-    def field(self) -> Field:
-        return self.rho[0].field if self.rho else None
+    def field(self) -> Optional[Field]:
+        return self.rho[0].field if self.rho else self.scalars
 
     @staticmethod
     def zero(field: Field, dim_a: int, dim_v: int) -> "Representation":
         z = Matrix.zero(field, dim_v, dim_v)
-        return Representation(dim_a, dim_v, (z,) * dim_a, (z,) * dim_a)
+        return Representation(dim_a, dim_v, (z,) * dim_a, (z,) * dim_a, field)
 
     def rho_of(self, x: Vec) -> Matrix:
         return lincomb(x, self.rho)
@@ -175,7 +177,7 @@ def dual_representation(rep: Representation) -> Representation:
     """
     rho_d = tuple(r.transpose() - m.transpose() for r, m in zip(rep.rho, rep.mu))
     mu_d = tuple(-m.transpose() for m in rep.mu)
-    return Representation(rep.dim_a, rep.dim_v, rho_d, mu_d)
+    return Representation(rep.dim_a, rep.dim_v, rho_d, mu_d, rep.field)
 
 
 def special_condition_report(alg: AlgebraLike, rep: Representation) -> tuple:

@@ -9,7 +9,8 @@ over Q.
 
 Exhaustive enumeration refuses spaces larger than MAX_EXHAUSTIVE candidates
 before their size p**cells is computed, reporting it in that form; bounded
-random sampling (seeded, deterministic) covers the rest.
+random sampling (seeded, deterministic) covers the rest, up to spaces whose
+size still prints in MAX_SPACE_DIGITS digits.
 """
 
 from __future__ import annotations
@@ -27,13 +28,15 @@ from .linalg import Matrix, Tensor3
 from .representation import Representation, is_representation
 
 MAX_EXHAUSTIVE = 2_000_000
+# The space size is reported as an exact JSON integer, and Python reads and
+# writes integers of at most 4300 digits by default, so even a sampled search
+# refuses a space with more digits than that.
+MAX_SPACE_DIGITS = 4300
 
 
 class SearchSpaceTooLarge(ValueError):
-    def __init__(self, p: int, cells: int):
-        super().__init__(
-            f"search space has {p}**{cells} candidates; exhaustive bound is {MAX_EXHAUSTIVE}"
-        )
+    def __init__(self, p: int, cells: int, bound: str = f"exhaustive bound is {MAX_EXHAUSTIVE}"):
+        super().__init__(f"search space has {p}**{cells} candidates; {bound}")
         self.p, self.cells = p, cells
 
     @property
@@ -41,14 +44,25 @@ class SearchSpaceTooLarge(ValueError):
         return self.p**self.cells
 
 
-def _size(p: int, cells: int, exhaustive: bool) -> int:
-    """p**cells, refused for an exhaustive scan above MAX_EXHAUSTIVE before it is computed.
+def _exceeds(p: int, cells: int, bound: int) -> bool:
+    """Whether p**cells > bound, without computing p**cells when it is far larger.
 
-    p >= 2, so at MAX_EXHAUSTIVE.bit_length() cells or more the space already
-    exceeds the bound; below that p**cells is small enough to compare exactly.
+    p >= 2**(b - 1) for b = p.bit_length(), so once cells * (b - 1) reaches
+    bound.bit_length() the space already exceeds the bound; below that
+    p**cells has at most twice the bits of the bound and is compared exactly.
     """
-    if exhaustive and (cells >= MAX_EXHAUSTIVE.bit_length() or p**cells > MAX_EXHAUSTIVE):
+    return cells * (p.bit_length() - 1) >= bound.bit_length() or p**cells > bound
+
+
+def _size(p: int, cells: int, exhaustive: bool) -> int:
+    """p**cells, refused before it is computed for an exhaustive scan above
+    MAX_EXHAUSTIVE and for any space with more than MAX_SPACE_DIGITS digits."""
+    if exhaustive and _exceeds(p, cells, MAX_EXHAUSTIVE):
         raise SearchSpaceTooLarge(p, cells)
+    if _exceeds(p, cells, 10**MAX_SPACE_DIGITS - 1):
+        raise SearchSpaceTooLarge(
+            p, cells, f"a reported size has at most {MAX_SPACE_DIGITS} digits"
+        )
     return p**cells
 
 
@@ -72,7 +86,8 @@ class SearchSpec:
 
 
 def space_size(spec: SearchSpec) -> int:
-    """Candidates in the space; an exhaustive spec beyond MAX_EXHAUSTIVE is refused."""
+    """Candidates in the space; an exhaustive spec beyond MAX_EXHAUSTIVE, or any spec beyond
+    MAX_SPACE_DIGITS digits, is refused."""
     cells = {
         "algebra": spec.dim**3,
         "representation": 2 * spec.dim * spec.dim_v * spec.dim_v,

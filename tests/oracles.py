@@ -1,4 +1,4 @@
-"""Naive nested-loop evaluators and a second nullspace solver.
+"""Naive nested-loop evaluators, a second nullspace solver and dense elimination.
 
 Everything here is written straight off the defining identities with explicit
 index sums over structure constants, deliberately sharing no code with the
@@ -368,15 +368,103 @@ def bareiss_kernel(m: Matrix):
     return basis
 
 
+def dense_rref(field: Field, rows_in, ncols: int):
+    """Column-by-column Gauss-Jordan elimination on dense rows; returns
+    (rows, pivot column indices), zero rows included at the bottom.
+
+    The exact reference for the package's sparse-row elimination: the
+    reduced row echelon form is unique, so both must agree entry for entry.
+    """
+    rows = [list(r) for r in rows_in]
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = field.one() / rows[r][c]
+        rows[r] = [inv * x if x else x for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def dense_kernel_basis(m: Matrix):
+    """Right null-space basis read off dense_rref, one vector per free column."""
+    rows, pivots = dense_rref(m.field, m.entries, m.cols)
+    z, o = m.field.zero(), m.field.one()
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [z] * m.cols
+        v[f] = o
+        for r_idx, pc in enumerate(pivots):
+            v[pc] = -rows[r_idx][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_solve(m: Matrix, b):
+    """The solution of Mx = b with free variables zero, or None, via dense_rref."""
+    aug = [list(r) + [bb] for r, bb in zip(m.entries, b)]
+    rows, pivots = dense_rref(m.field, aug, m.cols + 1)
+    if pivots and pivots[-1] == m.cols:
+        return None
+    x = [m.field.zero()] * m.cols
+    for r_idx, pc in enumerate(pivots):
+        x[pc] = rows[r_idx][m.cols]
+    return tuple(x)
+
+
+def dense_invert(m: Matrix):
+    """Inverse of a square matrix by dense_rref on [M | I], or None when singular."""
+    n = m.rows
+    z, o = m.field.zero(), m.field.one()
+    aug = [list(r) + [o if i == j else z for j in range(n)] for i, r in enumerate(m.entries)]
+    rows, pivots = dense_rref(m.field, aug, 2 * n)
+    if pivots != list(range(n)):
+        return None
+    return Matrix(m.field, n, n, tuple(tuple(r[n:]) for r in rows[:n]))
+
+
+def dense_rank(field: Field, vecs, length: int) -> int:
+    return len(dense_rref(field, vecs, length)[1])
+
+
+def dense_in_span(field: Field, vecs, v, length: int) -> bool:
+    """Whether v lies in the span of vecs, by two dense ranks."""
+    return dense_rank(field, list(vecs) + [v], length) == dense_rank(field, vecs, length)
+
+
+def greedy_h2_representatives(field: Field, z2_vecs, b2_vecs, length: int):
+    """H2 representatives by greedy extension of B2 along Z2: each Z2 vector
+    outside the span of B2 and the vectors already taken is kept, in order,
+    with one from-scratch span test per candidate."""
+    span = list(b2_vecs)
+    reps = []
+    for v in z2_vecs:
+        if not dense_in_span(field, span, v, length):
+            reps.append(v)
+            span.append(v)
+    return reps
+
+
 def same_span(field: Field, vecs_a, vecs_b, length: int) -> bool:
     """Exact equality of two spans inside field^length via three ranks."""
-    from antiprelie.linalg import rank
-
     if not vecs_a and not vecs_b:
         return True
     if not vecs_a or not vecs_b:
         return False
-    mat_a = Matrix.from_rows(field, list(vecs_a))
-    mat_b = Matrix.from_rows(field, list(vecs_b))
-    both = Matrix.from_rows(field, list(vecs_a) + list(vecs_b))
-    return rank(mat_a) == rank(mat_b) == rank(both)
+    both = list(vecs_a) + list(vecs_b)
+    return len({dense_rank(field, vecs, length) for vecs in (vecs_a, vecs_b, both)}) == 1

@@ -514,3 +514,59 @@ def test_extend_combined_document_with_non_object_parts(write_doc, capsys):
     assert code == 2
     assert out == ""
     assert err == "input error: combined build document needs algebra, rep and theta\n"
+
+
+def test_dual_of_dim0_representation(write_doc, capsys):
+    """A representation of a dim-0 algebra has no matrices; its document still
+    names its field, and `dual` writes it back unchanged."""
+    rep_doc = {"kind": "representation", "field": {"type": "rational"},
+               "dim_a": 0, "dim_v": 2, "rho": [], "mu": []}
+    code, out, err = run_cli(capsys, "dual", write_doc(rep_doc))
+    assert (code, err) == (0, "")
+    assert out_json(out) == rep_doc
+
+
+def test_dim0_representation_field_mismatch_is_input_error(write_doc, capsys):
+    from antiprelie.fields import PrimeField
+
+    alg = write_doc(docs.encode_algebra(MultTable.zero(QQ, 0)))
+    rep = write_doc(docs.encode_representation(Representation.zero(PrimeField(3), 0, 1)))
+    code, out, err = run_cli(capsys, "rep-check", alg, rep)
+    assert (code, out) == (2, "")
+    assert err == "input error: documents live over different fields\n"
+
+
+@pytest.mark.parametrize("dim, prime", [(25, "2"), (200, "5")])
+def test_search_random_refuses_unprintable_space(capsys, dim, prime):
+    """A sampled search over a space whose size has more than 4300 digits is
+    refused before the size is computed or printed."""
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "search", "--kind", "algebra", "--dim", str(dim),
+                             "--prime", prime, "--random", "5")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == (f"refused: search space has {prime}**{dim ** 3} candidates; "
+                   "a reported size has at most 4300 digits\n")
+
+
+def test_cohomology_dim8_tower_regular(write_doc, capsys, named_algebras):
+    """The dim-8 semidirect tower a2 -> dim 4 -> dim 8 over its regular rep:
+    the dimensions and the exact bytes of the output (d2 is 8192 x 512)."""
+    import hashlib
+
+    from antiprelie.representation import semidirect_product
+
+    a2 = named_algebras["a2"]
+    a4 = semidirect_product(a2, regular_representation(a2))
+    a8 = semidirect_product(a4, regular_representation(a4))
+    alg = write_doc(docs.encode_algebra(a8))
+    rep = write_doc(docs.encode_representation(regular_representation(a8)))
+    code, out, err = run_cli(capsys, "cohomology", alg, rep)
+    assert (code, err) == (0, "")
+    payload = out_json(out)
+    assert (payload["Z2"], payload["B2"], payload["H2"]) == (116, 56, 60)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "545acd9341827676c1601c5a17e77bea886c9077248581c17956eb01bdd6365f"
+    )

@@ -8,7 +8,6 @@ from antiprelie.fields import QQ, PrimeField
 from antiprelie.linalg import (
     Matrix,
     Tensor3,
-    in_span,
     invert,
     kernel_basis,
     pivot_columns,
@@ -141,15 +140,6 @@ def test_prime_field_linalg():
     assert vec_is_zero(m.apply(basis[0]))
     inv = invert(Matrix.from_rows(f3, [[f3.of_int(2)]]))
     assert inv.entries[0][0] == f3.of_int(2)  # 2 * 2 = 4 = 1 mod 3
-
-
-def test_in_span():
-    v1 = (Fraction(1), Fraction(0))
-    v2 = (Fraction(1), Fraction(1))
-    assert in_span([v1, v2], (Fraction(3), Fraction(2)), QQ)
-    assert not in_span([v1], (Fraction(0), Fraction(1)), QQ)
-    assert in_span([], (Fraction(0), Fraction(0)), QQ)
-    assert not in_span([], (Fraction(1), Fraction(0)), QQ)
 
 
 def test_tensor3_shape_validation():

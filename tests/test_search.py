@@ -99,3 +99,11 @@ def test_rational_corpus_counts(lifted_algebras):
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         space_size(SearchSpec(kind="magic", dim=2, p=3))
+
+
+def test_sampled_space_bound_is_exact():
+    """2**14284 has 4300 digits and is reported; 2**14285 has 4301 and is refused."""
+    size = space_size(SearchSpec(kind="o-operator", dim=14284, p=2, dim_v=1, exhaustive=False))
+    assert size == 2**14284 and len(str(size)) == 4300
+    with pytest.raises(SearchSpaceTooLarge):
+        space_size(SearchSpec(kind="o-operator", dim=14285, p=2, dim_v=1, exhaustive=False))
