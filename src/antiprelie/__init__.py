@@ -31,13 +31,11 @@ from .representation import (
 )
 from .cohomology import (
     Cochain2,
-    Cochain3Pair,
     CohomologySpaces,
     cohomologous,
     cohomology_spaces,
     d1,
     d1_matrix,
-    d2,
     d2_matrix,
     is_cocycle,
 )

@@ -8,13 +8,14 @@ table satisfying, for all x, y, z and with [x,y] = x.y - y.x,
     [x,y].z + [y,z].x + [z,x].y = 0        (cyclic law)
 
 Checks run over all ordered basis triples and report exact residual vectors.
-Both laws are evaluated by one routine, _law_matrices, as compositions of
-left/right multiplication operators of an outer and an inner product; the
-anti-pre-Lie check uses one product in both places and the deformation
-equations sum it over pairs of deformation terms.  Every law family in the
-package has one lazy violation walk: its check_* collects the walk, its is_*
-stops at the first violation.  A naive nested-loop oracle is kept in the test
-suite.
+Both laws are evaluated by one routine, _law_residuals, at one triple from an
+outer and an inner product, touching only their nonzero structure constants
+(MultTable.sparse); the anti-pre-Lie check uses one product in both places
+and the deformation equations sum it over pairs of deformation terms.  A
+residual is written out densely only when it is nonzero.  Every law family in
+the package has one lazy violation walk: its check_* collects the walk, its
+is_* stops at the first violation.  A naive nested-loop oracle is kept in the
+test suite.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from .fields import Field
-from .linalg import Matrix, Tensor3, Vec, basis_vec, invert, lincomb, vec_is_zero, vec_sub
+from .linalg import (Matrix, Tensor3, Vec, _accumulate, _subtract, basis_vec, invert, lincomb,
+                     vec_is_zero, vec_sub)
 
 LAW_EXCHANGE = "exchange"
 LAW_CYCLIC = "cyclic"
@@ -150,8 +152,13 @@ class MultTable:
     def left_matrix(self, x: Vec) -> Matrix:
         return lincomb(x, self.left_matrices)
 
-    def right_matrix(self, x: Vec) -> Matrix:
-        return lincomb(x, self.right_matrices)
+    @cached_property
+    def sparse(self) -> tuple:
+        """sparse[i][j] = {k: c} over the nonzero coefficients c of e_k in e_i . e_j."""
+        return tuple(
+            tuple({k: c for k, c in enumerate(fiber) if c} for fiber in plane)
+            for plane in self.tensor.entries
+        )
 
     def conjugate(self, p: Matrix) -> "MultTable":
         """Basis change: the table of x *' y = P^{-1}(P(x) . P(y))."""
@@ -173,27 +180,61 @@ def transpose_table(table: MultTable) -> MultTable:
     return MultTable.from_entries(table.field, ent)
 
 
-def _law_matrices(outer: MultTable, inner: MultTable, i: int, j: int) -> tuple:
-    """Residual matrices (exchange, cyclic) at the basis pair (e_i, e_j), with
-    the outer product applied to the result of the inner one.
+def _law_operands(table: MultTable) -> tuple:
+    """(rows, cols, comm), each [a][b] a sparse {k: c} fiber: rows[a][b] is
+    e_a . e_b, cols[b][a] the same product and comm[a][b] is [e_a, e_b]."""
+    rows = table.sparse
+    n = table.dim
+    one = table.field.one()
+    cols = tuple(tuple(rows[a][b] for a in range(n)) for b in range(n))
+    comm = []
+    for a in range(n):
+        line = []
+        for b in range(n):
+            d = dict(rows[a][b])
+            _subtract(d, one, rows[b][a])
+            line.append(d)
+        comm.append(tuple(line))
+    return rows, cols, tuple(comm)
 
-    Column k of each matrix is the residual at the triple (e_i, e_j, e_k).
-    With L, R the outer table's left/right multiplication operators, L', R'
-    the inner table's and [e_i, e_j]' the inner commutator:
 
-        exchange:  L_i L'_j - L_j L'_i + L([e_i, e_j]')
-        cyclic:    L([e_i, e_j]') + R_i (L'_j - R'_j) + R_j (R'_i - L'_i)
+def _law_residuals(outer: tuple, inner: tuple, i: int, j: int, k: int,
+                   exchange: dict, cyclic: dict) -> None:
+    """Add the residuals (exchange, cyclic) at the triple (e_i, e_j, e_k), with
+    the outer product applied to the result of the inner one, into the two
+    sparse {l: c} accumulators.  outer and inner come from _law_operands.
 
-    With outer = inner these are the anti-pre-Lie laws; summed over outer =
-    w_p, inner = w_q with p + q = n they are the degree-n deformation
-    equations.
+        exchange:  e_i . (e_j * e_k) - e_j . (e_i * e_k) + [e_i, e_j]* . e_k
+        cyclic:    [e_i, e_j]* . e_k + [e_j, e_k]* . e_i + [e_k, e_i]* . e_j
+
+    with . the outer and * the inner product.  With outer = inner these are
+    the anti-pre-Lie laws; summed over outer = w_p, inner = w_q with p + q = n
+    they are the degree-n deformation equations.
     """
-    ell, arr = outer.left_matrices, outer.right_matrices
-    ell_in, arr_in = inner.left_matrices, inner.right_matrices
-    l_comm = outer.left_matrix(inner.commutator_basis(i, j))
-    m1 = ell[i] @ ell_in[j] - ell[j] @ ell_in[i] + l_comm
-    m2 = l_comm + arr[i] @ (ell_in[j] - arr_in[j]) + arr[j] @ (arr_in[i] - ell_in[i])
-    return m1, m2
+    rows, cols, _ = outer
+    in_rows, _, in_comm = inner
+    _accumulate(exchange, in_rows[j][k], rows[i])
+    _accumulate(exchange, in_rows[i][k], rows[j], negate=True)
+    _accumulate(exchange, in_comm[i][j], cols[k])
+    _accumulate(cyclic, in_comm[i][j], cols[k])
+    _accumulate(cyclic, in_comm[j][k], cols[i])
+    _accumulate(cyclic, in_comm[k][i], cols[j])
+
+
+def _law_violations(pairs: list, prefix: tuple, laws: tuple, n: int, zero) -> Iterator[Violation]:
+    """Violations of the (exchange, cyclic) residuals summed over the
+    (outer, inner) operand pairs, at each triple (i, j, k) in walk order, at
+    (*prefix, i, j, k) and, within one triple, in the order of laws."""
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                exchange, cyclic = {}, {}
+                for outer, inner in pairs:
+                    _law_residuals(outer, inner, i, j, k, exchange, cyclic)
+                for law, res in zip(laws, (exchange, cyclic)):
+                    if any(res.values()):
+                        yield Violation(law, (*prefix, i, j, k),
+                                        tuple(res.get(l, zero) for l in range(n)))
 
 
 def _column_violations(at: tuple, laws: tuple, mats: tuple) -> Iterator[Violation]:
@@ -207,12 +248,9 @@ def _column_violations(at: tuple, laws: tuple, mats: tuple) -> Iterator[Violatio
 
 
 def _apl_violations(table: MultTable) -> Iterator[Violation]:
-    n = table.dim
-    for i in range(n):
-        for j in range(n):
-            yield from _column_violations(
-                (i, j), (LAW_EXCHANGE, LAW_CYCLIC), _law_matrices(table, table, i, j)
-            )
+    ops = _law_operands(table)
+    return _law_violations([(ops, ops)], (), (LAW_EXCHANGE, LAW_CYCLIC), table.dim,
+                           table.field.zero())
 
 
 def check_anti_pre_lie(table: MultTable) -> Report:

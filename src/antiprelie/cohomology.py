@@ -19,18 +19,21 @@ and a 2-cochain f has a pair of degree-3 coboundary components
 
 Z2 is the joint kernel, B2 the image of d1, and H2 = Z2/B2.  The spaces are
 computed from a direct matrix linearization of the operators over the n^2 m
-coordinates of C2; the pointwise evaluators above serve as an independent
-oracle for that linearization.
+coordinates of C2.  The rows of d2 are assembled by one routine, from the
+nonzero structure constants and action entries only; d2_matrix writes them
+out densely and is_cocycle applies them to a cochain one row at a time.  The
+pointwise evaluation of d2 on all basis triples lives in the test suite, as
+the independent oracle for that linearization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
-from .algebra import AntiPreLieAlgebra, MultTable, StructureError
+from .algebra import AntiPreLieAlgebra, MultTable, StructureError, _law_operands
 from .fields import Field
-from .linalg import Matrix, Tensor3, Vec, basis_vec, kernel_basis, pivot_columns, solve, vec_sub
+from .linalg import Matrix, Tensor3, Vec, kernel_basis, pivot_columns, solve, vec_sub
 from .representation import AlgebraLike, Representation, as_table
 
 
@@ -79,29 +82,6 @@ class Cochain2:
         return self.tensor.is_zero()
 
 
-@dataclass(frozen=True)
-class Cochain3Pair:
-    """Values of the two degree-3 coboundary components on all basis triples.
-
-    comp1[a][b][c] and comp2[a][b][c] are vectors in V.  The first component
-    is antisymmetric in (a, b); the second is alternating in (a, b, c); both
-    are re-checked on every evaluation as an evaluator self-test.
-    """
-
-    dim_a: int
-    dim_v: int
-    comp1: tuple  # [a][b][c] -> Vec
-    comp2: tuple
-
-    def is_zero(self) -> bool:
-        return not any(
-            any(self.comp1[a][b][c]) or any(self.comp2[a][b][c])
-            for a in range(self.dim_a)
-            for b in range(self.dim_a)
-            for c in range(self.dim_a)
-        )
-
-
 def d1(alg: AlgebraLike, rep: Representation, f: Matrix) -> Cochain2:
     """Pointwise coboundary of a 1-cochain f (an m x n matrix)."""
     table = as_table(alg)
@@ -122,76 +102,6 @@ def d1(alg: AlgebraLike, rep: Representation, f: Matrix) -> Cochain2:
         for i in range(n)
     ]
     return Cochain2(Tensor3.from_entries(table.field, ent))
-
-
-def _vadd(*vs: Vec) -> Vec:
-    out = vs[0]
-    for v in vs[1:]:
-        out = tuple(a + b for a, b in zip(out, v))
-    return out
-
-
-def d2(alg: AlgebraLike, rep: Representation, f: Cochain2) -> Cochain3Pair:
-    """Pointwise degree-3 coboundary pair of a 2-cochain, on all basis triples."""
-    table = as_table(alg)
-    n, m = table.dim, rep.dim_v
-    if (f.dim_a, f.dim_v) != (n, m):
-        raise ValueError(f"2-cochain dims {(f.dim_a, f.dim_v)} do not match ({n}, {m})")
-    rho, mu = rep.rho, rep.mu
-    comm = [[table.commutator_basis(i, j) for j in range(n)] for i in range(n)]
-    prod = [[table.basis_product(i, j) for j in range(n)] for i in range(n)]
-    e = [basis_vec(table.field, n, i) for i in range(n)]
-    f_of = f.tensor.contract
-    c1 = []
-    c2 = []
-    for a in range(n):
-        p1 = []
-        p2 = []
-        for b in range(n):
-            q1 = []
-            q2 = []
-            for c in range(n):
-                v1 = _vadd(
-                    rho[a].apply(f.value(b, c)),
-                    tuple(-x for x in rho[b].apply(f.value(a, c))),
-                    tuple(-x for x in mu[c].apply(f.value(b, a))),
-                    mu[c].apply(f.value(a, b)),
-                    tuple(-x for x in f_of(e[b], prod[a][c])),
-                    f_of(e[a], prod[b][c]),
-                    f_of(comm[a][b], e[c]),
-                )
-                v2 = _vadd(
-                    mu[a].apply(vec_sub(f.value(b, c), f.value(c, b))),
-                    mu[b].apply(vec_sub(f.value(c, a), f.value(a, c))),
-                    mu[c].apply(vec_sub(f.value(a, b), f.value(b, a))),
-                    f_of(comm[a][b], e[c]),
-                    f_of(comm[b][c], e[a]),
-                    f_of(comm[c][a], e[b]),
-                )
-                q1.append(v1)
-                q2.append(v2)
-            p1.append(tuple(q1))
-            p2.append(tuple(q2))
-        c1.append(tuple(p1))
-        c2.append(tuple(p2))
-    pair = Cochain3Pair(n, m, tuple(c1), tuple(c2))
-    _assert_symmetries(pair)
-    return pair
-
-
-def _assert_symmetries(pair: Cochain3Pair) -> None:
-    n = pair.dim_a
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if any(x + y for x, y in zip(pair.comp1[a][b][c], pair.comp1[b][a][c])):
-                    raise RuntimeError("d2 first component lost its (x,y) antisymmetry")
-                if any(x + y for x, y in zip(pair.comp2[a][b][c], pair.comp2[b][a][c])):
-                    raise RuntimeError("d2 second component lost its alternation")
-                if any(
-                    x - y for x, y in zip(pair.comp2[a][b][c], pair.comp2[b][c][a])
-                ):
-                    raise RuntimeError("d2 second component lost its cyclic symmetry")
 
 
 def c1_index(n: int, l: int, i: int) -> int:
@@ -254,99 +164,82 @@ def d1_matrix(alg: AlgebraLike, rep: Representation) -> Matrix:
     return Matrix(field, n * n * m, n * m, tuple(tuple(r) for r in rows))
 
 
+def _add_at(row: dict, base: int, stride: int, coeffs: dict, negate: bool = False) -> None:
+    """row[base + stride * k] += coeffs[k] for every k (-= with negate), in place."""
+    for k, x in coeffs.items():
+        idx = base + stride * k
+        if negate:
+            x = -x
+        v = row.get(idx)
+        row[idx] = x if v is None else v + x
+
+
+def _d2_rows(table: MultTable, rep: Representation) -> Iterator[dict]:
+    """The rows of the d2 linearization in order, each as {C2 coordinate: value}.
+
+    Row ((a n + b) n + c) m + l of the first n^3 m is component l of
+    (d2_1 f)(e_a, e_b, e_c), the next n^3 m rows are d2_2 in the same order.
+    Each term of the formulas in the module docstring adds one sparse fiber
+    {k: x} at the C2 coordinates base + stride * k: row l of an action
+    matrix, with k the V index of f(e_p, e_q) (stride 1), or a product or
+    bracket, with k the basis index w of f(e_p, e_w) (stride m) or of
+    f(e_w, e_q) (stride n m).  Only nonzero fibers are visited; an entry that
+    cancels stays as a zero.
+    """
+    n, m = table.dim, rep.dim_v
+    prod = table.sparse
+    comm = _law_operands(table)[2]
+    rho, mu = rep.sparse
+    nm = n * m
+
+    # Terms at (a, b, c): (action matrix rows, base, negate) for rows[l], and
+    # (product or bracket fiber, base, stride, negate), placed at base + l.
+    def first(a, b, c):
+        return (
+            ((rho[a], (b * n + c) * m, False), (rho[b], (a * n + c) * m, True),
+             (mu[c], (b * n + a) * m, True), (mu[c], (a * n + b) * m, False)),
+            ((prod[a][c], b * nm, m, True), (prod[b][c], a * nm, m, False),
+             (comm[a][b], c * m, nm, False)),
+        )
+
+    def second(a, b, c):
+        return (
+            ((mu[a], (b * n + c) * m, False), (mu[a], (c * n + b) * m, True),
+             (mu[b], (c * n + a) * m, False), (mu[b], (a * n + c) * m, True),
+             (mu[c], (a * n + b) * m, False), (mu[c], (b * n + a) * m, True)),
+            ((comm[a][b], c * m, nm, False), (comm[b][c], a * m, nm, False),
+             (comm[c][a], b * m, nm, False)),
+        )
+
+    for component in (first, second):
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    actions, products = component(a, b, c)
+                    products = [t for t in products if t[0]]
+                    for l in range(m):
+                        r = {}
+                        for rows, base, negate in actions:
+                            if rows[l]:
+                                _add_at(r, base, 1, rows[l], negate)
+                        for fiber, base, stride, negate in products:
+                            _add_at(r, base + l, stride, fiber, negate)
+                        yield r
+
+
 def d2_matrix(alg: AlgebraLike, rep: Representation) -> Matrix:
     """Linearization of both d2 components as a (2 n^3 m) x (n^2 m) matrix."""
     table = as_table(alg)
     n, m = table.dim, rep.dim_v
-    field = table.field
-    z = field.zero()
-    nrows = 2 * n * n * n * m
-    rows = [[z] * (n * n * m) for _ in range(nrows)]
-    comm = [[table.commutator_basis(i, j) for j in range(n)] for i in range(n)]
-    prod = [[table.basis_product(i, j) for j in range(n)] for i in range(n)]
-
-    def row1(a, b, c, l):
-        return ((a * n + b) * n + c) * m + l
-
-    def row2(a, b, c, l):
-        return n * n * n * m + ((a * n + b) * n + c) * m + l
-
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for l in range(m):
-                    r = rows[row1(a, b, c, l)]
-                    for k in range(m):
-                        if rep.rho[a].entries[l][k]:
-                            idx = c2_index(n, m, b, c, k)
-                            r[idx] = r[idx] + rep.rho[a].entries[l][k]
-                        if rep.rho[b].entries[l][k]:
-                            idx = c2_index(n, m, a, c, k)
-                            r[idx] = r[idx] - rep.rho[b].entries[l][k]
-                        if rep.mu[c].entries[l][k]:
-                            idx = c2_index(n, m, b, a, k)
-                            r[idx] = r[idx] - rep.mu[c].entries[l][k]
-                            idx = c2_index(n, m, a, b, k)
-                            r[idx] = r[idx] + rep.mu[c].entries[l][k]
-                    for w in range(n):
-                        if prod[a][c][w]:
-                            idx = c2_index(n, m, b, w, l)
-                            r[idx] = r[idx] - prod[a][c][w]
-                        if prod[b][c][w]:
-                            idx = c2_index(n, m, a, w, l)
-                            r[idx] = r[idx] + prod[b][c][w]
-                        if comm[a][b][w]:
-                            idx = c2_index(n, m, w, c, l)
-                            r[idx] = r[idx] + comm[a][b][w]
-
-                    r = rows[row2(a, b, c, l)]
-                    for k in range(m):
-                        if rep.mu[a].entries[l][k]:
-                            idx = c2_index(n, m, b, c, k)
-                            r[idx] = r[idx] + rep.mu[a].entries[l][k]
-                            idx = c2_index(n, m, c, b, k)
-                            r[idx] = r[idx] - rep.mu[a].entries[l][k]
-                        if rep.mu[b].entries[l][k]:
-                            idx = c2_index(n, m, c, a, k)
-                            r[idx] = r[idx] + rep.mu[b].entries[l][k]
-                            idx = c2_index(n, m, a, c, k)
-                            r[idx] = r[idx] - rep.mu[b].entries[l][k]
-                        if rep.mu[c].entries[l][k]:
-                            idx = c2_index(n, m, a, b, k)
-                            r[idx] = r[idx] + rep.mu[c].entries[l][k]
-                            idx = c2_index(n, m, b, a, k)
-                            r[idx] = r[idx] - rep.mu[c].entries[l][k]
-                    for w in range(n):
-                        if comm[a][b][w]:
-                            idx = c2_index(n, m, w, c, l)
-                            r[idx] = r[idx] + comm[a][b][w]
-                        if comm[b][c][w]:
-                            idx = c2_index(n, m, w, a, l)
-                            r[idx] = r[idx] + comm[b][c][w]
-                        if comm[c][a][w]:
-                            idx = c2_index(n, m, w, b, l)
-                            r[idx] = r[idx] + comm[c][a][w]
-    return Matrix(field, nrows, n * n * m, tuple(tuple(r) for r in rows))
-
-
-def cochain3_to_vec(pair: Cochain3Pair) -> Vec:
-    """Flatten a degree-3 pair in the same row order used by d2_matrix."""
-    n, m = pair.dim_a, pair.dim_v
-    flat1 = [
-        pair.comp1[a][b][c][l]
-        for a in range(n)
-        for b in range(n)
-        for c in range(n)
-        for l in range(m)
-    ]
-    flat2 = [
-        pair.comp2[a][b][c][l]
-        for a in range(n)
-        for b in range(n)
-        for c in range(n)
-        for l in range(m)
-    ]
-    return tuple(flat1 + flat2)
+    ncols = n * n * m
+    z = table.field.zero()
+    rows = []
+    for r in _d2_rows(table, rep):
+        dense = [z] * ncols
+        for idx, x in r.items():
+            dense[idx] = x
+        rows.append(tuple(dense))
+    return Matrix(table.field, 2 * n * n * n * m, ncols, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -400,7 +293,23 @@ def cohomology_spaces(alg: AntiPreLieAlgebra, rep: Representation) -> Cohomology
 
 
 def is_cocycle(alg: AlgebraLike, rep: Representation, f: Cochain2) -> bool:
-    return d2(alg, rep, f).is_zero()
+    """Whether d2 f = 0: the rows of d2 applied to f, stopping at the first
+    nonzero component."""
+    table = as_table(alg)
+    n, m = table.dim, rep.dim_v
+    if (f.dim_a, f.dim_v) != (n, m):
+        raise ValueError(f"2-cochain dims {(f.dim_a, f.dim_v)} do not match ({n}, {m})")
+    v = cochain2_to_vec(f)
+    zero = table.field.zero()
+    for r in _d2_rows(table, rep):
+        acc = zero
+        for idx, x in r.items():
+            y = v[idx]
+            if y:
+                acc = acc + x * y
+        if acc:
+            return False
+    return True
 
 
 def cohomologous(

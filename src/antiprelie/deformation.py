@@ -30,8 +30,8 @@ from .algebra import (
     Report,
     StructureError,
     Violation,
-    _column_violations,
-    _law_matrices,
+    _law_operands,
+    _law_violations,
 )
 from .cohomology import (
     Cochain2,
@@ -119,21 +119,17 @@ class TruncatedIsomorphism:
 
 
 def _deformation_violations(d: TruncatedDeformation) -> Iterator[Violation]:
-    """Both equation families per degree n and pair (a, b).
+    """Both equation families per degree n and triple (a, b, c).
 
-    The degree-n residual matrices are the anti-pre-Lie law matrices with
-    w_i as the outer and w_j as the inner product, summed over i + j = n;
-    column c is the residual at the triple (e_a, e_b, e_c).
+    The degree-n residuals are the anti-pre-Lie law residuals with w_i as the
+    outer and w_j as the inner product, summed over i + j = n.
     """
-    tables = d.tables()
-    zero = Matrix.zero(d.field, d.dim, d.dim)
+    ops = [_law_operands(t) for t in d.tables()]
+    zero = d.field.zero()
     laws = (LAW_DEF_EXCHANGE, LAW_DEF_CYCLIC)
     for deg in range(1, d.order + 1):
-        for a in range(d.dim):
-            for b in range(d.dim):
-                terms = [_law_matrices(tables[i], tables[deg - i], a, b) for i in range(deg + 1)]
-                sums = tuple(sum(mats, zero) for mats in zip(*terms))
-                yield from _column_violations((deg, a, b), laws, sums)
+        pairs = [(ops[i], ops[deg - i]) for i in range(deg + 1)]
+        yield from _law_violations(pairs, (deg,), laws, d.dim, zero)
 
 
 def check_deformation(d: TruncatedDeformation) -> Report:

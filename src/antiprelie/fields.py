@@ -5,10 +5,15 @@ no floating point anywhere.  Rationals are ``fractions.Fraction`` (always in
 lowest terms with positive denominator).  Prime-field elements are ``Fp``
 values normalized to ``[0, p)``; they exist for the brute-force search corpus,
 while serious verification work defaults to the rationals.
+
+Scalar strings are read by a strict grammar: ``-?digits(/digits)?`` with a
+nonzero denominator for rationals and ``-?digits mod p`` for F_p; nothing
+else (no whitespace, exponent, underscore or decimal point) is accepted.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -96,6 +101,13 @@ class Fp:
 
 Scalar = Union[Fraction, Fp]
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RESIDUE = re.compile(r"(-?[0-9]+) mod ([0-9]+)")
+
+# The largest accepted modulus (the Mersenne prime 2**31 - 1): primality is
+# decided by trial division, about 46,000 steps at the ceiling.
+MAX_PRIME = 2**31 - 1
+
 
 @dataclass(frozen=True)
 class Rationals:
@@ -111,8 +123,10 @@ class Rationals:
         return Fraction(k)
 
     def parse(self, s: str) -> Fraction:
+        if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+            raise ValueError(f"not a rational scalar: {s!r}")
         try:
-            return Fraction(s.strip())
+            return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational scalar: {s!r}") from exc
 
@@ -130,6 +144,10 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
+        if not isinstance(self.p, int) or isinstance(self.p, bool):
+            raise ValueError(f"a prime must be an integer, got {type(self.p).__name__}")
+        if self.p > MAX_PRIME:
+            raise ValueError(f"prime exceeds the ceiling {MAX_PRIME}")
         if self.p < 2 or any(self.p % q == 0 for q in range(2, int(self.p**0.5) + 1)):
             raise ValueError(f"not a prime: {self.p}")
 
@@ -143,13 +161,10 @@ class PrimeField:
         return Fp(k, self.p)
 
     def parse(self, s: str) -> Fp:
-        parts = s.split("mod")
-        if len(parts) != 2:
+        match = _RESIDUE.fullmatch(s) if isinstance(s, str) else None
+        if match is None:
             raise ValueError(f"not a prime-field scalar: {s!r}")
-        try:
-            k, p = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"not a prime-field scalar: {s!r}") from exc
+        k, p = int(match[1]), int(match[2])
         if p != self.p:
             raise ValueError(f"scalar {s!r} does not live in F_{self.p}")
         return Fp(k, self.p)
@@ -175,5 +190,5 @@ def field_from_json(doc: dict) -> Field:
     if doc["type"] == "rational":
         return QQ
     if doc["type"] == "prime":
-        return PrimeField(int(doc["p"]))
+        return PrimeField(doc.get("p"))
     raise ValueError(f"unknown field type: {doc['type']!r}")

@@ -179,6 +179,20 @@ def _subtract(row: dict, f: Scalar, other: dict) -> None:
                 del row[j]
 
 
+def _accumulate(acc: dict, coeffs: dict, fibers, negate: bool = False) -> None:
+    """acc += sum over a of coeffs[a] * fibers[a] in place (-= with negate),
+    where acc, coeffs and every fibers[a] are sparse {index: value} dicts.
+
+    Only nonzero products are formed; an entry that cancels stays as a zero.
+    """
+    for a, x in coeffs.items():
+        if negate:
+            x = -x
+        for j, y in fibers[a].items():
+            v = acc.get(j)
+            acc[j] = x * y if v is None else v + x * y
+
+
 def _rref(field: Field, rows_in: Iterable[dict]):
     """Reduced row echelon form of sparse rows; returns (rows, pivot columns).
 

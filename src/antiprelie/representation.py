@@ -16,6 +16,7 @@ report for (mu - rho, mu) / (rho*, mu*) / mu(x.y) + mu(y.x) = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 from .algebra import (
@@ -24,9 +25,10 @@ from .algebra import (
     MultTable,
     Report,
     Violation,
+    _law_operands,
 )
 from .fields import Field
-from .linalg import Matrix, Vec, lincomb
+from .linalg import Matrix, Vec, _accumulate, lincomb
 
 AlgebraLike = Union[AntiPreLieAlgebra, MultTable]
 
@@ -68,6 +70,15 @@ class Representation:
     def mu_of(self, x: Vec) -> Matrix:
         return lincomb(x, self.mu)
 
+    @cached_property
+    def sparse(self) -> tuple:
+        """(rho, mu) as sparse rows: rho[i][r] = {s: x} over the nonzero entries
+        x of row r of the matrix of rho(e_i), and likewise for mu."""
+        return tuple(
+            tuple(tuple({s: x for s, x in enumerate(row) if x} for row in mat.entries) for mat in mats)
+            for mats in (self.rho, self.mu)
+        )
+
 
 LAW_RHO = "rep-rho"
 LAW_MIXED = "rep-mixed"
@@ -75,22 +86,52 @@ LAW_MU = "rep-mu"
 
 
 def _representation_violations(table: MultTable, rep: Representation) -> Iterator[Violation]:
-    """The three axioms at each ordered basis pair (i, j), as residual matrices."""
-    n = table.dim
+    """The three axioms at each ordered basis pair (i, j), as residual matrices.
+
+    Each residual row is summed from sparse rows (row r of A @ B is the
+    combination of the rows of B by the entries of row r of A), and written
+    out densely only when the residual is nonzero.
+    """
+    n, m = table.dim, rep.dim_v
     if rep.dim_a != n:
         raise ValueError(f"representation is over a dim-{rep.dim_a} algebra, table has dim {n}")
-    rho, mu = rep.rho, rep.mu
+    prod = table.sparse
+    comm = _law_operands(table)[2]
+    rho, mu = rep.sparse
+    # rho_at[r][a] is row r of rho(e_a): the fibers of x -> row r of rho_of(x).
+    rho_at = tuple(tuple(rho[a][r] for a in range(n)) for r in range(m))
+    mu_at = tuple(tuple(mu[a][r] for a in range(n)) for r in range(m))
+    zero = table.field.zero()
     for i in range(n):
         for j in range(n):
-            comm_ji = table.commutator_basis(j, i)
-            comm_ij = table.commutator_basis(i, j)
-            prod_ij = table.basis_product(i, j)
-            r1 = rho[i] @ rho[j] - rho[j] @ rho[i] - rep.rho_of(comm_ji)
-            r2 = rep.mu_of(prod_ij) - rho[i] @ mu[j] - mu[j] @ rho[i] + mu[j] @ mu[i]
-            r3 = mu[j] @ mu[i] - mu[i] @ mu[j] + rep.rho_of(comm_ij) - mu[j] @ rho[i] + mu[i] @ rho[j]
+            r1, r2, r3 = [], [], []
+            for r in range(m):
+                # rho_i rho_j - rho_j rho_i - rho([e_j, e_i])
+                row = {}
+                _accumulate(row, rho[i][r], rho[j])
+                _accumulate(row, rho[j][r], rho[i], negate=True)
+                _accumulate(row, comm[j][i], rho_at[r], negate=True)
+                r1.append(row)
+                # mu(e_i . e_j) - rho_i mu_j - mu_j rho_i + mu_j mu_i
+                row = {}
+                _accumulate(row, prod[i][j], mu_at[r])
+                _accumulate(row, rho[i][r], mu[j], negate=True)
+                _accumulate(row, mu[j][r], rho[i], negate=True)
+                _accumulate(row, mu[j][r], mu[i])
+                r2.append(row)
+                # mu_j mu_i - mu_i mu_j + rho([e_i, e_j]) - mu_j rho_i + mu_i rho_j
+                row = {}
+                _accumulate(row, mu[j][r], mu[i])
+                _accumulate(row, mu[i][r], mu[j], negate=True)
+                _accumulate(row, comm[i][j], rho_at[r])
+                _accumulate(row, mu[j][r], rho[i], negate=True)
+                _accumulate(row, mu[i][r], rho[j])
+                r3.append(row)
             for law, res in ((LAW_RHO, r1), (LAW_MIXED, r2), (LAW_MU, r3)):
-                if not res.is_zero():
-                    yield Violation(law, (i, j), res.entries)
+                if any(any(row.values()) for row in res):
+                    yield Violation(law, (i, j), tuple(
+                        tuple(row.get(s, zero) for s in range(m)) for row in res
+                    ))
 
 
 def check_representation(alg: AlgebraLike, rep: Representation) -> Report:

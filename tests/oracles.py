@@ -1,13 +1,19 @@
-"""Naive nested-loop evaluators, a second nullspace solver and dense elimination.
+"""Naive nested-loop evaluators, pointwise coboundaries, a second nullspace
+solver and dense elimination.
 
 Everything here is written straight off the defining identities with explicit
-index sums over structure constants, deliberately sharing no code with the
-matrix-based evaluation paths in the package.  The acceptance suite demands
-exact agreement between the two routes on random inputs.
+index sums over structure constants, or (the pointwise d2) by evaluating the
+coboundary formula on basis triples, deliberately sharing no code with the
+sparse law walks and the d2 row assembly in the package.  The acceptance
+suite demands exact agreement between the two routes on random inputs.
 """
 
+from dataclasses import dataclass
+
+from antiprelie.cohomology import Cochain2
 from antiprelie.fields import Field
-from antiprelie.linalg import Matrix
+from antiprelie.linalg import Matrix, basis_vec, vec_sub
+from antiprelie.representation import as_table
 
 
 def _c(table):
@@ -314,6 +320,119 @@ def naive_d2_values(table, rep, f):
         comp1.append(p1)
         comp2.append(p2)
     return comp1, comp2
+
+
+@dataclass(frozen=True)
+class Cochain3Pair:
+    """Values of the two degree-3 coboundary components on all basis triples.
+
+    comp1[a][b][c] and comp2[a][b][c] are vectors in V.  The first component
+    is antisymmetric in (a, b); the second is alternating in (a, b, c); both
+    are re-checked on every evaluation as an evaluator self-test.
+    """
+
+    dim_a: int
+    dim_v: int
+    comp1: tuple  # [a][b][c] -> Vec
+    comp2: tuple
+
+    def is_zero(self) -> bool:
+        return not any(
+            any(self.comp1[a][b][c]) or any(self.comp2[a][b][c])
+            for a in range(self.dim_a)
+            for b in range(self.dim_a)
+            for c in range(self.dim_a)
+        )
+
+
+def _vadd(*vs):
+    out = vs[0]
+    for v in vs[1:]:
+        out = tuple(a + b for a, b in zip(out, v))
+    return out
+
+
+def d2(alg, rep, f: Cochain2) -> Cochain3Pair:
+    """Pointwise degree-3 coboundary pair of a 2-cochain, on all basis triples."""
+    table = as_table(alg)
+    n, m = table.dim, rep.dim_v
+    if (f.dim_a, f.dim_v) != (n, m):
+        raise ValueError(f"2-cochain dims {(f.dim_a, f.dim_v)} do not match ({n}, {m})")
+    rho, mu = rep.rho, rep.mu
+    comm = [[table.commutator_basis(i, j) for j in range(n)] for i in range(n)]
+    prod = [[table.basis_product(i, j) for j in range(n)] for i in range(n)]
+    e = [basis_vec(table.field, n, i) for i in range(n)]
+    f_of = f.tensor.contract
+    c1 = []
+    c2 = []
+    for a in range(n):
+        p1 = []
+        p2 = []
+        for b in range(n):
+            q1 = []
+            q2 = []
+            for c in range(n):
+                v1 = _vadd(
+                    rho[a].apply(f.value(b, c)),
+                    tuple(-x for x in rho[b].apply(f.value(a, c))),
+                    tuple(-x for x in mu[c].apply(f.value(b, a))),
+                    mu[c].apply(f.value(a, b)),
+                    tuple(-x for x in f_of(e[b], prod[a][c])),
+                    f_of(e[a], prod[b][c]),
+                    f_of(comm[a][b], e[c]),
+                )
+                v2 = _vadd(
+                    mu[a].apply(vec_sub(f.value(b, c), f.value(c, b))),
+                    mu[b].apply(vec_sub(f.value(c, a), f.value(a, c))),
+                    mu[c].apply(vec_sub(f.value(a, b), f.value(b, a))),
+                    f_of(comm[a][b], e[c]),
+                    f_of(comm[b][c], e[a]),
+                    f_of(comm[c][a], e[b]),
+                )
+                q1.append(v1)
+                q2.append(v2)
+            p1.append(tuple(q1))
+            p2.append(tuple(q2))
+        c1.append(tuple(p1))
+        c2.append(tuple(p2))
+    pair = Cochain3Pair(n, m, tuple(c1), tuple(c2))
+    _assert_symmetries(pair)
+    return pair
+
+
+def _assert_symmetries(pair: Cochain3Pair) -> None:
+    n = pair.dim_a
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if any(x + y for x, y in zip(pair.comp1[a][b][c], pair.comp1[b][a][c])):
+                    raise RuntimeError("d2 first component lost its (x,y) antisymmetry")
+                if any(x + y for x, y in zip(pair.comp2[a][b][c], pair.comp2[b][a][c])):
+                    raise RuntimeError("d2 second component lost its alternation")
+                if any(
+                    x - y for x, y in zip(pair.comp2[a][b][c], pair.comp2[b][c][a])
+                ):
+                    raise RuntimeError("d2 second component lost its cyclic symmetry")
+
+
+def cochain3_to_vec(pair: Cochain3Pair):
+    """Flatten a degree-3 pair in the same row order used by d2_matrix."""
+    n, m = pair.dim_a, pair.dim_v
+    flat1 = [
+        pair.comp1[a][b][c][l]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+        for l in range(m)
+    ]
+    flat2 = [
+        pair.comp2[a][b][c][l]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+        for l in range(m)
+    ]
+    return tuple(flat1 + flat2)
 
 
 def bareiss_kernel(m: Matrix):

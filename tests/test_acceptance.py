@@ -16,12 +16,10 @@ from antiprelie.cohomology import (
     Cochain2,
     cochain1_to_vec,
     cochain2_to_vec,
-    cochain3_to_vec,
     cohomologous,
     cohomology_spaces,
     d1,
     d1_matrix,
-    d2,
     d2_matrix,
     is_cocycle,
 )
@@ -65,6 +63,8 @@ from antiprelie.search import SearchSpec, search_o_operators
 from conftest import rand_fraction, rand_matrix, rand_table
 from oracles import (
     bareiss_kernel,
+    cochain3_to_vec,
+    d2,
     naive_apl_residuals,
     naive_d1_values,
     naive_d2_values,

@@ -551,22 +551,111 @@ def test_search_random_refuses_unprintable_space(capsys, dim, prime):
                    "a reported size has at most 4300 digits\n")
 
 
-def test_cohomology_dim8_tower_regular(write_doc, capsys, named_algebras):
-    """The dim-8 semidirect tower a2 -> dim 4 -> dim 8 over its regular rep:
-    the dimensions and the exact bytes of the output (d2 is 8192 x 512)."""
-    import hashlib
-
+def _dim8_tower_docs(write_doc, named_algebras):
+    """Paths of the dim-8 semidirect tower a2 -> dim 4 -> dim 8 and its regular rep."""
     from antiprelie.representation import semidirect_product
 
     a2 = named_algebras["a2"]
     a4 = semidirect_product(a2, regular_representation(a2))
     a8 = semidirect_product(a4, regular_representation(a4))
-    alg = write_doc(docs.encode_algebra(a8))
-    rep = write_doc(docs.encode_representation(regular_representation(a8)))
+    return (write_doc(docs.encode_algebra(a8)),
+            write_doc(docs.encode_representation(regular_representation(a8))))
+
+
+def test_cohomology_dim8_tower_regular(write_doc, capsys, named_algebras):
+    """The dim-8 semidirect tower a2 -> dim 4 -> dim 8 over its regular rep:
+    the dimensions and the exact bytes of the output (d2 is 8192 x 512)."""
+    import hashlib
+
+    alg, rep = _dim8_tower_docs(write_doc, named_algebras)
     code, out, err = run_cli(capsys, "cohomology", alg, rep)
     assert (code, err) == (0, "")
     payload = out_json(out)
     assert (payload["Z2"], payload["B2"], payload["H2"]) == (116, 56, 60)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "545acd9341827676c1601c5a17e77bea886c9077248581c17956eb01bdd6365f"
+    )
+
+
+def test_classify_dim8_tower_regular(write_doc, capsys, named_algebras):
+    """classify on the dim-8 tower over its regular rep: 60 extensions of dim
+    16, each built from a cocycle test and re-verified as an anti-pre-Lie
+    table.  The digest is the output of the dense law walks (3 min there)."""
+    import hashlib
+
+    alg, rep = _dim8_tower_docs(write_doc, named_algebras)
+    code, out, err = run_cli(capsys, "classify", alg, rep)
+    assert (code, err) == (0, "")
+    assert out_json(out)["h2_dim"] == 60
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "ac86552bc2473b140f6de01f0ac174fb5370be0cd3248197a812a843cbe55315"
+    )
+
+
+@pytest.mark.parametrize("field, scalar", [
+    ({"type": "rational"}, "1e3"),
+    ({"type": "rational"}, "1_0"),
+    ({"type": "rational"}, "1.5"),
+    ({"type": "rational"}, " 1"),
+    ({"type": "rational"}, "1\n"),
+    ({"type": "rational"}, "+1"),
+    ({"type": "rational"}, "1/0"),
+    ({"type": "rational"}, "1/-2"),
+    ({"type": "rational"}, "--1"),
+    ({"type": "rational"}, "/2"),
+    ({"type": "rational"}, ""),
+    ({"type": "rational"}, "\u0661"),
+    ({"type": "rational"}, 1),
+    ({"type": "rational"}, None),
+    ({"type": "prime", "p": 3}, "1  mod 3"),
+    ({"type": "prime", "p": 3}, "1mod3"),
+    ({"type": "prime", "p": 3}, "1 mod 5"),
+    ({"type": "prime", "p": 3}, "1/2 mod 3"),
+    ({"type": "prime", "p": 3}, "1 mod 3.0"),
+    ({"type": "prime", "p": 3}, "+1 mod 3"),
+    ({"type": "prime", "p": 3}, 1),
+])
+def test_non_canonical_scalar_is_input_error(write_doc, capsys, field, scalar):
+    """Scalars follow -?digits(/digits)? over Q and -?digits mod p over F_p;
+    exponents, underscores, decimals, whitespace, signs other than a leading
+    minus, non-ASCII digits and non-strings exit 2."""
+    path = write_doc({"kind": "anti-pre-lie", "field": field, "dim": 1, "mult": [[[scalar]]]})
+    code, out, err = run_cli(capsys, "check", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: bad scalar in tensor: ")
+
+
+@pytest.mark.parametrize("field, scalar", [
+    ({"type": "rational"}, "-2/4"),
+    ({"type": "rational"}, "007"),
+    ({"type": "prime", "p": 3}, "-4 mod 3"),
+    ({"type": "prime", "p": 2147483647}, "1 mod 2147483647"),
+])
+def test_canonical_scalar_grammar_accepts(write_doc, capsys, field, scalar):
+    path = write_doc({"kind": "anti-pre-lie", "field": field, "dim": 1, "mult": [[[scalar]]]})
+    code, _, err = run_cli(capsys, "check", path)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"type": "prime", "p": 3.7},
+    {"type": "prime", "p": "5"},
+    {"type": "prime", "p": True},
+    {"type": "prime"},
+    {"type": "prime", "p": 2**31 + 11},
+    {"type": "prime", "p": 10**30 + 57},
+])
+def test_prime_descriptor_needs_bounded_integer(write_doc, capsys, descriptor):
+    """p is a JSON integer (not a bool) at most 2**31 - 1, refused before any
+    trial division, so a huge p exits at once."""
+    import time
+
+    path = write_doc({"kind": "anti-pre-lie", "field": descriptor, "dim": 1,
+                      "mult": [[["0 mod 3"]]]})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "check", path)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: a prime must be an integer") or err.startswith(
+        "input error: prime exceeds the ceiling 2147483647"
     )

@@ -10,12 +10,10 @@ from antiprelie.cohomology import (
     cochain1_to_vec,
     cochain2_from_vec,
     cochain2_to_vec,
-    cochain3_to_vec,
     cohomologous,
     cohomology_spaces,
     d1,
     d1_matrix,
-    d2,
     d2_matrix,
     is_cocycle,
 )
@@ -24,7 +22,15 @@ from antiprelie.linalg import Matrix, Tensor3, vec_is_zero
 from antiprelie.representation import Representation, regular_representation
 
 from conftest import rand_fraction, rand_matrix, rand_table
-from oracles import bareiss_kernel, dense_in_span, naive_d1_values, naive_d2_values, same_span
+from oracles import (
+    bareiss_kernel,
+    cochain3_to_vec,
+    d2,
+    dense_in_span,
+    naive_d1_values,
+    naive_d2_values,
+    same_span,
+)
 
 
 def rand_cochain2(rng, n, m):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from antiprelie.fields import Fp, PrimeField, QQ, field_from_json
+from antiprelie.fields import MAX_PRIME, Fp, PrimeField, QQ, field_from_json
 
 fracs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
 
@@ -84,3 +84,18 @@ def test_field_descriptors():
     assert field_from_json({"type": "prime", "p": 3}) == PrimeField(3)
     with pytest.raises(ValueError):
         field_from_json({"type": "real"})
+
+
+@pytest.mark.parametrize("p", [3.0, 3.7, "5", True, None])
+def test_prime_field_needs_an_integer(p):
+    with pytest.raises(ValueError, match="must be an integer"):
+        PrimeField(p)
+
+
+def test_prime_ceiling_is_decided_before_trial_division():
+    assert PrimeField(MAX_PRIME).p == 2**31 - 1
+    with pytest.raises(ValueError, match="ceiling"):
+        PrimeField(MAX_PRIME + 2)
+    with pytest.raises(ValueError, match="ceiling"):
+        PrimeField(10**40 + 1)
+

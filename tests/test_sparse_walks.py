@@ -1,0 +1,194 @@
+"""The sparse law walks and the cocycle test against the naive oracles.
+
+Over Q, F_3 and F_5, generated by hypothesis: sparse tables, dense conjugates
+of verified algebras and one-entry bumps of both; regular and bumped
+representations; deformations pulled back along random truncated
+isomorphisms, and bumped ones.  Each check must give exactly the violations
+of its nested-loop oracle, with the same residuals, in walk order ((i, j),
+then k, then law), and is_cocycle must agree with the pointwise coboundary on
+cocycles and on bumped cochains.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from antiprelie.algebra import AntiPreLieAlgebra, MultTable, check_anti_pre_lie, is_anti_pre_lie
+from antiprelie.cohomology import Cochain2, d1, is_cocycle
+from antiprelie.deformation import (
+    TruncatedDeformation,
+    TruncatedIsomorphism,
+    apply_isomorphism,
+    check_deformation,
+    is_deformation,
+)
+from antiprelie.fields import QQ, PrimeField
+from antiprelie.linalg import Matrix, Tensor3
+from antiprelie.representation import (
+    Representation,
+    check_representation,
+    is_representation,
+    regular_representation,
+)
+
+from conftest import bump_matrix, bump_table
+from oracles import (
+    naive_apl_residuals,
+    naive_d2_values,
+    naive_deformation_residuals,
+    naive_rep_residuals,
+)
+
+FIELDS = st.sampled_from([QQ, PrimeField(3), PrimeField(5)])
+# Verified over Q with integer constants, so over every prime field as well.
+BASES = [
+    (2, {(0, 1, 1): 1}),
+    (2, {(0, 0, 1): 1}),
+    (2, {(0, 1, 1): 1, (1, 1, 0): 1}),
+    (3, {(0, 0, 0): 1, (0, 0, 1): 1, (0, 0, 2): 1}),
+    (3, {(0, 1, 1): 1, (0, 2, 2): 1}),
+]
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def scalars(draw, field):
+    if field == QQ:
+        return Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    return field.of_int(draw(st.integers(0, field.p - 1)))
+
+
+@st.composite
+def sparse_tables(draw, field, n=None):
+    n = n or draw(st.integers(1, 3))
+    cells = st.tuples(*(st.integers(0, n - 1),) * 3)
+    nonzero = draw(st.dictionaries(cells, scalars(field), max_size=6))
+    return MultTable.from_dict(field, n, nonzero)
+
+
+@st.composite
+def invertible(draw, field, n):
+    """A dense invertible matrix: a unit upper times a unit lower triangle."""
+    def triangle(upper):
+        return Matrix.from_rows(field, [
+            [field.one() if i == j else draw(scalars(field)) if (j > i) == upper else field.zero()
+             for j in range(n)]
+            for i in range(n)
+        ])
+    return triangle(True) @ triangle(False)
+
+
+@st.composite
+def verified_algebras(draw, field):
+    """A dense conjugate of one of BASES, verified."""
+    n, nonzero = draw(st.sampled_from(BASES))
+    table = MultTable.from_dict(field, n, nonzero).conjugate(draw(invertible(field, n)))
+    return AntiPreLieAlgebra.verify(table)
+
+
+@st.composite
+def bumped(draw, table):
+    n = table.dim
+    return bump_table(table, *draw(st.tuples(*(st.integers(0, n - 1),) * 3)))
+
+
+@st.composite
+def tables(draw):
+    field = draw(FIELDS)
+    kind = draw(st.sampled_from(["sparse", "conjugate", "bumped"]))
+    if kind == "sparse":
+        return draw(sparse_tables(field))
+    table = draw(verified_algebras(field)).table
+    return draw(bumped(table)) if kind == "bumped" else table
+
+
+@st.composite
+def algebras_with_reps(draw):
+    field = draw(FIELDS)
+    alg = draw(verified_algebras(field))
+    rep = regular_representation(alg)
+    kind = draw(st.sampled_from(["regular", "bumped-rho", "bumped-mu", "random"]))
+    n = alg.dim
+    if kind == "random":
+        m = draw(st.integers(1, 2))
+        mats = [Matrix.from_rows(field, [[draw(scalars(field)) for _ in range(m)] for _ in range(m)])
+                for _ in range(2 * n)]
+        rep = Representation(n, m, tuple(mats[:n]), tuple(mats[n:]))
+    elif kind != "regular":
+        a, r, c = draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, n - 1)))
+        rho, mu = list(rep.rho), list(rep.mu)
+        target = rho if kind == "bumped-rho" else mu
+        target[a] = bump_matrix(target[a], r, c)
+        rep = Representation(n, n, tuple(rho), tuple(mu))
+    return alg, rep
+
+
+@st.composite
+def deformations(draw):
+    field = draw(FIELDS)
+    alg = draw(verified_algebras(field))
+    n = alg.dim
+    order = draw(st.integers(1, 3))
+    phis = tuple(
+        Matrix.from_rows(field, [[draw(scalars(field)) for _ in range(n)] for _ in range(n)])
+        for _ in range(order)
+    )
+    d = apply_isomorphism(TruncatedDeformation.trivial(alg, order), TruncatedIsomorphism(phis))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, order - 1))
+        terms = list(d.terms)
+        terms[k] = draw(bumped(terms[k]))
+        d = TruncatedDeformation(alg, tuple(terms))
+    return d
+
+
+def walk(report):
+    return [((v.law, *v.at), v.residual) for v in report.violations]
+
+
+@SETTINGS
+@given(tables())
+def test_anti_pre_lie_walk_equals_oracle(table):
+    report = check_anti_pre_lie(table)
+    assert walk(report) == list(naive_apl_residuals(table).items())
+    assert is_anti_pre_lie(table) == report.ok
+
+
+@SETTINGS
+@given(algebras_with_reps())
+def test_representation_walk_equals_oracle(pair):
+    alg, rep = pair
+    report = check_representation(alg, rep)
+    assert walk(report) == list(naive_rep_residuals(alg.table, rep).items())
+    assert is_representation(alg, rep) == report.ok
+
+
+@SETTINGS
+@given(deformations())
+def test_deformation_walk_equals_oracle(d):
+    report = check_deformation(d)
+    assert walk(report) == list(naive_deformation_residuals(d).items())
+    assert is_deformation(d) == report.ok
+
+
+def _naive_is_cocycle(table, rep, f):
+    comp1, comp2 = naive_d2_values(table, rep, f)
+    return not any(any(v) for comp in (comp1, comp2) for p in comp for q in p for v in q)
+
+
+@SETTINGS
+@given(algebras_with_reps(), st.data())
+def test_is_cocycle_equals_pointwise_oracle(pair, data):
+    """Coboundaries are cocycles whenever rep is a representation; a bumped
+    coboundary usually is not.  is_cocycle agrees with the oracle on both."""
+    alg, rep = pair
+    field, n, m = alg.field, alg.dim, rep.dim_v
+    phi = Matrix.from_rows(field, [[data.draw(scalars(field)) for _ in range(n)] for _ in range(m)])
+    f = d1(alg, rep, phi)
+    assert is_cocycle(alg, rep, f) == _naive_is_cocycle(alg.table, rep, f)
+    i, j, k = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, m - 1)))
+    ent = [[list(fiber) for fiber in plane] for plane in f.tensor.entries]
+    ent[i][j][k] += field.one()
+    g = Cochain2(Tensor3.from_entries(field, ent))
+    assert is_cocycle(alg, rep, g) == _naive_is_cocycle(alg.table, rep, g)
