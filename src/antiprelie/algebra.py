@@ -8,12 +8,16 @@ table satisfying, for all x, y, z and with [x,y] = x.y - y.x,
     [x,y].z + [y,z].x + [z,x].y = 0        (cyclic law)
 
 Checks run over all ordered basis triples and report exact residual vectors.
-Both laws are evaluated by one routine, _law_residuals, at one triple from an
-outer and an inner product, touching only their nonzero structure constants
-(MultTable.sparse); the anti-pre-Lie check uses one product in both places
-and the deformation equations sum it over pairs of deformation terms.  A
-residual is written out densely only when it is nonzero.  Every law family in
-the package has one lazy violation walk: its check_* collects the walk, its
+Every law on basis triples in the package (anti-pre-Lie, deformation,
+anti-L-dendriform, Jacobi) is walked by one routine, _law_violations, from a
+residual routine for one triple whose terms are sparse products
+(linalg._accumulate) of the cached nonzero structure constants
+(MultTable.sparse).  Both anti-pre-Lie laws come from _law_residuals, built
+from an outer and an inner product: the anti-pre-Lie check uses one product
+in both places and the deformation equations sum it over pairs of
+deformation terms.  A residual is written out densely only when it is
+nonzero.  Tensor3.contract is kept for products of arbitrary vectors.  Every
+law family has one lazy violation walk: its check_* collects the walk, its
 is_* stops at the first violation.  A naive nested-loop oracle is kept in the
 test suite.
 """
@@ -21,11 +25,12 @@ test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Optional
+from functools import cached_property, partial
+from itertools import product
+from typing import Callable, Iterator, Optional
 
 from .fields import Field
-from .linalg import (Matrix, Tensor3, Vec, _accumulate, _subtract, basis_vec, invert, lincomb,
+from .linalg import (Matrix, Tensor3, Vec, _accumulate, _sparse_rows, _subtract, invert,
                      vec_is_zero, vec_sub)
 
 LAW_EXCHANGE = "exchange"
@@ -149,16 +154,24 @@ class MultTable:
             for i in range(n)
         )
 
-    def left_matrix(self, x: Vec) -> Matrix:
-        return lincomb(x, self.left_matrices)
-
     @cached_property
     def sparse(self) -> tuple:
-        """sparse[i][j] = {k: c} over the nonzero coefficients c of e_k in e_i . e_j."""
-        return tuple(
-            tuple({k: c for k, c in enumerate(fiber) if c} for fiber in plane)
-            for plane in self.tensor.entries
-        )
+        """(rows, cols, comm), each [a][b] a {k: c} fiber over the nonzero
+        coefficients c of e_k: rows[a][b] is e_a . e_b, cols[b][a] the same
+        product and comm[a][b] the commutator [e_a, e_b]."""
+        rows = tuple(tuple(_sparse_rows(plane)) for plane in self.tensor.entries)
+        n = self.dim
+        one = self.field.one()
+        cols = tuple(tuple(rows[a][b] for a in range(n)) for b in range(n))
+        comm = []
+        for a in range(n):
+            line = []
+            for b in range(n):
+                d = dict(rows[a][b])
+                _subtract(d, one, rows[b][a])
+                line.append(d)
+            comm.append(tuple(line))
+        return rows, cols, tuple(comm)
 
     def conjugate(self, p: Matrix) -> "MultTable":
         """Basis change: the table of x *' y = P^{-1}(P(x) . P(y))."""
@@ -173,36 +186,10 @@ class MultTable:
         return MultTable.from_entries(self.field, ent)
 
 
-def transpose_table(table: MultTable) -> MultTable:
-    """The opposite product: x *' y = y . x."""
-    n = table.dim
-    ent = [[table.basis_product(j, i) for j in range(n)] for i in range(n)]
-    return MultTable.from_entries(table.field, ent)
-
-
-def _law_operands(table: MultTable) -> tuple:
-    """(rows, cols, comm), each [a][b] a sparse {k: c} fiber: rows[a][b] is
-    e_a . e_b, cols[b][a] the same product and comm[a][b] is [e_a, e_b]."""
-    rows = table.sparse
-    n = table.dim
-    one = table.field.one()
-    cols = tuple(tuple(rows[a][b] for a in range(n)) for b in range(n))
-    comm = []
-    for a in range(n):
-        line = []
-        for b in range(n):
-            d = dict(rows[a][b])
-            _subtract(d, one, rows[b][a])
-            line.append(d)
-        comm.append(tuple(line))
-    return rows, cols, tuple(comm)
-
-
-def _law_residuals(outer: tuple, inner: tuple, i: int, j: int, k: int,
-                   exchange: dict, cyclic: dict) -> None:
-    """Add the residuals (exchange, cyclic) at the triple (e_i, e_j, e_k), with
-    the outer product applied to the result of the inner one, into the two
-    sparse {l: c} accumulators.  outer and inner come from _law_operands.
+def _law_residuals(pairs: list, i: int, j: int, k: int) -> tuple:
+    """The residuals (exchange, cyclic) at the triple (e_i, e_j, e_k) as sparse
+    {l: c} dicts, summed over the (outer, inner) pairs of MultTable.sparse
+    views, with the outer product applied to the result of the inner one:
 
         exchange:  e_i . (e_j * e_k) - e_j . (e_i * e_k) + [e_i, e_j]* . e_k
         cyclic:    [e_i, e_j]* . e_k + [e_j, e_k]* . e_i + [e_k, e_i]* . e_j
@@ -211,46 +198,33 @@ def _law_residuals(outer: tuple, inner: tuple, i: int, j: int, k: int,
     the anti-pre-Lie laws; summed over outer = w_p, inner = w_q with p + q = n
     they are the degree-n deformation equations.
     """
-    rows, cols, _ = outer
-    in_rows, _, in_comm = inner
-    _accumulate(exchange, in_rows[j][k], rows[i])
-    _accumulate(exchange, in_rows[i][k], rows[j], negate=True)
-    _accumulate(exchange, in_comm[i][j], cols[k])
-    _accumulate(cyclic, in_comm[i][j], cols[k])
-    _accumulate(cyclic, in_comm[j][k], cols[i])
-    _accumulate(cyclic, in_comm[k][i], cols[j])
+    exchange, cyclic = {}, {}
+    for (rows, cols, _), (in_rows, _, in_comm) in pairs:
+        _accumulate(exchange, in_rows[j][k], rows[i])
+        _accumulate(exchange, in_rows[i][k], rows[j], negate=True)
+        _accumulate(exchange, in_comm[i][j], cols[k])
+        _accumulate(cyclic, in_comm[i][j], cols[k])
+        _accumulate(cyclic, in_comm[j][k], cols[i])
+        _accumulate(cyclic, in_comm[k][i], cols[j])
+    return exchange, cyclic
 
 
-def _law_violations(pairs: list, prefix: tuple, laws: tuple, n: int, zero) -> Iterator[Violation]:
-    """Violations of the (exchange, cyclic) residuals summed over the
-    (outer, inner) operand pairs, at each triple (i, j, k) in walk order, at
-    (*prefix, i, j, k) and, within one triple, in the order of laws."""
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                exchange, cyclic = {}, {}
-                for outer, inner in pairs:
-                    _law_residuals(outer, inner, i, j, k, exchange, cyclic)
-                for law, res in zip(laws, (exchange, cyclic)):
-                    if any(res.values()):
-                        yield Violation(law, (*prefix, i, j, k),
-                                        tuple(res.get(l, zero) for l in range(n)))
-
-
-def _column_violations(at: tuple, laws: tuple, mats: tuple) -> Iterator[Violation]:
-    """Nonzero columns k of the residual matrices as violations at (*at, k),
-    in k order and, within one k, in the order of laws."""
-    for k in range(mats[0].cols):
-        for law, m in zip(laws, mats):
-            col = m.col(k)
-            if not vec_is_zero(col):
-                yield Violation(law, (*at, k), col)
+def _law_violations(residuals: Callable, prefix: tuple, laws: tuple, n: int,
+                    zero) -> Iterator[Violation]:
+    """Violations at each basis triple (i, j, k) in lexicographic order, at
+    (*prefix, i, j, k) and, within one triple, in the order of laws.
+    residuals(i, j, k) gives one sparse {l: c} dict of length-n residual
+    coordinates per law; a residual is written out only when it is nonzero."""
+    for i, j, k in product(range(n), repeat=3):
+        for law, res in zip(laws, residuals(i, j, k)):
+            if any(res.values()):
+                yield Violation(law, (*prefix, i, j, k), tuple(res.get(l, zero) for l in range(n)))
 
 
 def _apl_violations(table: MultTable) -> Iterator[Violation]:
-    ops = _law_operands(table)
-    return _law_violations([(ops, ops)], (), (LAW_EXCHANGE, LAW_CYCLIC), table.dim,
-                           table.field.zero())
+    view = table.sparse
+    return _law_violations(partial(_law_residuals, [(view, view)]), (), (LAW_EXCHANGE, LAW_CYCLIC),
+                           table.dim, table.field.zero())
 
 
 def check_anti_pre_lie(table: MultTable) -> Report:
@@ -310,15 +284,16 @@ def check_lie_table(table: MultTable) -> Report:
             s = tuple(a + b for a, b in zip(table.basis_product(i, j), table.basis_product(j, i)))
             if not vec_is_zero(s):
                 violations.append(Violation("antisymmetry", (i, j), s))
-    e = [basis_vec(table.field, n, i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                r = table.multiply(table.basis_product(i, j), e[k])
-                r = tuple(a + b for a, b in zip(r, table.multiply(table.basis_product(j, k), e[i])))
-                r = tuple(a + b for a, b in zip(r, table.multiply(table.basis_product(k, i), e[j])))
-                if not vec_is_zero(r):
-                    violations.append(Violation("jacobi", (i, j, k), r))
+    rows, cols, _ = table.sparse
+
+    def jacobi(i, j, k):
+        # (e_i e_j) e_k + (e_j e_k) e_i + (e_k e_i) e_j
+        res = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            _accumulate(res, rows[a][b], cols[c])
+        return (res,)
+
+    violations.extend(_law_violations(jacobi, (), ("jacobi",), n, table.field.zero()))
     return Report("lie", tuple(violations))
 
 

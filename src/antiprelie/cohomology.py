@@ -19,9 +19,10 @@ and a 2-cochain f has a pair of degree-3 coboundary components
 
 Z2 is the joint kernel, B2 the image of d1, and H2 = Z2/B2.  The spaces are
 computed from a direct matrix linearization of the operators over the n^2 m
-coordinates of C2.  The rows of d2 are assembled by one routine, from the
-nonzero structure constants and action entries only; d2_matrix writes them
-out densely and is_cocycle applies them to a cochain one row at a time.  The
+coordinates of C1 and C2.  The rows of d1 and of d2 are each assembled by one
+routine, from the nonzero structure constants and action entries only;
+d1_matrix and d2_matrix write them out densely and is_cocycle applies the d2
+rows to a cochain one row at a time.  The
 pointwise evaluation of d2 on all basis triples lives in the test suite, as
 the independent oracle for that linearization.
 """
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .algebra import AntiPreLieAlgebra, MultTable, StructureError, _law_operands
+from .algebra import AntiPreLieAlgebra, MultTable, StructureError
 from .fields import Field
 from .linalg import Matrix, Tensor3, Vec, kernel_basis, pivot_columns, solve, vec_sub
 from .representation import AlgebraLike, Representation, as_table
@@ -134,6 +135,39 @@ def cochain2_from_vec(field: Field, n: int, m: int, v: Vec) -> Cochain2:
     return Cochain2(Tensor3(field, (n, n, m), ent))
 
 
+def _dense(field: Field, rows, ncols: int) -> Matrix:
+    """The matrix of sparse {column: value} rows, with the field zero elsewhere."""
+    z = field.zero()
+    out = []
+    for r in rows:
+        dense = [z] * ncols
+        for idx, x in r.items():
+            dense[idx] = x
+        out.append(tuple(dense))
+    return Matrix.from_rows(field, out, ncols)
+
+
+def _d1_rows(table: MultTable, rep: Representation) -> Iterator[dict]:
+    """The rows of the d1 linearization in order, each as {C1 coordinate: value}.
+
+    Row c2_index(i, j, l) is component l of (d1 F)(e_i, e_j): row l of
+    rho(e_i) placed at the C1 coordinates of F(e_j) (base j, stride n), row l
+    of mu(e_j) at those of F(e_i), and minus e_i . e_j at those of component
+    l of F (base l n, stride 1).
+    """
+    n, m = table.dim, rep.dim_v
+    prod = table.sparse[0]
+    rho, mu = rep.sparse
+    for i in range(n):
+        for j in range(n):
+            for l in range(m):
+                r = {}
+                _add_at(r, j, n, rho[i][l])
+                _add_at(r, i, n, mu[j][l])
+                _add_at(r, l * n, 1, prod[i][j], negate=True)
+                yield r
+
+
 def d1_matrix(alg: AlgebraLike, rep: Representation) -> Matrix:
     """Linearization of d1 as an (n^2 m) x (n m) matrix over C1 coordinates.
 
@@ -142,26 +176,7 @@ def d1_matrix(alg: AlgebraLike, rep: Representation) -> Matrix:
     the oracle-equivalence tests.
     """
     table = as_table(alg)
-    n, m = table.dim, rep.dim_v
-    field = table.field
-    z = field.zero()
-    rows = [[z] * (n * m) for _ in range(n * n * m)]
-    for i in range(n):
-        for j in range(n):
-            prod = table.basis_product(i, j)
-            for l in range(m):
-                row = rows[c2_index(n, m, i, j, l)]
-                for k in range(m):
-                    rik = rep.rho[i].entries[l][k]
-                    if rik:
-                        row[c1_index(n, k, j)] = row[c1_index(n, k, j)] + rik
-                    mjk = rep.mu[j].entries[l][k]
-                    if mjk:
-                        row[c1_index(n, k, i)] = row[c1_index(n, k, i)] + mjk
-                for w in range(n):
-                    if prod[w]:
-                        row[c1_index(n, l, w)] = row[c1_index(n, l, w)] - prod[w]
-    return Matrix(field, n * n * m, n * m, tuple(tuple(r) for r in rows))
+    return _dense(table.field, _d1_rows(table, rep), table.dim * rep.dim_v)
 
 
 def _add_at(row: dict, base: int, stride: int, coeffs: dict, negate: bool = False) -> None:
@@ -187,8 +202,7 @@ def _d2_rows(table: MultTable, rep: Representation) -> Iterator[dict]:
     cancels stays as a zero.
     """
     n, m = table.dim, rep.dim_v
-    prod = table.sparse
-    comm = _law_operands(table)[2]
+    prod, _, comm = table.sparse
     rho, mu = rep.sparse
     nm = n * m
 
@@ -230,16 +244,7 @@ def _d2_rows(table: MultTable, rep: Representation) -> Iterator[dict]:
 def d2_matrix(alg: AlgebraLike, rep: Representation) -> Matrix:
     """Linearization of both d2 components as a (2 n^3 m) x (n^2 m) matrix."""
     table = as_table(alg)
-    n, m = table.dim, rep.dim_v
-    ncols = n * n * m
-    z = table.field.zero()
-    rows = []
-    for r in _d2_rows(table, rep):
-        dense = [z] * ncols
-        for idx, x in r.items():
-            dense[idx] = x
-        rows.append(tuple(dense))
-    return Matrix(table.field, 2 * n * n * n * m, ncols, tuple(rows))
+    return _dense(table.field, _d2_rows(table, rep), table.dim ** 2 * rep.dim_v)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ order by order, which rigidity_certificate performs and records.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Optional, Sequence
 
 from .algebra import (
@@ -30,7 +31,7 @@ from .algebra import (
     Report,
     StructureError,
     Violation,
-    _law_operands,
+    _law_residuals,
     _law_violations,
 )
 from .cohomology import (
@@ -124,12 +125,12 @@ def _deformation_violations(d: TruncatedDeformation) -> Iterator[Violation]:
     The degree-n residuals are the anti-pre-Lie law residuals with w_i as the
     outer and w_j as the inner product, summed over i + j = n.
     """
-    ops = [_law_operands(t) for t in d.tables()]
+    views = [t.sparse for t in d.tables()]
     zero = d.field.zero()
     laws = (LAW_DEF_EXCHANGE, LAW_DEF_CYCLIC)
     for deg in range(1, d.order + 1):
-        pairs = [(ops[i], ops[deg - i]) for i in range(deg + 1)]
-        yield from _law_violations(pairs, (deg,), laws, d.dim, zero)
+        pairs = [(views[i], views[deg - i]) for i in range(deg + 1)]
+        yield from _law_violations(partial(_law_residuals, pairs), (deg,), laws, d.dim, zero)
 
 
 def check_deformation(d: TruncatedDeformation) -> Report:

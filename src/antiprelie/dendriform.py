@@ -10,11 +10,19 @@ also implements relation-solving operators T: V -> A with
 the induced dendriform structure on V, the compatible structure on A obtained
 from an invertible such operator, and the construction from a nondegenerate
 invariant bilinear form.
+
+The three identities are residuals at basis triples, walked by
+algebra._law_violations; each term is one sparse product (linalg._accumulate)
+of the cached nonzero structure constants of the two tables and of their
+associated product.  The operator relation is checked through the induced
+structure, and both pairing identities of a form are sums over nonzero
+structure constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator
 
 from .algebra import (
@@ -23,10 +31,10 @@ from .algebra import (
     Report,
     StructureError,
     Violation,
-    _column_violations,
+    _law_violations,
 )
 from .fields import Field
-from .linalg import Matrix, invert, rank, vec_is_zero, vec_sub
+from .linalg import Matrix, _accumulate, invert, rank, vec_is_zero, vec_sub
 from .representation import (
     AlgebraLike,
     Representation,
@@ -65,36 +73,35 @@ class AntiLDendriform:
 
 
 def _dendriform_violations(d: AntiLDendriform) -> Iterator[Violation]:
-    """The three identities per ordered pair (i, j), as residual matrices.
+    """The three identities at each basis triple (e_i, e_j, e_k), with
+    x o y = x > y - y < x the associated product:
 
-    Column k of each matrix is the residual at the triple (e_i, e_j, e_k);
-    the identities are evaluated as operator compositions of the left
-    multiplications of both tables.
+        D1 = e_i>(e_j>e_k) - e_j>(e_i>e_k) + [e_i,e_j]o > e_k
+        D2 = e_i>(e_j<e_k) - (e_i o e_j)<e_k + e_j<(e_i>e_k) + e_j<(e_i<e_k)
+        D3 = e_j<(e_i<e_k) + e_j<(e_i>e_k) + [e_i,e_j]o > e_k
+             - e_i<(e_j>e_k) - e_i<(e_j<e_k)
     """
-    n = d.dim
-    lr = d.right.left_matrices
-    ll = d.left.left_matrices
-    r_of = d.right.left_matrix
-    l_of = d.left.left_matrix
-    for i in range(n):
-        for j in range(n):
-            rij = d.right.basis_product(i, j)
-            rji = d.right.basis_product(j, i)
-            lij = d.left.basis_product(i, j)
-            lji = d.left.basis_product(j, i)
-            m1 = lr[i] @ lr[j] - lr[j] @ lr[i] - r_of(rji) + r_of(lij) + r_of(rij) - r_of(lji)
-            m2 = lr[i] @ ll[j] - l_of(rij) + l_of(lji) + ll[j] @ ll[i] + ll[j] @ lr[i]
-            m3 = (
-                ll[j] @ ll[i]
-                + ll[j] @ lr[i]
-                + r_of(rij)
-                - r_of(lji)
-                - r_of(rji)
-                + r_of(lij)
-                - ll[i] @ lr[j]
-                - ll[i] @ ll[j]
-            )
-            yield from _column_violations((i, j), (LAW_D1, LAW_D2, LAW_D3), (m1, m2, m3))
+    r_rows, r_cols, _ = d.right.sparse
+    l_rows, l_cols, _ = d.left.sparse
+    o_rows, _, o_comm = associated_table(d).sparse
+
+    def residuals(i, j, k):
+        d1, d2, d3 = {}, {}, {}
+        _accumulate(d1, r_rows[j][k], r_rows[i])
+        _accumulate(d1, r_rows[i][k], r_rows[j], negate=True)
+        _accumulate(d1, o_comm[i][j], r_cols[k])
+        _accumulate(d2, l_rows[j][k], r_rows[i])
+        _accumulate(d2, o_rows[i][j], l_cols[k], negate=True)
+        _accumulate(d2, r_rows[i][k], l_rows[j])
+        _accumulate(d2, l_rows[i][k], l_rows[j])
+        _accumulate(d3, l_rows[i][k], l_rows[j])
+        _accumulate(d3, r_rows[i][k], l_rows[j])
+        _accumulate(d3, o_comm[i][j], r_cols[k])
+        _accumulate(d3, r_rows[j][k], l_rows[i], negate=True)
+        _accumulate(d3, l_rows[j][k], l_rows[i], negate=True)
+        return d1, d2, d3
+
+    return _law_violations(residuals, (), (LAW_D1, LAW_D2, LAW_D3), d.dim, d.field.zero())
 
 
 def check_anti_L_dendriform(d: AntiLDendriform) -> Report:
@@ -146,19 +153,40 @@ def left_mult_representation(d: AntiLDendriform) -> Representation:
 LAW_O = "o-operator"
 
 
-def _o_operator_violations(table: MultTable, rep: Representation, t: Matrix) -> Iterator[Violation]:
+def _induced(table: MultTable, rep: Representation, t: Matrix) -> AntiLDendriform:
+    """The products u > v = rho(T u) v and u < v = -mu(T u) v on the basis of
+    V, summed over the nonzero action entries: (v_a > v_b)_w is the sum over
+    s of T[s][a] rho(e_s)[w][b]."""
     n, m = table.dim, rep.dim_v
+    if rep.dim_a != n:
+        raise ValueError(f"representation is over a dim-{rep.dim_a} algebra, table has dim {n}")
     if (t.rows, t.cols) != (n, m):
         raise ValueError(f"operator matrix must be {n}x{m}, got {t.rows}x{t.cols}")
-    tcols = [t.col(a) for a in range(m)]
-    for a in range(m):
-        rho_ta = rep.rho_of(tcols[a])
-        for b in range(m):
-            mu_tb = rep.mu_of(tcols[b])
-            inner = tuple(x + y for x, y in zip(rho_ta.col(b), mu_tb.col(a)))
-            res = vec_sub(table.multiply(tcols[a], tcols[b]), t.apply(inner))
-            if not vec_is_zero(res):
-                yield Violation(LAW_O, (a, b), res)
+    field = table.field
+    zero, one = field.zero(), field.one()
+    tables = []
+    for mats, sign in zip(rep.sparse, (one, -one)):
+        ent = [[[zero] * m for _ in range(m)] for _ in range(m)]
+        for s, mat in enumerate(mats):
+            coeffs = [(a, sign * c) for a, c in enumerate(t.entries[s]) if c]
+            for w, row in enumerate(mat):
+                for b, x in row.items():
+                    for a, c in coeffs:
+                        ent[a][b][w] = ent[a][b][w] + c * x
+        tables.append(MultTable.from_entries(field, ent))
+    return AntiLDendriform(*tables)
+
+
+def _o_operator_violations(table: MultTable, rep: Representation, t: Matrix) -> Iterator[Violation]:
+    """T(v_a) . T(v_b) - T(v_a o v_b) on basis pairs of V, with o the
+    associated product of the induced structure: v_a o v_b is
+    rho(T v_a) v_b + mu(T v_b) v_a."""
+    assoc = associated_table(_induced(table, rep, t))
+    tcols = [t.col(a) for a in range(rep.dim_v)]
+    for a, b in product(range(rep.dim_v), repeat=2):
+        res = vec_sub(table.multiply(tcols[a], tcols[b]), t.apply(assoc.basis_product(a, b)))
+        if not vec_is_zero(res):
+            yield Violation(LAW_O, (a, b), res)
 
 
 def check_O_operator(alg: AlgebraLike, rep: Representation, t: Matrix) -> Report:
@@ -180,20 +208,7 @@ def induced_dendriform(alg: AlgebraLike, rep: Representation, t: Matrix) -> Anti
     """
     table = as_table(alg)
     check_O_operator(table, rep, t).require("matrix is not an O-operator")
-    m = rep.dim_v
-    field = table.field
-    right = [[None] * m for _ in range(m)]
-    left = [[None] * m for _ in range(m)]
-    for a in range(m):
-        rho_ta = rep.rho_of(t.col(a))
-        mu_ta = rep.mu_of(t.col(a))
-        for b in range(m):
-            right[a][b] = rho_ta.col(b)
-            left[a][b] = tuple(-x for x in mu_ta.col(b))
-    d = AntiLDendriform(
-        MultTable.from_entries(field, right), MultTable.from_entries(field, left)
-    )
-    return verify_anti_L_dendriform(d)
+    return verify_anti_L_dendriform(_induced(table, rep, t))
 
 
 def compatible_from_invertible_O(
@@ -235,6 +250,12 @@ LAW_TRANSPORT = "form-transport"
 LAW_SKEW = "form-skew"
 
 
+def _pair(fiber: dict, row, zero):
+    """B(x, e_r) for the sparse fiber x and row r of B^T, or B(e_r, x) for
+    row r of B: the sum of fiber[w] * row[w] over the nonzero coefficients."""
+    return sum((c * row[w] for w, c in fiber.items()), zero)
+
+
 def check_form_invariance(alg: AlgebraLike, b: Matrix, strict_skew: bool = False) -> Report:
     """Nondegeneracy plus the two pairing identities the construction needs:
 
@@ -261,31 +282,20 @@ def check_form_invariance(alg: AlgebraLike, b: Matrix, strict_skew: bool = False
                 s = b.entries[i][j] + b.entries[j][i]
                 if s:
                     violations.append(Violation(LAW_SKEW, (i, j), (s,)))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                prod_jk = table.basis_product(j, k)
-                prod_ik = table.basis_product(i, k)
-                comm_ji = table.commutator_basis(j, i)
-                acc = b.field.zero()
-                for w in range(n):
-                    acc = acc + prod_jk[w] * b.entries[i][w] - prod_ik[w] * b.entries[j][w]
-                    acc = acc - comm_ji[w] * b.entries[w][k]
-                if acc:
-                    violations.append(Violation(LAW_FORM, (i, j, k), (acc,)))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                prod_ij = table.basis_product(i, j)
-                prod_kj = table.basis_product(k, j)
-                comm_ki = table.commutator_basis(k, i)
-                acc = b.field.zero()
-                for w in range(n):
-                    acc = acc + prod_ij[w] * b.entries[w][k]
-                    acc = acc + comm_ki[w] * b.entries[j][w]
-                    acc = acc + prod_kj[w] * b.entries[i][w]
-                if acc:
-                    violations.append(Violation(LAW_TRANSPORT, (i, j, k), (acc,)))
+    rows, _, comm = table.sparse
+    be, bt = b.entries, b.transpose().entries
+    zero = b.field.zero()
+    laws = (
+        (LAW_FORM, lambda i, j, k: _pair(rows[j][k], be[i], zero) - _pair(rows[i][k], be[j], zero)
+         - _pair(comm[j][i], bt[k], zero)),
+        (LAW_TRANSPORT, lambda i, j, k: _pair(rows[i][j], bt[k], zero)
+         + _pair(comm[k][i], be[j], zero) + _pair(rows[k][j], be[i], zero)),
+    )
+    for law, residual in laws:
+        for i, j, k in product(range(n), repeat=3):
+            acc = residual(i, j, k)
+            if acc:
+                violations.append(Violation(law, (i, j, k), (acc,)))
     return Report("bilinear-form", tuple(violations))
 
 
@@ -307,26 +317,13 @@ def dendriform_from_bilinear_form(
     n = table.dim
     field = table.field
     bt_inv = invert(b.transpose())
-    right = [[None] * n for _ in range(n)]
-    left = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            rhs_r = []
-            rhs_l = []
-            for k in range(n):
-                comm_ki = table.commutator_basis(k, i)
-                prod_ki = table.basis_product(k, i)
-                acc_r = field.zero()
-                acc_l = field.zero()
-                for w in range(n):
-                    if comm_ki[w]:
-                        acc_r = acc_r - comm_ki[w] * b.entries[j][w]
-                    if prod_ki[w]:
-                        acc_l = acc_l + prod_ki[w] * b.entries[j][w]
-                rhs_r.append(acc_r)
-                rhs_l.append(acc_l)
-            right[i][j] = bt_inv.apply(tuple(rhs_r))
-            left[i][j] = bt_inv.apply(tuple(rhs_l))
+    rows, _, comm = table.sparse
+    zero = field.zero()
+    # Row j of B against e_k . e_i and [e_k, e_i]: B(y, z . x) and -B(y, [z, x]).
+    right = [[bt_inv.apply(tuple(-_pair(comm[k][i], b.entries[j], zero) for k in range(n)))
+              for j in range(n)] for i in range(n)]
+    left = [[bt_inv.apply(tuple(_pair(rows[k][i], b.entries[j], zero) for k in range(n)))
+             for j in range(n)] for i in range(n)]
     d = AntiLDendriform(
         MultTable.from_entries(field, right), MultTable.from_entries(field, left)
     )

@@ -83,10 +83,9 @@ class Fp:
         return self.value != 0
 
     def __eq__(self, other):
+        # Only elements compare equal, so equality agrees with the hash.
         if isinstance(other, Fp):
             return self.value == other.value and self.p == other.p
-        if isinstance(other, int):
-            return self.value == other % self.p
         return NotImplemented
 
     def __hash__(self):

@@ -7,6 +7,11 @@ routine, `_rref`, computes the reduced row echelon form behind `rank`,
 `pivot_columns`, `kernel_basis`, `solve` and `invert`.  That form is unique,
 so pivots, kernel bases, solutions and inverses are fully determined by the
 input and reproducible across runs and platforms.
+
+Bilinear maps are evaluated in two ways, each with its own job.  Every law
+residual on basis triples (and pairs) is summed by `_accumulate` from the
+nonzero structure constants and action entries only; `Tensor3.contract`
+evaluates a product of two arbitrary coordinate vectors.
 """
 
 from __future__ import annotations
@@ -131,15 +136,6 @@ def _dot(a: Sequence[Scalar], b: Sequence[Scalar], field: Field) -> Scalar:
     for x, y in zip(a, b):
         if x and y:
             acc = acc + x * y
-    return acc
-
-
-def lincomb(coeffs: Vec, mats: Sequence[Matrix]) -> Matrix:
-    """Sum of coeffs[a] * mats[a]; mats must be nonempty and same shape."""
-    acc = Matrix.zero(mats[0].field, mats[0].rows, mats[0].cols)
-    for c, m in zip(coeffs, mats, strict=True):
-        if c:
-            acc = acc + m.scale(c)
     return acc
 
 

@@ -7,7 +7,11 @@ A representation on V is a pair of linear actions satisfying, for all x, y,
     mu(y)mu(x) - mu(x)mu(y) + rho([x,y]) = mu(y)rho(x) - mu(x)rho(y)
 
 verified on basis pairs (bilinearity extends them; that is the normative
-reading of "for all x, y").  The module also builds the regular
+reading of "for all x, y").  Every law on basis pairs here (the three axioms,
+the Lie action law, the symmetry of mu) is walked by one routine,
+_matrix_violations, which builds each residual matrix row by row from sparse
+products (linalg._accumulate) of the cached nonzero structure constants and
+action entries.  The module also builds the regular
 representation (L, R), semidirect products, the induced sub-adjacent Lie
 action rho - mu, dual representations on V*, and the three-way equivalence
 report for (mu - rho, mu) / (rho*, mu*) / mu(x.y) + mu(y.x) = 0.
@@ -17,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from typing import Iterator, Optional, Union
+from itertools import product
+from typing import Callable, Iterator, Optional, Union
 
 from .algebra import (
     AntiPreLieAlgebra,
@@ -25,10 +30,9 @@ from .algebra import (
     MultTable,
     Report,
     Violation,
-    _law_operands,
 )
 from .fields import Field
-from .linalg import Matrix, Vec, _accumulate, lincomb
+from .linalg import Matrix, _accumulate, _sparse_rows
 
 AlgebraLike = Union[AntiPreLieAlgebra, MultTable]
 
@@ -64,20 +68,12 @@ class Representation:
         z = Matrix.zero(field, dim_v, dim_v)
         return Representation(dim_a, dim_v, (z,) * dim_a, (z,) * dim_a, field)
 
-    def rho_of(self, x: Vec) -> Matrix:
-        return lincomb(x, self.rho)
-
-    def mu_of(self, x: Vec) -> Matrix:
-        return lincomb(x, self.mu)
-
     @cached_property
     def sparse(self) -> tuple:
         """(rho, mu) as sparse rows: rho[i][r] = {s: x} over the nonzero entries
         x of row r of the matrix of rho(e_i), and likewise for mu."""
-        return tuple(
-            tuple(tuple({s: x for s, x in enumerate(row) if x} for row in mat.entries) for mat in mats)
-            for mats in (self.rho, self.mu)
-        )
+        return tuple(tuple(tuple(_sparse_rows(mat.entries)) for mat in mats)
+                     for mats in (self.rho, self.mu))
 
 
 LAW_RHO = "rep-rho"
@@ -85,53 +81,59 @@ LAW_MIXED = "rep-mixed"
 LAW_MU = "rep-mu"
 
 
-def _representation_violations(table: MultTable, rep: Representation) -> Iterator[Violation]:
-    """The three axioms at each ordered basis pair (i, j), as residual matrices.
+def _by_row(mats: tuple, m: int) -> tuple:
+    """by_row[r][a] = mats[a][r]: row r of each sparse action matrix, so that
+    row r of the action of x = sum x_a e_a is a sparse product over a."""
+    return tuple(tuple(mat[r] for mat in mats) for r in range(m))
 
-    Each residual row is summed from sparse rows (row r of A @ B is the
-    combination of the rows of B by the entries of row r of A), and written
-    out densely only when the residual is nonzero.
-    """
+
+def _matrix_violations(residual_rows: Callable, laws: tuple, n: int, m: int,
+                       zero) -> Iterator[Violation]:
+    """Violations at each basis pair (i, j) in lexicographic order and, within
+    one pair, in the order of laws.  residual_rows(i, j, r) gives row r of
+    each law's m x m residual matrix as a sparse {s: x} dict (row r of A @ B
+    is the combination of the rows of B by the entries of row r of A); a
+    residual is written out only when it is nonzero."""
+    for i, j in product(range(n), repeat=2):
+        mats = zip(*(residual_rows(i, j, r) for r in range(m)))
+        for law, rows in zip(laws, mats):
+            if any(any(row.values()) for row in rows):
+                yield Violation(law, (i, j), tuple(
+                    tuple(row.get(s, zero) for s in range(m)) for row in rows
+                ))
+
+
+def _representation_violations(table: MultTable, rep: Representation) -> Iterator[Violation]:
+    """The three axioms at each ordered basis pair (i, j), as residual matrices."""
     n, m = table.dim, rep.dim_v
     if rep.dim_a != n:
         raise ValueError(f"representation is over a dim-{rep.dim_a} algebra, table has dim {n}")
-    prod = table.sparse
-    comm = _law_operands(table)[2]
+    prod, _, comm = table.sparse
     rho, mu = rep.sparse
-    # rho_at[r][a] is row r of rho(e_a): the fibers of x -> row r of rho_of(x).
-    rho_at = tuple(tuple(rho[a][r] for a in range(n)) for r in range(m))
-    mu_at = tuple(tuple(mu[a][r] for a in range(n)) for r in range(m))
-    zero = table.field.zero()
-    for i in range(n):
-        for j in range(n):
-            r1, r2, r3 = [], [], []
-            for r in range(m):
-                # rho_i rho_j - rho_j rho_i - rho([e_j, e_i])
-                row = {}
-                _accumulate(row, rho[i][r], rho[j])
-                _accumulate(row, rho[j][r], rho[i], negate=True)
-                _accumulate(row, comm[j][i], rho_at[r], negate=True)
-                r1.append(row)
-                # mu(e_i . e_j) - rho_i mu_j - mu_j rho_i + mu_j mu_i
-                row = {}
-                _accumulate(row, prod[i][j], mu_at[r])
-                _accumulate(row, rho[i][r], mu[j], negate=True)
-                _accumulate(row, mu[j][r], rho[i], negate=True)
-                _accumulate(row, mu[j][r], mu[i])
-                r2.append(row)
-                # mu_j mu_i - mu_i mu_j + rho([e_i, e_j]) - mu_j rho_i + mu_i rho_j
-                row = {}
-                _accumulate(row, mu[j][r], mu[i])
-                _accumulate(row, mu[i][r], mu[j], negate=True)
-                _accumulate(row, comm[i][j], rho_at[r])
-                _accumulate(row, mu[j][r], rho[i], negate=True)
-                _accumulate(row, mu[i][r], rho[j])
-                r3.append(row)
-            for law, res in ((LAW_RHO, r1), (LAW_MIXED, r2), (LAW_MU, r3)):
-                if any(any(row.values()) for row in res):
-                    yield Violation(law, (i, j), tuple(
-                        tuple(row.get(s, zero) for s in range(m)) for row in res
-                    ))
+    rho_at, mu_at = _by_row(rho, m), _by_row(mu, m)
+
+    def residual_rows(i, j, r):
+        # rho_i rho_j - rho_j rho_i - rho([e_j, e_i])
+        r1 = {}
+        _accumulate(r1, rho[i][r], rho[j])
+        _accumulate(r1, rho[j][r], rho[i], negate=True)
+        _accumulate(r1, comm[j][i], rho_at[r], negate=True)
+        # mu(e_i . e_j) - rho_i mu_j - mu_j rho_i + mu_j mu_i
+        r2 = {}
+        _accumulate(r2, prod[i][j], mu_at[r])
+        _accumulate(r2, rho[i][r], mu[j], negate=True)
+        _accumulate(r2, mu[j][r], rho[i], negate=True)
+        _accumulate(r2, mu[j][r], mu[i])
+        # mu_j mu_i - mu_i mu_j + rho([e_i, e_j]) - mu_j rho_i + mu_i rho_j
+        r3 = {}
+        _accumulate(r3, mu[j][r], mu[i])
+        _accumulate(r3, mu[i][r], mu[j], negate=True)
+        _accumulate(r3, comm[i][j], rho_at[r])
+        _accumulate(r3, mu[j][r], rho[i], negate=True)
+        _accumulate(r3, mu[i][r], rho[j])
+        return r1, r2, r3
+
+    return _matrix_violations(residual_rows, (LAW_RHO, LAW_MIXED, LAW_MU), n, m, table.field.zero())
 
 
 def check_representation(alg: AlgebraLike, rep: Representation) -> Report:
@@ -178,23 +180,24 @@ class LieRepresentation:
     dim_v: int
     action: tuple  # tuple[Matrix, ...]
 
-    def action_of(self, x: Vec) -> Matrix:
-        return lincomb(x, self.action)
-
 
 def check_lie_representation(lie: LieTable, rep: LieRepresentation) -> Report:
-    violations = []
-    n = lie.dim
-    for i in range(n):
-        for j in range(n):
-            res = (
-                rep.action[i] @ rep.action[j]
-                - rep.action[j] @ rep.action[i]
-                - rep.action_of(lie.bracket_basis(i, j))
-            )
-            if not res.is_zero():
-                violations.append(Violation("lie-action", (i, j), res.entries))
-    return Report("lie-representation", tuple(violations))
+    """action_i action_j - action_j action_i - action([e_i, e_j]) on all basis pairs."""
+    n, m = lie.dim, rep.dim_v
+    bracket = MultTable(lie.tensor).sparse[0]
+    act = tuple(tuple(_sparse_rows(a.entries)) for a in rep.action)
+    act_at = _by_row(act, m)
+
+    def residual_rows(i, j, r):
+        row = {}
+        _accumulate(row, act[i][r], act[j])
+        _accumulate(row, act[j][r], act[i], negate=True)
+        _accumulate(row, bracket[i][j], act_at[r], negate=True)
+        return (row,)
+
+    return Report("lie-representation", tuple(
+        _matrix_violations(residual_rows, ("lie-action",), n, m, lie.field.zero())
+    ))
 
 
 def sub_adjacent_representation(alg: AntiPreLieAlgebra, rep: Representation) -> LieRepresentation:
@@ -242,14 +245,15 @@ def special_condition_report(alg: AlgebraLike, rep: Representation) -> tuple:
     )
     cond2 = is_representation(table, starred)
 
-    cond3 = True
-    n = table.dim
-    for i in range(n):
-        for j in range(n):
-            s = rep.mu_of(table.basis_product(i, j)) + rep.mu_of(table.basis_product(j, i))
-            if not s.is_zero():
-                cond3 = False
-                break
-        if not cond3:
-            break
+    prod = table.sparse[0]
+    mu_at = _by_row(rep.sparse[1], rep.dim_v)
+
+    def symmetric_mu(i, j, r):
+        row = {}
+        _accumulate(row, prod[i][j], mu_at[r])
+        _accumulate(row, prod[j][i], mu_at[r])
+        return (row,)
+
+    cond3 = next(_matrix_violations(symmetric_mu, ("mu-symmetric",), table.dim, rep.dim_v,
+                                    table.field.zero()), None) is None
     return (cond1, cond2, cond3)

@@ -20,6 +20,21 @@ def _c(table):
     return table.tensor.entries
 
 
+def naive_action(mats, x):
+    """The matrix sum over a of x[a] * mats[a], by explicit entry sums."""
+    first = mats[0]
+    rows = []
+    for r in range(first.rows):
+        row = []
+        for s in range(first.cols):
+            acc = first.field.zero()
+            for a, mat in enumerate(mats):
+                acc = acc + x[a] * mat.entries[r][s]
+            row.append(acc)
+        rows.append(row)
+    return Matrix.from_rows(first.field, rows, first.cols)
+
+
 def naive_apl_residuals(table):
     """{(law, i, j, k): residual vector} for the two anti-pre-Lie laws."""
     c = _c(table)
@@ -207,6 +222,58 @@ def naive_form_residuals(table, b):
                     acc = acc + c[k][j][w] * be[i][w]
                 if acc:
                     out[("form-transport", i, j, k)] = acc
+    return out
+
+
+def naive_lie_residuals(table):
+    """{("antisymmetry", i, j): vector} on basis pairs, then
+    {("jacobi", i, j, k): vector} on basis triples."""
+    c = _c(table)
+    n = table.dim
+    z = table.field.zero()
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            v = tuple(c[i][j][l] + c[j][i][l] for l in range(n))
+            if any(v):
+                out[("antisymmetry", i, j)] = v
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                v = [z] * n
+                for l in range(n):
+                    acc = z
+                    for a in range(n):
+                        acc = acc + c[i][j][a] * c[a][k][l]
+                        acc = acc + c[j][k][a] * c[a][i][l]
+                        acc = acc + c[k][i][a] * c[a][j][l]
+                    v[l] = acc
+                if any(v):
+                    out[("jacobi", i, j, k)] = tuple(v)
+    return out
+
+
+def naive_lie_action_residuals(lie, rep):
+    """{("lie-action", i, j): residual matrix} of
+    action(e_i) action(e_j) - action(e_j) action(e_i) - action([e_i, e_j])."""
+    c = lie.tensor.entries
+    n, m = lie.dim, rep.dim_v
+    z = lie.field.zero()
+    act = [mat.entries for mat in rep.action]
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            res = [[z] * m for _ in range(m)]
+            for r in range(m):
+                for s in range(m):
+                    acc = z
+                    for t in range(m):
+                        acc = acc + act[i][r][t] * act[j][t][s] - act[j][r][t] * act[i][t][s]
+                    for a in range(n):
+                        acc = acc - c[i][j][a] * act[a][r][s]
+                    res[r][s] = acc
+            if any(any(row) for row in res):
+                out[("lie-action", i, j)] = tuple(tuple(row) for row in res)
     return out
 
 

@@ -27,6 +27,7 @@ from oracles import (
     cochain3_to_vec,
     d2,
     dense_in_span,
+    naive_action,
     naive_d1_values,
     naive_d2_values,
     same_span,
@@ -197,8 +198,8 @@ def test_dimensions_are_basis_invariant(named_algebras):
             alg_c = AntiPreLieAlgebra.verify(alg.table.conjugate(p))
             rep_c = Representation(
                 2, 2,
-                tuple(rep.rho_of(p.col(i)) for i in range(2)),
-                tuple(rep.mu_of(p.col(i)) for i in range(2)),
+                tuple(naive_action(rep.rho, p.col(i)) for i in range(2)),
+                tuple(naive_action(rep.mu, p.col(i)) for i in range(2)),
             )
             moved = cohomology_spaces(alg_c, rep_c)
             assert (moved.z2_dim, moved.b2_dim, moved.h2_dim) == (

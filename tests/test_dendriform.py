@@ -36,6 +36,7 @@ from antiprelie.search import SearchSpec, search_o_operators
 
 from conftest import rand_matrix, rand_table
 from oracles import (
+    naive_action,
     naive_dendriform_residuals,
     naive_form_residuals,
     naive_o_operator_residuals,
@@ -219,7 +220,8 @@ def test_f3_o_operator_pipeline(f3_algebras):
                     expanded = tuple(
                         x + y
                         for x, y in zip(
-                            rep.rho_of(t.col(a)).col(b), rep.mu_of(t.col(b)).col(a)
+                            naive_action(rep.rho, t.col(a)).col(b),
+                            naive_action(rep.mu, t.col(b)).col(a),
                         )
                     )
                     assert assoc.table.basis_product(a, b) == expanded, name

@@ -59,6 +59,14 @@ def test_fp_mixed_modulus_rejected():
         Fp(1, 3) + Fp(1, 5)
 
 
+def test_fp_equality_agrees_with_hash():
+    """An Fp equals only elements of its own field, so equal values hash alike."""
+    assert Fp(1, 3) != 4
+    assert Fp(0, 3) != 0
+    assert len({Fp(1, 3), Fp(4, 3)}) == 1
+    assert len({Fp(1, 3), 4}) == 2
+
+
 def test_fp_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         Fp(1, 5) / Fp(0, 5)

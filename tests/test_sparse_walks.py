@@ -3,10 +3,12 @@
 Over Q, F_3 and F_5, generated by hypothesis: sparse tables, dense conjugates
 of verified algebras and one-entry bumps of both; regular and bumped
 representations; deformations pulled back along random truncated
-isomorphisms, and bumped ones.  Each check must give exactly the violations
-of its nested-loop oracle, with the same residuals, in walk order ((i, j),
-then k, then law), and is_cocycle must agree with the pointwise coboundary on
-cocycles and on bumped cochains.
+isomorphisms, and bumped ones; sparse and conjugated anti-L-dendriform
+structures and bumps of them; sparse, dense and bumped operators, forms and
+Lie actions.  Each check must give exactly the violations of its nested-loop
+oracle, with the same residuals, in walk order ((i, j), then k, then law;
+the form check walks each law over all triples in turn), and is_cocycle must
+agree with the pointwise coboundary on cocycles and on bumped cochains.
 """
 
 from fractions import Fraction
@@ -14,7 +16,15 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antiprelie.algebra import AntiPreLieAlgebra, MultTable, check_anti_pre_lie, is_anti_pre_lie
+from antiprelie.algebra import (
+    AntiPreLieAlgebra,
+    LieTable,
+    MultTable,
+    check_anti_pre_lie,
+    check_lie_table,
+    commutator_table,
+    is_anti_pre_lie,
+)
 from antiprelie.cohomology import Cochain2, d1, is_cocycle
 from antiprelie.deformation import (
     TruncatedDeformation,
@@ -23,10 +33,22 @@ from antiprelie.deformation import (
     check_deformation,
     is_deformation,
 )
+from antiprelie.dendriform import (
+    LAW_FORM,
+    LAW_TRANSPORT,
+    AntiLDendriform,
+    check_anti_L_dendriform,
+    check_form_invariance,
+    check_O_operator,
+    is_anti_L_dendriform,
+    is_O_operator,
+)
 from antiprelie.fields import QQ, PrimeField
 from antiprelie.linalg import Matrix, Tensor3
 from antiprelie.representation import (
+    LieRepresentation,
     Representation,
+    check_lie_representation,
     check_representation,
     is_representation,
     regular_representation,
@@ -37,6 +59,11 @@ from oracles import (
     naive_apl_residuals,
     naive_d2_values,
     naive_deformation_residuals,
+    naive_dendriform_residuals,
+    naive_form_residuals,
+    naive_lie_action_residuals,
+    naive_lie_residuals,
+    naive_o_operator_residuals,
     naive_rep_residuals,
 )
 
@@ -48,6 +75,15 @@ BASES = [
     (2, {(0, 1, 1): 1, (1, 1, 0): 1}),
     (3, {(0, 0, 0): 1, (0, 0, 1): 1, (0, 0, 2): 1}),
     (3, {(0, 1, 1): 1, (0, 2, 2): 1}),
+]
+# (dim, x > y, x < y), anti-L-dendriform over Q with integer constants, so over
+# every prime field as well: a2 with zero left product, two induced by
+# O-operators and the structures of invariant forms.
+DENDRIFORM_BASES = [
+    (2, {(0, 1, 1): 1}, {}),
+    (2, {(1, 1, 0): 1}, {(1, 1, 0): -1}),
+    (2, {}, {(0, 0, 1): -1}),
+    (3, {(0, 1, 1): 1, (0, 2, 2): 1, (1, 2, 0): 1, (2, 1, 0): -1}, {(1, 2, 0): -1, (2, 1, 0): 1}),
 ]
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -143,6 +179,63 @@ def deformations(draw):
     return d
 
 
+@st.composite
+def matrices(draw, field, rows, cols):
+    """A sparse or dense random matrix, or a one-entry bump of zero."""
+    kind = draw(st.sampled_from(["sparse", "dense", "bumped"]))
+    if kind == "dense":
+        return Matrix.from_rows(field, [[draw(scalars(field)) for _ in range(cols)]
+                                        for _ in range(rows)], cols)
+    z = field.zero()
+    ent = [[z] * cols for _ in range(rows)]
+    if rows and cols:
+        cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        if kind == "bumped":
+            r, c = draw(cells)
+            ent[r][c] = field.one()
+        else:
+            for (r, c), x in draw(st.dictionaries(cells, scalars(field), max_size=3)).items():
+                ent[r][c] = x
+    return Matrix.from_rows(field, ent, cols)
+
+
+@st.composite
+def dendriforms(draw):
+    field = draw(FIELDS)
+    kind = draw(st.sampled_from(["sparse", "conjugate", "bumped"]))
+    if kind == "sparse":
+        right = draw(sparse_tables(field))
+        return AntiLDendriform(right, draw(sparse_tables(field, right.dim)))
+    n, right, left = draw(st.sampled_from(DENDRIFORM_BASES))
+    p = draw(invertible(field, n))
+    d = AntiLDendriform(MultTable.from_dict(field, n, right).conjugate(p),
+                        MultTable.from_dict(field, n, left).conjugate(p))
+    assert not naive_dendriform_residuals(d)
+    if kind == "bumped":
+        if draw(st.booleans()):
+            return AntiLDendriform(draw(bumped(d.right)), d.left)
+        return AntiLDendriform(d.right, draw(bumped(d.left)))
+    return d
+
+
+@st.composite
+def lie_actions(draw):
+    """The commutator table of a verified algebra (or a bump of it, or a
+    sparse table) with rho - mu of a possibly bumped representation, or a
+    random action."""
+    alg, rep = draw(algebras_with_reps())
+    bracket = commutator_table(alg.table)
+    kind = draw(st.sampled_from(["commutator", "bumped", "sparse"]))
+    if kind == "bumped":
+        bracket = draw(bumped(bracket))
+    elif kind == "sparse":
+        bracket = draw(sparse_tables(alg.field, alg.dim))
+    action = tuple(r - m for r, m in zip(rep.rho, rep.mu))
+    if draw(st.booleans()):
+        action = tuple(draw(matrices(alg.field, rep.dim_v, rep.dim_v)) for _ in range(alg.dim))
+    return bracket, LieRepresentation(rep.dim_v, action)
+
+
 def walk(report):
     return [((v.law, *v.at), v.residual) for v in report.violations]
 
@@ -192,3 +285,45 @@ def test_is_cocycle_equals_pointwise_oracle(pair, data):
     ent[i][j][k] += field.one()
     g = Cochain2(Tensor3.from_entries(field, ent))
     assert is_cocycle(alg, rep, g) == _naive_is_cocycle(alg.table, rep, g)
+
+
+@SETTINGS
+@given(dendriforms())
+def test_dendriform_walk_equals_oracle(d):
+    report = check_anti_L_dendriform(d)
+    assert walk(report) == list(naive_dendriform_residuals(d).items())
+    assert is_anti_L_dendriform(d) == report.ok
+
+
+@SETTINGS
+@given(algebras_with_reps(), st.data())
+def test_o_operator_walk_equals_oracle(pair, data):
+    alg, rep = pair
+    t = data.draw(matrices(alg.field, alg.dim, rep.dim_v))
+    report = check_O_operator(alg, rep, t)
+    expected = [(("o-operator", *at), r) for at, r in naive_o_operator_residuals(alg.table, rep, t).items()]
+    assert walk(report) == expected
+    assert is_O_operator(alg, rep, t) == report.ok
+
+
+@SETTINGS
+@given(tables(), st.data())
+def test_form_walk_equals_oracle(table, data):
+    b = data.draw(matrices(table.field, table.dim, table.dim))
+    laws = (LAW_FORM, LAW_TRANSPORT)
+    got = [((v.law, *v.at), v.residual[0]) for v in check_form_invariance(table, b).violations
+           if v.law in laws]
+    expected = sorted(naive_form_residuals(table, b).items(),
+                      key=lambda item: (laws.index(item[0][0]), item[0][1:]))
+    assert got == expected
+
+
+@SETTINGS
+@given(lie_actions())
+def test_lie_walks_equal_oracles(pair):
+    bracket, action = pair
+    assert walk(check_lie_table(bracket)) == list(naive_lie_residuals(bracket).items())
+    lie = LieTable(bracket.tensor)
+    assert walk(check_lie_representation(lie, action)) == list(
+        naive_lie_action_residuals(lie, action).items()
+    )
