@@ -78,6 +78,7 @@ from .extension import (
     semidirect_extension,
 )
 from .search import (
+    SearchRefused,
     SearchSpec,
     SearchSpaceTooLarge,
     lift_matrix,

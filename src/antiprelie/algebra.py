@@ -128,9 +128,6 @@ class MultTable:
         """Bilinear extension of the table to arbitrary coordinate vectors."""
         return self.tensor.contract(x, y)
 
-    def commutator(self, x: Vec, y: Vec) -> Vec:
-        return vec_sub(self.multiply(x, y), self.multiply(y, x))
-
     def commutator_basis(self, i: int, j: int) -> Vec:
         return vec_sub(self.basis_product(i, j), self.basis_product(j, i))
 

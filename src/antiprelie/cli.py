@@ -63,8 +63,8 @@ from .representation import (
     verify_representation,
 )
 from .search import (
+    SearchRefused,
     SearchSpec,
-    SearchSpaceTooLarge,
     search_algebras,
     search_bilinear_forms,
     search_o_operators,
@@ -443,7 +443,7 @@ def main(argv: Optional[list] = None) -> int:
     except DocumentError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return BAD_INPUT
-    except SearchSpaceTooLarge as exc:
+    except SearchRefused as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return FAIL
     except StructureError as exc:

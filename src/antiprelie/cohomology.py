@@ -105,17 +105,8 @@ def d1(alg: AlgebraLike, rep: Representation, f: Matrix) -> Cochain2:
     return Cochain2(Tensor3.from_entries(table.field, ent))
 
 
-def c1_index(n: int, l: int, i: int) -> int:
-    """Flat coordinate of F[l][i] in the C1 vectorization."""
-    return l * n + i
-
-
-def c2_index(n: int, m: int, i: int, j: int, k: int) -> int:
-    """Flat coordinate of t[i][j][k] in the C2 vectorization (lexicographic)."""
-    return (i * n + j) * m + k
-
-
 def cochain1_to_vec(f: Matrix) -> Vec:
+    """The C1 vectorization: F[l][i] (component l of F(e_i)) at coordinate l n + i."""
     return tuple(x for row in f.entries for x in row)
 
 
@@ -124,6 +115,7 @@ def cochain1_from_vec(field: Field, n: int, m: int, v: Vec) -> Matrix:
 
 
 def cochain2_to_vec(f: Cochain2) -> Vec:
+    """The C2 vectorization, lexicographic: t[i][j][k] at coordinate (i n + j) m + k."""
     return tuple(x for plane in f.tensor.entries for fiber in plane for x in fiber)
 
 
@@ -150,10 +142,11 @@ def _dense(field: Field, rows, ncols: int) -> Matrix:
 def _d1_rows(table: MultTable, rep: Representation) -> Iterator[dict]:
     """The rows of the d1 linearization in order, each as {C1 coordinate: value}.
 
-    Row c2_index(i, j, l) is component l of (d1 F)(e_i, e_j): row l of
-    rho(e_i) placed at the C1 coordinates of F(e_j) (base j, stride n), row l
-    of mu(e_j) at those of F(e_i), and minus e_i . e_j at those of component
-    l of F (base l n, stride 1).
+    Row (i n + j) m + l, the C2 coordinate of t[i][j][l], is component l of
+    (d1 F)(e_i, e_j): row l of rho(e_i) placed at the C1 coordinates of
+    F(e_j) (base j, stride n, as F[l'][j] sits at l' n + j), row l of mu(e_j)
+    at those of F(e_i), and minus e_i . e_j at those of component l of F
+    (base l n, stride 1).
     """
     n, m = table.dim, rep.dim_v
     prod = table.sparse[0]

@@ -248,6 +248,7 @@ def compatible_from_invertible_O(
 LAW_FORM = "form-invariance"
 LAW_TRANSPORT = "form-transport"
 LAW_SKEW = "form-skew"
+LAW_DEGENERATE = "form-degenerate"
 
 
 def _pair(fiber: dict, row, zero):
@@ -275,7 +276,7 @@ def check_form_invariance(alg: AlgebraLike, b: Matrix, strict_skew: bool = False
         raise ValueError(f"form matrix must be {n}x{n}, got {b.rows}x{b.cols}")
     violations = []
     if rank(b) != n:
-        violations.append(Violation("form-degenerate", (), (b.field.zero(),)))
+        violations.append(Violation(LAW_DEGENERATE, (), (b.field.zero(),)))
     if strict_skew:
         for i in range(n):
             for j in range(i, n):

@@ -153,7 +153,8 @@ def verify_representation(alg: AlgebraLike, rep: Representation) -> Representati
 def regular_representation(alg: AntiPreLieAlgebra) -> Representation:
     """(A, L, R) with L(e_i): y -> e_i . y and R(e_i): y -> y . e_i."""
     table = as_table(alg)
-    return Representation(table.dim, table.dim, table.left_matrices, table.right_matrices)
+    return Representation(table.dim, table.dim, table.left_matrices, table.right_matrices,
+                          table.field)
 
 
 def semidirect_product(alg: AntiPreLieAlgebra, rep: Representation) -> AntiPreLieAlgebra:

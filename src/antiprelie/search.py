@@ -1,16 +1,29 @@
-"""Brute-force search for small verified instances over prime fields.
+"""Exhaustive and sampled search for small verified instances over prime fields.
 
 There are no worked numeric examples to import from anywhere, so the test
-fixtures come from here: enumerate candidate structure tables, operator
-matrices, bilinear forms or action pairs over F_p (p in {2, 3, 5}, dim <= 3),
-keep the ones that pass the exact verification for their kind, and optionally
-lift small instances to the rationals (centered residues) for re-verification
-over Q.
+fixtures come from here: enumerate the cells of candidate structure tables,
+operator matrices, bilinear forms or action pairs over F_p (p in {2, 3, 5},
+dim <= 3), keep the ones that pass the exact verification for their kind, and
+optionally lift small instances to the rationals (centered residues) for
+re-verification over Q.
+
+The exhaustive search is a depth-first backtracker on ints mod p (Golomb and
+Baumert, J. ACM 1965).  Every residual coordinate (law, at, index) of the four
+kinds is a polynomial of degree <= 2 in the cells, so its coefficients are read
+off the kind's own check_* report at 0, e_a, 2e_a (odd p) and e_a + e_b
+(polarization); no law is written out here.  Cells are assigned in index order
+with values ascending, a branch is cut as soon as a coordinate whose last cell
+was just assigned is nonzero, and every surviving leaf is built and confirmed
+by the exact check, so the hits, and their lexicographic order, are those of
+the full scan.  Form nondegeneracy is not a polynomial and is decided only by
+that leaf check.  Bounded random sampling (seeded, deterministic) draws
+candidates instead, each confirmed by the same check.
 
 Exhaustive enumeration refuses spaces larger than MAX_EXHAUSTIVE candidates
-before their size p**cells is computed, reporting it in that form; bounded
-random sampling (seeded, deterministic) covers the rest, up to spaces whose
-size still prints in MAX_SPACE_DIGITS digits.
+before their size p**cells is computed, reporting it in that form; a sampled
+search refuses more than MAX_EXHAUSTIVE draws, and spaces whose size does not
+print in MAX_SPACE_DIGITS digits.  Negative dimensions, sample counts and
+result limits are rejected when the spec is made.
 """
 
 from __future__ import annotations
@@ -18,14 +31,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterator, Optional
+from itertools import combinations
+from typing import Callable, Iterator, Optional
 
-from .algebra import MultTable, is_anti_pre_lie
-from .dendriform import check_form_invariance, is_O_operator
+from .algebra import MultTable, Report, check_anti_pre_lie, is_anti_pre_lie
+from .dendriform import LAW_DEGENERATE, check_O_operator, check_form_invariance, is_O_operator
 from .fields import Fp, PrimeField, QQ
 from .linalg import Matrix, Tensor3
-from .representation import Representation, is_representation
+from .representation import Representation, check_representation, is_representation
 
 MAX_EXHAUSTIVE = 2_000_000
 # The space size is reported as an exact JSON integer, and Python reads and
@@ -34,7 +47,12 @@ MAX_EXHAUSTIVE = 2_000_000
 MAX_SPACE_DIGITS = 4300
 
 
-class SearchSpaceTooLarge(ValueError):
+class SearchRefused(ValueError):
+    """A search too large to run: too many candidates to scan or draw, or a
+    space too large to report."""
+
+
+class SearchSpaceTooLarge(SearchRefused):
     def __init__(self, p: int, cells: int, bound: str = f"exhaustive bound is {MAX_EXHAUSTIVE}"):
         super().__init__(f"search space has {p}**{cells} candidates; {bound}")
         self.p, self.cells = p, cells
@@ -52,18 +70,6 @@ def _exceeds(p: int, cells: int, bound: int) -> bool:
     p**cells has at most twice the bits of the bound and is compared exactly.
     """
     return cells * (p.bit_length() - 1) >= bound.bit_length() or p**cells > bound
-
-
-def _size(p: int, cells: int, exhaustive: bool) -> int:
-    """p**cells, refused before it is computed for an exhaustive scan above
-    MAX_EXHAUSTIVE and for any space with more than MAX_SPACE_DIGITS digits."""
-    if exhaustive and _exceeds(p, cells, MAX_EXHAUSTIVE):
-        raise SearchSpaceTooLarge(p, cells)
-    if _exceeds(p, cells, 10**MAX_SPACE_DIGITS - 1):
-        raise SearchSpaceTooLarge(
-            p, cells, f"a reported size has at most {MAX_SPACE_DIGITS} digits"
-        )
-    return p**cells
 
 
 @dataclass(frozen=True)
@@ -84,10 +90,31 @@ class SearchSpec:
     max_results: Optional[int] = None
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("dim", "dim_v", "samples", "max_results"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must not be negative, got {value}")
+
+
+def _size(spec: SearchSpec, cells: int) -> int:
+    """p**cells, refused before it is computed for an exhaustive scan above
+    MAX_EXHAUSTIVE and for any space with more than MAX_SPACE_DIGITS digits;
+    a sampled search of more than MAX_EXHAUSTIVE draws is refused too."""
+    p = spec.p
+    if not spec.exhaustive and spec.samples > MAX_EXHAUSTIVE:
+        raise SearchRefused(f"a sampled search draws at most {MAX_EXHAUSTIVE} candidates")
+    if spec.exhaustive and _exceeds(p, cells, MAX_EXHAUSTIVE):
+        raise SearchSpaceTooLarge(p, cells)
+    if _exceeds(p, cells, 10**MAX_SPACE_DIGITS - 1):
+        raise SearchSpaceTooLarge(
+            p, cells, f"a reported size has at most {MAX_SPACE_DIGITS} digits"
+        )
+    return p**cells
+
 
 def space_size(spec: SearchSpec) -> int:
-    """Candidates in the space; an exhaustive spec beyond MAX_EXHAUSTIVE, or any spec beyond
-    MAX_SPACE_DIGITS digits, is refused."""
+    """Candidates in the space; a spec whose search would be refused is refused here."""
     cells = {
         "algebra": spec.dim**3,
         "representation": 2 * spec.dim * spec.dim_v * spec.dim_v,
@@ -96,107 +123,243 @@ def space_size(spec: SearchSpec) -> int:
     }
     if spec.kind not in cells:
         raise ValueError(f"unknown search kind: {spec.kind!r}")
-    return _size(spec.p, cells[spec.kind], spec.exhaustive)
+    return _size(spec, cells[spec.kind])
 
 
-def _candidates(spec: SearchSpec, n_cells: int) -> Iterator[tuple]:
-    """Cell-value tuples in deterministic order (lexicographic or seeded)."""
-    size = _size(spec.p, n_cells, spec.exhaustive)
+def _coordinates(report: Report) -> dict:
+    """{(law, at, index): residue} over the nonzero residual coordinates of a
+    report, matrix residuals read row-major; nondegeneracy is left out."""
+    out = {}
+    for v in report.violations:
+        if v.law == LAW_DEGENERATE:
+            continue
+        flat = v.residual
+        if flat and isinstance(flat[0], tuple):
+            flat = [x for row in flat for x in row]
+        for index, x in enumerate(flat):
+            if x.value:
+                out[(v.law, v.at, index)] = x.value
+    return out
+
+
+def _polarize(residuals: Callable, n_cells: int, p: int) -> dict:
+    """{coordinate: {monomial: coefficient mod p}} for residuals(cells), a map
+    of nonzero coordinates that is a polynomial of degree <= 2 in the cells.
+
+    Monomial () is the constant, (a,) the linear term in cell a and (a, b),
+    a <= b, the quadratic one.  With R(x) = c + sum l_a x_a + sum q_ab x_a x_b:
+    c = R(0); R(e_a) - c = l_a + q_aa; (R(2e_a) - c) / 2 - (l_a + q_aa) = q_aa;
+    R(e_a + e_b) - c - (l_a + q_aa) - (l_b + q_bb) = q_ab.  Over F_2, x*x = x,
+    so q_aa is folded into l_a and 2e_a is never probed.
+    """
+    def probe(*assigned) -> dict:
+        cells = [0] * n_cells
+        for a, v in assigned:
+            cells[a] = v
+        return residuals(tuple(cells))
+
+    def combine(*terms) -> dict:
+        out = {}
+        for coef, values in terms:
+            for key, x in values.items():
+                out[key] = (out.get(key, 0) + coef * x) % p
+        return {key: x for key, x in out.items() if x}
+
+    polys = {}
+
+    def put(monomial: tuple, values: dict) -> None:
+        for key, x in values.items():
+            polys.setdefault(key, {})[monomial] = x
+
+    const = probe()
+    put((), const)
+    half = (p + 1) // 2  # the inverse of 2 mod an odd p
+    units = []
+    for a in range(n_cells):
+        unit = combine((1, probe((a, 1))), (-1, const))
+        units.append(unit)
+        if p == 2:
+            put((a,), unit)
+            continue
+        square = combine((half, probe((a, 2))), (-half, const), (-1, unit))
+        put((a,), combine((1, unit), (-1, square)))
+        put((a, a), square)
+    for a, b in combinations(range(n_cells), 2):
+        put((a, b), combine((1, probe((a, 1), (b, 1))), (-1, const), (-1, units[a]),
+                            (-1, units[b])))
+    return polys
+
+
+def _constraints(polys: dict, n_cells: int, p: int) -> Optional[list]:
+    """The polynomials grouped by the last cell they read, or None when one is
+    a nonzero constant (no assignment passes).
+
+    With x_c the last cell, a polynomial is rest + x_c (slope + square x_c),
+    where rest is a list of (coef, a, b) for coef x_a x_b and slope a list of
+    (coef, a) for coef x_a, over cells before c and the index n_cells of a
+    cell fixed at 1.  Each is scaled to a leading coefficient 1, and equal
+    ones are kept once.
+    """
+    one = n_cells
+    groups = [{} for _ in range(n_cells)]
+    for poly in polys.values():
+        last = max((max(m) for m in poly if m), default=None)
+        if last is None:
+            return None
+        terms = sorted(poly.items())
+        scale = pow(terms[0][1], -1, p)
+        rest, slope, square = [], [], 0
+        for monomial, coef in terms:
+            coef = coef * scale % p
+            a, b = (*monomial, one, one)[:2]
+            if last not in (a, b):
+                rest.append((coef, a, b))
+            elif a == b:
+                square = coef
+            else:
+                slope.append((coef, b if a == last else a))
+        groups[last][(tuple(rest), tuple(slope), square)] = None
+    return [list(g) for g in groups]
+
+
+def _backtrack(p: int, n_cells: int, groups: list) -> Iterator[tuple]:
+    """Assignments of the cells in lexicographic order that zero every
+    polynomial of groups, each checked once its last cell is assigned."""
+    if n_cells == 0:
+        yield ()
+        return
+    x = [0] * n_cells + [1]
+
+    def values(c: int) -> Iterator[int]:
+        passing = range(p)
+        for rest, slope, square in groups[c]:
+            r = sum(coef * x[a] * x[b] for coef, a, b in rest)
+            s = sum(coef * x[a] for coef, a in slope)
+            passing = [v for v in passing if (r + v * (s + v * square)) % p == 0]
+            if not passing:
+                break
+        return iter(passing)
+
+    stack = [values(0)]
+    while stack:
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            continue
+        c = len(stack) - 1
+        x[c] = v
+        if c + 1 == n_cells:
+            yield tuple(x[:n_cells])
+        else:
+            stack.append(values(c + 1))
+
+
+def _draws(spec: SearchSpec, n_cells: int, size: int) -> Iterator[tuple]:
+    """spec.samples seeded draws from the space, repeats skipped."""
+    rng = random.Random(spec.seed)
+    seen = set()
+    for _ in range(spec.samples):
+        idx = rng.randrange(size)
+        if idx in seen:
+            continue
+        seen.add(idx)
+        digits = []
+        for _ in range(n_cells):
+            digits.append(idx % spec.p)
+            idx //= spec.p
+        yield tuple(reversed(digits))
+
+
+def _scan(spec: SearchSpec, n_cells: int, build: Callable, check: Callable,
+          confirm: Callable) -> list:
+    """The candidates build(cells) that pass confirm, in candidate order and at
+    most spec.max_results of them.  check(obj) is the kind's full Report, from
+    which the exhaustive backtracker derives its constraints."""
+    size = _size(spec, n_cells)
+    if spec.max_results == 0:
+        return []
     if spec.exhaustive:
-        yield from product(range(spec.p), repeat=n_cells)
+        polys = _polarize(lambda cells: _coordinates(check(build(cells))), n_cells, spec.p)
+        groups = _constraints(polys, n_cells, spec.p)
+        candidates = () if groups is None else _backtrack(spec.p, n_cells, groups)
     else:
-        rng = random.Random(spec.seed)
-        seen = set()
-        for _ in range(spec.samples):
-            idx = rng.randrange(size)
-            if idx in seen:
-                continue
-            seen.add(idx)
-            digits = []
-            for _ in range(n_cells):
-                digits.append(idx % spec.p)
-                idx //= spec.p
-            yield tuple(reversed(digits))
+        candidates = _draws(spec, n_cells, size)
+    out = []
+    for cells in candidates:
+        obj = build(cells)
+        if confirm(obj):
+            out.append(obj)
+            if len(out) == spec.max_results:
+                break
+    return out
 
 
-def _table_from_cells(field: PrimeField, n: int, cells: tuple) -> MultTable:
-    it = iter(cells)
-    ent = [[[Fp(next(it), field.p) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    return MultTable(Tensor3.from_entries(field, ent))
+def _residues(p: int) -> tuple:
+    """The field F_p and its elements 0..p-1, shared by every candidate."""
+    field = PrimeField(p)
+    return field, tuple(field.of_int(v) for v in range(p))
+
+
+def _matrix(field: PrimeField, x: tuple, rows: int, cols: int, cells: tuple) -> Matrix:
+    return Matrix(field, rows, cols, tuple(
+        tuple(x[cells[r * cols + c]] for c in range(cols)) for r in range(rows)
+    ))
 
 
 def search_algebras(spec: SearchSpec) -> list:
     """All (or sampled) tables over F_p passing the anti-pre-Lie check."""
-    field = PrimeField(spec.p)
+    field, x = _residues(spec.p)
     n = spec.dim
-    out = []
-    for cells in _candidates(spec, n**3):
-        table = _table_from_cells(field, n, cells)
-        if is_anti_pre_lie(table):
-            out.append(table)
-            if spec.max_results is not None and len(out) >= spec.max_results:
-                break
-    return out
+
+    def build(cells):
+        it = iter(cells)
+        return MultTable(Tensor3.from_entries(
+            field, [[[x[next(it)] for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        ))
+
+    return _scan(spec, n**3, build, check_anti_pre_lie, is_anti_pre_lie)
 
 
 def search_representations(spec: SearchSpec, table: MultTable) -> list:
     """Action pairs (rho, mu) on F_p^m passing the representation axioms."""
-    field = PrimeField(spec.p)
+    field, x = _residues(spec.p)
     n, m = spec.dim, spec.dim_v
     if table.dim != n:
         raise ValueError("table dimension does not match the spec")
-    out = []
     per_mat = m * m
-    for cells in _candidates(spec, 2 * n * per_mat):
-        mats = []
-        for t in range(2 * n):
-            chunk = cells[t * per_mat:(t + 1) * per_mat]
-            mats.append(Matrix(field, m, m, tuple(
-                tuple(Fp(chunk[r * m + c], spec.p) for c in range(m)) for r in range(m)
-            )))
-        rep = Representation(n, m, tuple(mats[:n]), tuple(mats[n:]))
-        if is_representation(table, rep):
-            out.append(rep)
-            if spec.max_results is not None and len(out) >= spec.max_results:
-                break
-    return out
+
+    def build(cells):
+        mats = tuple(_matrix(field, x, m, m, cells[t * per_mat:(t + 1) * per_mat])
+                     for t in range(2 * n))
+        return Representation(n, m, mats[:n], mats[n:], field)
+
+    return _scan(spec, 2 * n * per_mat, build, lambda rep: check_representation(table, rep),
+                 lambda rep: is_representation(table, rep))
 
 
 def search_o_operators(spec: SearchSpec, table: MultTable, rep: Representation) -> list:
     """Matrices V -> A over F_p satisfying the operator relation."""
-    field = PrimeField(spec.p)
+    field, x = _residues(spec.p)
     n, m = spec.dim, spec.dim_v
     if table.dim != n or rep.dim_v != m:
         raise ValueError("context dimensions do not match the spec")
-    out = []
-    for cells in _candidates(spec, n * m):
-        t = Matrix(field, n, m, tuple(
-            tuple(Fp(cells[r * m + c], spec.p) for c in range(m)) for r in range(n)
-        ))
-        if is_O_operator(table, rep, t):
-            out.append(t)
-            if spec.max_results is not None and len(out) >= spec.max_results:
-                break
-    return out
+    return _scan(spec, n * m, lambda cells: _matrix(field, x, n, m, cells),
+                 lambda t: check_O_operator(table, rep, t), lambda t: is_O_operator(table, rep, t))
 
 
 def search_bilinear_forms(spec: SearchSpec, table: MultTable, strict_skew: bool = False) -> list:
     """Nondegenerate forms satisfying both pairing identities (and optionally
     full skewness)."""
-    field = PrimeField(spec.p)
+    field, x = _residues(spec.p)
     n = spec.dim
     if table.dim != n:
         raise ValueError("table dimension does not match the spec")
-    out = []
-    for cells in _candidates(spec, n * n):
-        b = Matrix(field, n, n, tuple(
-            tuple(Fp(cells[r * n + c], spec.p) for c in range(n)) for r in range(n)
-        ))
-        if check_form_invariance(table, b, strict_skew=strict_skew).ok:
-            out.append(b)
-            if spec.max_results is not None and len(out) >= spec.max_results:
-                break
-    return out
+
+    def check(b):
+        return check_form_invariance(table, b, strict_skew=strict_skew)
+
+    return _scan(spec, n * n, lambda cells: _matrix(field, x, n, n, cells), check,
+                 lambda b: check(b).ok)
 
 
 def _lift_scalar(x: Fp) -> Fraction:

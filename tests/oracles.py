@@ -1,5 +1,5 @@
 """Naive nested-loop evaluators, pointwise coboundaries, a second nullspace
-solver and dense elimination.
+solver, dense elimination and the brute-force prime-field search.
 
 Everything here is written straight off the defining identities with explicit
 index sums over structure constants, or (the pointwise d2) by evaluating the
@@ -9,11 +9,14 @@ suite demands exact agreement between the two routes on random inputs.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
+from antiprelie.algebra import MultTable, is_anti_pre_lie
 from antiprelie.cohomology import Cochain2
-from antiprelie.fields import Field
-from antiprelie.linalg import Matrix, basis_vec, vec_sub
-from antiprelie.representation import as_table
+from antiprelie.dendriform import check_form_invariance, is_O_operator
+from antiprelie.fields import Field, Fp, PrimeField
+from antiprelie.linalg import Matrix, Tensor3, basis_vec, vec_sub
+from antiprelie.representation import Representation, as_table, is_representation
 
 
 def _c(table):
@@ -654,3 +657,68 @@ def same_span(field: Field, vecs_a, vecs_b, length: int) -> bool:
         return False
     both = list(vecs_a) + list(vecs_b)
     return len({dense_rank(field, vecs, length) for vecs in (vecs_a, vecs_b, both)}) == 1
+
+
+def search_kind(spec, table=None, rep=None, strict_skew=False):
+    """(cells, build, passes) for a search spec: the number of cells, the
+    candidate object of a tuple of cell values in 0..p-1 (each cell one fresh
+    Fp) and the kind's exact check."""
+    p, n, m = spec.p, spec.dim, spec.dim_v
+    field = PrimeField(p)
+
+    def matrix(cells, rows, cols):
+        return Matrix(field, rows, cols, tuple(
+            tuple(Fp(cells[r * cols + c], p) for c in range(cols)) for r in range(rows)
+        ))
+
+    if spec.kind == "algebra":
+        def build(cells):
+            it = iter(cells)
+            return MultTable(Tensor3.from_entries(
+                field, [[[Fp(next(it), p) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+            ))
+
+        return n**3, build, is_anti_pre_lie
+    if spec.kind == "representation":
+        def build(cells):
+            mats = [matrix(cells[t * m * m:(t + 1) * m * m], m, m) for t in range(2 * n)]
+            return Representation(n, m, tuple(mats[:n]), tuple(mats[n:]))
+
+        return 2 * n * m * m, build, lambda r: is_representation(table, r)
+    if spec.kind == "o-operator":
+        return n * m, lambda cells: matrix(cells, n, m), lambda t: is_O_operator(table, rep, t)
+    return (n * n, lambda cells: matrix(cells, n, n),
+            lambda b: check_form_invariance(table, b, strict_skew=strict_skew).ok)
+
+
+def brute_force_search(spec, table=None, rep=None, strict_skew=False):
+    """The exhaustive scan as a plain loop: every cell tuple in lexicographic
+    order (itertools.product), built and kept when the kind's check passes, at
+    most spec.max_results of them."""
+    cells, build, passes = search_kind(spec, table, rep, strict_skew)
+    out = []
+    if spec.max_results == 0:
+        return out
+    for values in product(range(spec.p), repeat=cells):
+        obj = build(values)
+        if passes(obj):
+            out.append(obj)
+            if len(out) == spec.max_results:
+                break
+    return out
+
+
+def residual_coordinates(report):
+    """{(law, at, index): residue} over the nonzero residual coordinates of a
+    report, matrix residuals row-major; nondegeneracy has no coordinates."""
+    out = {}
+    for v in report.violations:
+        if v.law == "form-degenerate":
+            continue
+        flat = v.residual
+        if flat and isinstance(flat[0], tuple):
+            flat = [x for row in flat for x in row]
+        for index, x in enumerate(flat):
+            if x.value:
+                out[(v.law, v.at, index)] = x.value
+    return out

@@ -659,3 +659,61 @@ def test_prime_descriptor_needs_bounded_integer(write_doc, capsys, descriptor):
     assert err.startswith("input error: a prime must be an integer") or err.startswith(
         "input error: prime exceeds the ceiling 2147483647"
     )
+
+
+@pytest.mark.parametrize("flag, kind", [("--dim", "algebra"), ("--dim-v", "algebra"),
+                                        ("--dim-v", "o-operator"), ("--random", "algebra"),
+                                        ("--max-results", "algebra")])
+@pytest.mark.parametrize("value", ["-1", "-3"])
+def test_search_negative_argument_is_input_error(capsys, flag, kind, value):
+    """Rejected before the space is sized or reported, whatever the kind."""
+    argv = ["search", "--kind", kind, "--dim", "1", "--prime", "2"]
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ")
+    assert "search space" not in err
+
+
+def test_search_max_results_zero_finds_nothing(capsys):
+    code, out, err = run_cli(capsys, "search", "--kind", "algebra", "--dim", "1", "--prime", "2",
+                             "--max-results", "0")
+    assert code == 0
+    assert out_json(out)["count"] == 0
+    assert out_json(out)["results"] == []
+
+
+def test_search_huge_random_is_refused_before_drawing():
+    """More draws than the exhaustive bound is refused at once; run as a
+    subprocess with a timeout so that a search that starts drawing fails
+    instead of hanging."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import antiprelie
+
+    src = str(Path(antiprelie.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "antiprelie.cli", "search", "--kind", "algebra", "--dim", "1",
+         "--prime", "2", "--random", str(10**12)],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "refused: a sampled search draws at most 2000000 candidates\n"
+
+
+def test_search_algebra_dim2_p5(capsys):
+    """Tier-1 pin of the largest exhaustive algebra search the bench does not
+    run: 2,305 tables over F_5, with the exact bytes of the output recorded
+    from the brute-force scan (about a minute there)."""
+    import hashlib
+
+    code, out, err = run_cli(capsys, "search", "--kind", "algebra", "--dim", "2", "--prime", "5")
+    assert (code, err) == (0, "search space: 390625 candidates\n")
+    assert out_json(out)["count"] == 2305
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "07227a14c768494281288901d36228365b7230bd2e4767f714a34f15f4aef391"
+    )

@@ -8,6 +8,13 @@ by another field descriptor; a list shortened, lengthened or nested; a key
 dropped.  Every mutated input stays a few entries large.  The command must
 exit 0, 1 or 2 without raising, print no traceback and finish within a
 wall-clock bound.
+
+The `search` command is fuzzed over its non-document arguments instead: kind,
+dimensions (negative ones too), prime (invalid ones too), result limit, sample
+count (up to 10**12), seed, strict skewness and context documents that are
+absent, over the searched prime or over another one.  Accepted exhaustive
+spaces stay at most 3**8 candidates; a huge value only reaches paths that are
+refused before any work.
 """
 
 import io
@@ -17,7 +24,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from antiprelie import documents as docs
@@ -27,6 +34,7 @@ from antiprelie.dendriform import AntiLDendriform
 from antiprelie.fields import QQ, PrimeField
 from antiprelie.linalg import Matrix
 from antiprelie.representation import regular_representation
+from antiprelie.search import MAX_EXHAUSTIVE
 
 SECONDS = 5.0
 
@@ -104,6 +112,19 @@ def cases(draw):
     return command, documents
 
 
+def _run(argv):
+    """(exit code, stderr, seconds) of one in-process CLI call; an argparse
+    rejection is a SystemExit carrying the code."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue(), time.perf_counter() - start
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
 def test_mutated_documents_exit_cleanly(case):
@@ -114,11 +135,69 @@ def test_mutated_documents_exit_cleanly(case):
             path = Path(tmp) / f"doc{k}.json"
             path.write_text(json.dumps(doc))
             paths.append(str(path))
-        out, err = io.StringIO(), io.StringIO()
-        start = time.perf_counter()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main([command, *paths])
-        elapsed = time.perf_counter() - start
+        code, err, elapsed = _run([command, *paths])
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+    assert elapsed < SECONDS
+
+
+KINDS = ("algebra", "representation", "o-operator", "bilinear-form")
+CELLS = {"algebra": lambda n, m: n**3, "representation": lambda n, m: 2 * n * m * m,
+         "o-operator": lambda n, m: n * m, "bilinear-form": lambda n, m: n * n}
+
+
+def _context(dim, p):
+    """An algebra document of the given dimension over F_p and its regular
+    representation."""
+    field = PrimeField(p)
+    table = MultTable.from_dict(field, dim, {(0, 0, 0): 1} if dim else {})
+    return docs.encode_algebra(table), docs.encode_representation(regular_representation(table))
+
+
+@st.composite
+def search_arguments(draw):
+    kind = draw(st.sampled_from(KINDS))
+    dim, dim_v = draw(st.integers(-2, 4)), draw(st.integers(-2, 3))
+    prime = draw(st.sampled_from([2, 3, 5, 0, 1, 4, 7, -3]))
+    max_results = draw(st.none() | st.integers(-2, 5))
+    samples = draw(st.none() | st.integers(-2, 50) | st.just(10**12))
+    argv = ["search", "--kind", kind, "--dim", str(dim), "--prime", str(prime),
+            "--dim-v", str(dim_v), "--seed", str(draw(st.integers(-3, 3)))]
+    if max_results is not None:
+        argv += ["--max-results", str(max_results)]
+    if samples is not None:
+        argv += ["--random", str(samples)]
+    if draw(st.booleans()):
+        argv.append("--strict-skew")
+    context = draw(st.sampled_from(["absent", "matching", "wrong-prime"]))
+    if context != "absent":
+        p = prime if prime in (2, 3, 5) else 3
+        if context == "wrong-prime":
+            p = 2 if p != 2 else 3
+        docs_dim = dim if dim >= 0 else 2
+        argv += ["--context", "algebra", "--rep", "rep"]
+        context = _context(docs_dim, p)
+    else:
+        context = None
+    # Only a valid exhaustive spec does work proportional to its space; keep
+    # the accepted ones small.
+    if prime in (2, 3, 5) and min(dim, dim_v, max_results or 0) >= 0 and not samples:
+        size = prime ** CELLS[kind](dim, dim_v)
+        assume(size <= 3**8 or size > MAX_EXHAUSTIVE)
+    return argv, context
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(search_arguments())
+def test_search_arguments_exit_cleanly(case):
+    argv, context = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if context is not None:
+            for name, doc in zip(("algebra", "rep"), context):
+                path = Path(tmp) / f"{name}.json"
+                path.write_text(json.dumps(doc))
+                argv[argv.index(name)] = str(path)
+        code, err, elapsed = _run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
     assert elapsed < SECONDS
