@@ -717,3 +717,19 @@ def test_search_algebra_dim2_p5(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "07227a14c768494281288901d36228365b7230bd2e4767f714a34f15f4aef391"
     )
+
+
+@pytest.mark.parametrize("kind", ["representation", "o-operator"])
+def test_search_over_dim0_context(write_doc, capsys, kind):
+    """A dim-0 context has one empty candidate, which passes; the found
+    representation and the regular representation of the context both carry
+    their field into the document."""
+    from antiprelie.fields import PrimeField
+
+    table = MultTable.zero(PrimeField(2), 0)
+    ctx = write_doc(docs.encode_algebra(table))
+    rep = write_doc(docs.encode_representation(regular_representation(table)))
+    code, out, err = run_cli(capsys, "search", "--kind", kind, "--dim", "0", "--dim-v", "0",
+                             "--prime", "2", "--context", ctx, "--rep", rep)
+    assert (code, err) == (0, "search space: 1 candidates\n")
+    assert out_json(out)["count"] == 1
