@@ -142,7 +142,7 @@ def _coordinates(report: Report) -> dict:
     return out
 
 
-def _polarize(residuals: Callable, n_cells: int, p: int) -> dict:
+def polarize(residuals: Callable, n_cells: int, p: int) -> dict:
     """{coordinate: {monomial: coefficient mod p}} for residuals(cells), a map
     of nonzero coordinates that is a polynomial of degree <= 2 in the cells.
 
@@ -151,6 +151,10 @@ def _polarize(residuals: Callable, n_cells: int, p: int) -> dict:
     c = R(0); R(e_a) - c = l_a + q_aa; (R(2e_a) - c) / 2 - (l_a + q_aa) = q_aa;
     R(e_a + e_b) - c - (l_a + q_aa) - (l_b + q_bb) = q_ab.  Over F_2, x*x = x,
     so q_aa is folded into l_a and 2e_a is never probed.
+
+    The 1 + 2N + N(N-1)/2 probes (N cells; 1 + N + N(N-1)/2 over F_2) are
+    law checks of fixed points, not of candidates: a candidate is an
+    assignment that the backtracker reaches and the search confirms.
     """
     def probe(*assigned) -> dict:
         cells = [0] * n_cells
@@ -190,27 +194,23 @@ def _polarize(residuals: Callable, n_cells: int, p: int) -> dict:
     return polys
 
 
-def _constraints(polys: dict, n_cells: int, p: int) -> Optional[list]:
+def _constraints(polys: dict, n_cells: int) -> Optional[list]:
     """The polynomials grouped by the last cell they read, or None when one is
     a nonzero constant (no assignment passes).
 
     With x_c the last cell, a polynomial is rest + x_c (slope + square x_c),
     where rest is a list of (coef, a, b) for coef x_a x_b and slope a list of
     (coef, a) for coef x_a, over cells before c and the index n_cells of a
-    cell fixed at 1.  Each is scaled to a leading coefficient 1, and equal
-    ones are kept once.
+    cell fixed at 1.
     """
     one = n_cells
-    groups = [{} for _ in range(n_cells)]
+    groups = [[] for _ in range(n_cells)]
     for poly in polys.values():
         last = max((max(m) for m in poly if m), default=None)
         if last is None:
             return None
-        terms = sorted(poly.items())
-        scale = pow(terms[0][1], -1, p)
         rest, slope, square = [], [], 0
-        for monomial, coef in terms:
-            coef = coef * scale % p
+        for monomial, coef in poly.items():
             a, b = (*monomial, one, one)[:2]
             if last not in (a, b):
                 rest.append((coef, a, b))
@@ -218,8 +218,8 @@ def _constraints(polys: dict, n_cells: int, p: int) -> Optional[list]:
                 square = coef
             else:
                 slope.append((coef, b if a == last else a))
-        groups[last][(tuple(rest), tuple(slope), square)] = None
-    return [list(g) for g in groups]
+        groups[last].append((rest, slope, square))
+    return groups
 
 
 def _backtrack(p: int, n_cells: int, groups: list) -> Iterator[tuple]:
@@ -274,13 +274,13 @@ def _scan(spec: SearchSpec, n_cells: int, build: Callable, check: Callable,
           confirm: Callable) -> list:
     """The candidates build(cells) that pass confirm, in candidate order and at
     most spec.max_results of them.  check(obj) is the kind's full Report, from
-    which the exhaustive backtracker derives its constraints."""
+    which polarize derives the exhaustive backtracker's constraints."""
     size = _size(spec, n_cells)
     if spec.max_results == 0:
         return []
     if spec.exhaustive:
-        polys = _polarize(lambda cells: _coordinates(check(build(cells))), n_cells, spec.p)
-        groups = _constraints(polys, n_cells, spec.p)
+        polys = polarize(lambda cells: _coordinates(check(build(cells))), n_cells, spec.p)
+        groups = _constraints(polys, n_cells)
         candidates = () if groups is None else _backtrack(spec.p, n_cells, groups)
     else:
         candidates = _draws(spec, n_cells, size)

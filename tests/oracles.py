@@ -708,17 +708,28 @@ def brute_force_search(spec, table=None, rep=None, strict_skew=False):
     return out
 
 
-def residual_coordinates(report):
-    """{(law, at, index): residue} over the nonzero residual coordinates of a
-    report, matrix residuals row-major; nondegeneracy has no coordinates."""
-    out = {}
+def residual_entry(report, key):
+    """The residue that a report gives at key = (law, at, index), read from
+    that violation's residual: entry [index // m][index % m] of a matrix
+    residual with m columns, entry [index] of a vector; 0 when the report has
+    no violation of law at `at`."""
+    law, at, index = key
     for v in report.violations:
-        if v.law == "form-degenerate":
-            continue
-        flat = v.residual
-        if flat and isinstance(flat[0], tuple):
-            flat = [x for row in flat for x in row]
-        for index, x in enumerate(flat):
-            if x.value:
-                out[(v.law, v.at, index)] = x.value
-    return out
+        if (v.law, v.at) == (law, at):
+            r = v.residual
+            if isinstance(r[0], tuple):
+                m = len(r[0])
+                return r[index // m][index % m].value
+            return r[index].value
+    return 0
+
+
+def nonzero_residual_entries(report):
+    """How many residual entries of a report are nonzero; nondegeneracy,
+    which is no polynomial in the cells, is left out."""
+    count = 0
+    for v in report.violations:
+        if v.law != "form-degenerate":
+            rows = v.residual if v.residual and isinstance(v.residual[0], tuple) else (v.residual,)
+            count += sum(1 for row in rows for x in row if x.value)
+    return count
