@@ -20,11 +20,11 @@ and a 2-cochain f has a pair of degree-3 coboundary components
 Z2 is the joint kernel, B2 the image of d1, and H2 = Z2/B2.  The spaces are
 computed from a direct matrix linearization of the operators over the n^2 m
 coordinates of C1 and C2.  The rows of d1 and of d2 are each assembled by one
-routine, from the nonzero structure constants and action entries only;
-d1_matrix and d2_matrix write them out densely and is_cocycle applies the d2
-rows to a cochain one row at a time.  The
-pointwise evaluation of d2 on all basis triples lives in the test suite, as
-the independent oracle for that linearization.
+routine, from the nonzero structure constants and action entries only.  Z2 is
+eliminated straight from the sparse d2 rows and is_cocycle applies them to a
+cochain one row at a time; d1_matrix and d2_matrix are the dense views of the
+same rows.  The pointwise evaluation of d2 on all basis triples lives in the
+test suite, as the independent oracle for that linearization.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Iterator, Optional
 
 from .algebra import AntiPreLieAlgebra, MultTable, StructureError
 from .fields import Field
-from .linalg import Matrix, Tensor3, Vec, kernel_basis, pivot_columns, solve, vec_sub
+from .linalg import Matrix, Tensor3, Vec, _kernel, pivot_columns, solve, vec_sub
 from .representation import AlgebraLike, Representation, as_table
 
 
@@ -192,7 +192,7 @@ def _d2_rows(table: MultTable, rep: Representation) -> Iterator[dict]:
     matrix, with k the V index of f(e_p, e_q) (stride 1), or a product or
     bracket, with k the basis index w of f(e_p, e_w) (stride m) or of
     f(e_w, e_q) (stride n m).  Only nonzero fibers are visited; an entry that
-    cancels stays as a zero.
+    cancels stays as a zero, which cohomology_spaces drops before elimination.
     """
     n, m = table.dim, rep.dim_v
     prod, _, comm = table.sparse
@@ -259,7 +259,8 @@ class CohomologySpaces:
 
 
 def cohomology_spaces(alg: AntiPreLieAlgebra, rep: Representation) -> CohomologySpaces:
-    """Z2 as the kernel of the d2 linearization, B2 as the column space of d1,
+    """Z2 as the kernel of the d2 linearization (eliminated from its sparse
+    rows, never written out dense), B2 as the column space of d1,
     and H2 representatives chosen by greedily extending the B2 basis along the
     deterministic Z2 kernel basis (lexicographic coordinate order).
 
@@ -274,7 +275,8 @@ def cohomology_spaces(alg: AntiPreLieAlgebra, rep: Representation) -> Cohomology
     table = as_table(alg)
     n, m = table.dim, rep.dim_v
     field = table.field
-    z2_vecs = kernel_basis(d2_matrix(table, rep))
+    d2_rows = ({j: x for j, x in r.items() if x} for r in _d2_rows(table, rep))
+    z2_vecs = _kernel(field, d2_rows, n * n * m)
     dd1 = d1_matrix(table, rep)
     b2_vecs = [dd1.col(c) for c in pivot_columns(dd1)]
     pivots = pivot_columns(Matrix.from_cols(field, b2_vecs + z2_vecs, rows=n * n * m))

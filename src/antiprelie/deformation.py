@@ -34,16 +34,9 @@ from .algebra import (
     _law_residuals,
     _law_violations,
 )
-from .cohomology import (
-    Cochain2,
-    cochain1_from_vec,
-    cochain2_to_vec,
-    cohomology_spaces,
-    d1_matrix,
-    is_cocycle,
-)
+from .cohomology import Cochain2, cohomologous, cohomology_spaces, is_cocycle
 from .fields import Field
-from .linalg import Matrix, solve
+from .linalg import Matrix
 from .representation import regular_representation
 
 LAW_DEF_EXCHANGE = "deformation-exchange"
@@ -245,13 +238,11 @@ def trivialize_step(d: TruncatedDeformation, n: int) -> Optional[tuple]:
     field = d.field
     dim = d.dim
     w_n = d.terms[n - 1]
-    reg = regular_representation(d.base)
-    dd1 = d1_matrix(d.base.table, reg)
-    target = tuple(-x for x in cochain2_to_vec(Cochain2.from_table(w_n)))
-    phi_vec = solve(dd1, target)
-    if phi_vec is None:
+    # d1(phi) = -w_n, so that the transform cancels the order-n term.
+    phi = cohomologous(d.base, regular_representation(d.base),
+                       Cochain2.zero(field, dim, dim), Cochain2.from_table(w_n))
+    if phi is None:
         return None
-    phi = cochain1_from_vec(field, dim, dim, phi_vec)
     zero = Matrix.zero(field, dim, dim)
     iso = TruncatedIsomorphism(tuple(zero if k != n - 1 else phi for k in range(n)))
     transformed = apply_isomorphism(d, iso)

@@ -147,7 +147,7 @@ def left_mult_representation(d: AntiLDendriform) -> Representation:
     """
     rho = d.right.left_matrices
     mu = tuple(-m for m in d.left.left_matrices)
-    return Representation(d.dim, d.dim, rho, mu)
+    return Representation(d.dim, d.dim, rho, mu, d.field)
 
 
 LAW_O = "o-operator"

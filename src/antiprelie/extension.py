@@ -181,7 +181,7 @@ def extract_cocycle(ext: AbelianExtension, section: Optional[Matrix] = None) -> 
             mu_cols.append(right[n:])
         rho.append(Matrix.from_cols(field, rho_cols, rows=m))
         mu.append(Matrix.from_cols(field, mu_cols, rows=m))
-    rep = Representation(n, m, tuple(rho), tuple(mu))
+    rep = Representation(n, m, tuple(rho), tuple(mu), field)
     check_representation(base, rep).require("extracted action pair fails the representation axioms")
     return theta, rep
 

@@ -20,7 +20,8 @@ from typing import Iterator, Union
 
 
 class Fp:
-    """An element of Z/pZ for a small prime p."""
+    """An element of Z/pZ for a small prime p; it computes only with elements
+    of the same field (mixing in an int is a TypeError)."""
 
     __slots__ = ("value", "p")
 
@@ -36,8 +37,6 @@ class Fp:
             if other.p != self.p:
                 raise ValueError(f"mixed prime fields: p={self.p} vs p={other.p}")
             return other
-        if isinstance(other, int):
-            return Fp(other, self.p)
         return NotImplemented
 
     def __add__(self, other):
@@ -46,27 +45,17 @@ class Fp:
             return NotImplemented
         return Fp(self.value + o.value, self.p)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return Fp(self.value - o.value, self.p)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Fp(o.value - self.value, self.p)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return Fp(self.value * o.value, self.p)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -6,7 +6,9 @@ runs on are mostly zero (the dim-8 d2 is 8192x512 with 0.2 % nonzeros).  One
 routine, `_rref`, computes the reduced row echelon form behind `rank`,
 `pivot_columns`, `kernel_basis`, `solve` and `invert`.  That form is unique,
 so pivots, kernel bases, solutions and inverses are fully determined by the
-input and reproducible across runs and platforms.
+input and reproducible across runs and platforms.  The kernel core `_kernel`
+takes sparse rows as they are, so an operator assembled row by row (like d2)
+reaches elimination without ever being written out dense.
 
 Bilinear maps are evaluated in two ways, each with its own job.  Every law
 residual on basis triples (and pairs) is summed by `_accumulate` from the
@@ -17,8 +19,6 @@ evaluates a product of two arbitrary coordinate vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count, repeat
-from operator import is_not
 from typing import Iterable, Optional, Sequence
 
 from .fields import Field, Scalar
@@ -140,25 +140,8 @@ def _dot(a: Sequence[Scalar], b: Sequence[Scalar], field: Field) -> Scalar:
 
 
 def _sparse_rows(rows: Iterable[Sequence[Scalar]]) -> list:
-    """Each row as {column: value} over its nonzero entries.
-
-    Entries that are the first zero object met are skipped by identity
-    (`is_not` runs in C), so a matrix built from one shared zero, like the
-    cochain operators, costs little more than a pointer scan; any other entry
-    is tested for truthiness.
-    """
-    out = []
-    zero = None
-    for r in rows:
-        row = {}
-        for j in compress(count(), map(is_not, r, repeat(zero))):
-            x = r[j]
-            if x:
-                row[j] = x
-            elif zero is None:
-                zero = x
-        out.append(row)
-    return out
+    """Each row as {column: value} over its nonzero entries."""
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
 
 
 def _subtract(row: dict, f: Scalar, other: dict) -> None:
@@ -232,19 +215,24 @@ def pivot_columns(m: Matrix) -> list[int]:
 
 
 def kernel_basis(m: Matrix) -> list[Vec]:
-    """Deterministic basis of the right null space {v : Mv = 0}.
+    """Deterministic basis of the right null space {v : Mv = 0}."""
+    return _kernel(m.field, _sparse_rows(m.entries), m.cols)
+
+
+def _kernel(field: Field, rows: Iterable[dict], ncols: int) -> list[Vec]:
+    """The kernel basis of sparse rows of nonzero entries over ncols columns.
 
     One vector per free column f, with 1 at f and minus the RREF column f at
     the pivots; a pivot row is nonzero only at its pivot and at free columns.
     """
-    rows, pivots = _rref(m.field, _sparse_rows(m.entries))
-    z, o = m.field.zero(), m.field.one()
+    reduced, pivots = _rref(field, rows)
+    z, o = field.zero(), field.one()
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = {f: [z] * m.cols for f in free}
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = {f: [z] * ncols for f in free}
     for f, v in basis.items():
         v[f] = o
-    for pc, row in zip(pivots, rows):
+    for pc, row in zip(pivots, reduced):
         for f, x in row.items():
             if f != pc:
                 basis[f][pc] = -x

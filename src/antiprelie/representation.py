@@ -234,7 +234,7 @@ def special_condition_report(alg: AlgebraLike, rep: Representation) -> tuple:
     """
     table = as_table(alg)
     swapped = Representation(
-        rep.dim_a, rep.dim_v, tuple(m - r for r, m in zip(rep.rho, rep.mu)), rep.mu
+        rep.dim_a, rep.dim_v, tuple(m - r for r, m in zip(rep.rho, rep.mu)), rep.mu, rep.field
     )
     cond1 = is_representation(table, swapped)
 
@@ -243,6 +243,7 @@ def special_condition_report(alg: AlgebraLike, rep: Representation) -> tuple:
         rep.dim_v,
         tuple(-r.transpose() for r in rep.rho),
         tuple(-m.transpose() for m in rep.mu),
+        rep.field,
     )
     cond2 = is_representation(table, starred)
 

@@ -382,6 +382,7 @@ def lift_representation(rep: Representation) -> Representation:
         rep.dim_v,
         tuple(lift_matrix(m) for m in rep.rho),
         tuple(lift_matrix(m) for m in rep.mu),
+        QQ,
     )
 
 

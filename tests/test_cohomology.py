@@ -260,3 +260,17 @@ def test_vectorization_round_trip():
     assert cochain2_from_vec(QQ, 3, 2, cochain2_to_vec(f)).tensor == f.tensor
     g = rand_matrix(rng, 2, 3)
     assert cochain1_from_vec(QQ, 3, 2, cochain1_to_vec(g)) == g
+
+
+def test_cohomology_spaces_builds_no_dense_d2(corpus_pairs, monkeypatch):
+    """Z2 is eliminated from the sparse d2 rows; the dense view is never built."""
+    import antiprelie.cohomology as cohomology
+
+    before = [cohomology_spaces(alg, rep) for _, alg, rep in corpus_pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cohomology_spaces built the dense d2")
+
+    monkeypatch.setattr(cohomology, "d2_matrix", refuse)
+    for (name, alg, rep), spaces in zip(corpus_pairs, before):
+        assert cohomology_spaces(alg, rep) == spaces, name

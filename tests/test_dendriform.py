@@ -23,6 +23,7 @@ from antiprelie.dendriform import (
     is_anti_L_dendriform,
     left_mult_representation,
 )
+from antiprelie.documents import encode_representation
 from antiprelie.fields import QQ
 from antiprelie.linalg import Matrix, invert, solve
 from antiprelie.representation import (
@@ -383,3 +384,9 @@ def test_q_form_pipeline(named_algebras):
                         alg, dual_representation(regular_representation(alg)), t
                     ).ok
     assert found == 20  # frozen from the first verified scan
+
+
+def test_left_mult_representation_keeps_field_at_dim_0():
+    rep = left_mult_representation(AntiLDendriform.zero(QQ, 0))
+    assert rep.field == QQ
+    assert encode_representation(rep)["field"] == {"type": "rational"}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from antiprelie.algebra import AntiPreLieAlgebra, StructureError, check_anti_pre_lie
+from antiprelie.algebra import AntiPreLieAlgebra, MultTable, StructureError, check_anti_pre_lie
 from antiprelie.cohomology import (
     Cochain2,
     cochain2_to_vec,
@@ -21,6 +21,7 @@ from antiprelie.extension import (
     normalize_extension,
     semidirect_extension,
 )
+from antiprelie.documents import encode_representation
 from antiprelie.fields import QQ
 from antiprelie.linalg import Matrix, Tensor3, invert
 from antiprelie.representation import (
@@ -266,3 +267,11 @@ def test_normalize_rejects_broken_sequences(a2_setup):
     bad_proj = Matrix.zero(QQ, 2, 4)
     with pytest.raises(StructureError):
         normalize_extension(ext.total, ext.iota, bad_proj)
+
+
+def test_extract_cocycle_keeps_field_at_dim_0():
+    alg = AntiPreLieAlgebra.verify(MultTable.zero(QQ, 0))
+    ext = build_extension(alg, Representation.zero(QQ, 0, 2), Cochain2.zero(QQ, 0, 2))
+    _, rep = extract_cocycle(ext)
+    assert rep.field == QQ
+    assert encode_representation(rep)["field"] == {"type": "rational"}

@@ -67,6 +67,16 @@ def test_fp_equality_agrees_with_hash():
     assert len({Fp(1, 3), 4}) == 2
 
 
+@pytest.mark.parametrize("op", [
+    lambda: Fp(1, 3) + 1, lambda: 1 + Fp(1, 3), lambda: Fp(1, 3) - 1, lambda: 1 - Fp(1, 3),
+    lambda: Fp(1, 3) * 2, lambda: 2 * Fp(1, 3), lambda: Fp(1, 3) / 1,
+])
+def test_fp_does_not_mix_with_int(op):
+    """An Fp computes only with elements of its own field, not with ints."""
+    with pytest.raises(TypeError):
+        op()
+
+
 def test_fp_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         Fp(1, 5) / Fp(0, 5)

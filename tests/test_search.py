@@ -2,10 +2,13 @@ import pytest
 
 from antiprelie.algebra import is_anti_pre_lie
 from antiprelie.dendriform import check_form_invariance, is_O_operator
+from antiprelie.documents import encode_representation
+from antiprelie.fields import QQ, PrimeField
 from antiprelie.representation import Representation, is_representation
 from antiprelie.search import (
     SearchSpec,
     SearchSpaceTooLarge,
+    lift_representation,
     lift_table,
     search_algebras,
     search_o_operators,
@@ -107,3 +110,9 @@ def test_sampled_space_bound_is_exact():
     assert size == 2**14284 and len(str(size)) == 4300
     with pytest.raises(SearchSpaceTooLarge):
         space_size(SearchSpec(kind="o-operator", dim=14285, p=2, dim_v=1, exhaustive=False))
+
+
+def test_lift_representation_keeps_field_at_dim_0():
+    lifted = lift_representation(Representation.zero(PrimeField(3), 0, 1))
+    assert lifted.field == QQ
+    assert encode_representation(lifted)["field"] == {"type": "rational"}
