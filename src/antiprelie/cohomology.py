@@ -21,10 +21,11 @@ Z2 is the joint kernel, B2 the image of d1, and H2 = Z2/B2.  The spaces are
 computed from a direct matrix linearization of the operators over the n^2 m
 coordinates of C1 and C2.  The rows of d1 and of d2 are each assembled by one
 routine, from the nonzero structure constants and action entries only.  Z2 is
-eliminated straight from the sparse d2 rows and is_cocycle applies them to a
-cochain one row at a time; d1_matrix and d2_matrix are the dense views of the
-same rows.  The pointwise evaluation of d2 on all basis triples lives in the
-test suite, as the independent oracle for that linearization.
+eliminated straight from the sparse d2 rows; d1 and is_cocycle apply the rows
+of their operator to a cochain vector one row at a time, and d1_matrix and
+d2_matrix are the dense views of the same rows.  The pointwise evaluations
+of d1 and d2 on basis pairs and triples live in the test suite, as the
+independent oracles for that linearization.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterator, Optional
 
 from .algebra import AntiPreLieAlgebra, MultTable, StructureError
 from .fields import Field
-from .linalg import Matrix, Tensor3, Vec, _kernel, pivot_columns, solve, vec_sub
+from .linalg import Matrix, Tensor3, Vec, _kernel, pivot_columns, solve
 from .representation import AlgebraLike, Representation, as_table
 
 
@@ -84,25 +85,14 @@ class Cochain2:
 
 
 def d1(alg: AlgebraLike, rep: Representation, f: Matrix) -> Cochain2:
-    """Pointwise coboundary of a 1-cochain f (an m x n matrix)."""
+    """The coboundary of a 1-cochain f (an m x n matrix): the rows of the d1
+    linearization applied to the C1 vector of f, read back as a 2-cochain."""
     table = as_table(alg)
     n, m = table.dim, rep.dim_v
     if (f.rows, f.cols) != (m, n):
         raise ValueError(f"1-cochain must be {m}x{n}, got {f.rows}x{f.cols}")
-    ent = [
-        [
-            vec_sub(
-                tuple(
-                    a + b
-                    for a, b in zip(rep.rho[i].apply(f.col(j)), rep.mu[j].apply(f.col(i)))
-                ),
-                f.apply(table.basis_product(i, j)),
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return Cochain2(Tensor3.from_entries(table.field, ent))
+    values = tuple(_apply_rows(_d1_rows(table, rep), cochain1_to_vec(f), table.field.zero()))
+    return cochain2_from_vec(table.field, n, m, values)
 
 
 def cochain1_to_vec(f: Matrix) -> Vec:
@@ -180,6 +170,17 @@ def _add_at(row: dict, base: int, stride: int, coeffs: dict, negate: bool = Fals
             x = -x
         v = row.get(idx)
         row[idx] = x if v is None else v + x
+
+
+def _apply_rows(rows, v: Vec, zero) -> Iterator:
+    """Each sparse {coordinate: value} row applied to the vector v, lazily."""
+    for r in rows:
+        acc = zero
+        for idx, x in r.items():
+            y = v[idx]
+            if y:
+                acc = acc + x * y
+        yield acc
 
 
 def _d2_rows(table: MultTable, rep: Representation) -> Iterator[dict]:
@@ -299,17 +300,7 @@ def is_cocycle(alg: AlgebraLike, rep: Representation, f: Cochain2) -> bool:
     n, m = table.dim, rep.dim_v
     if (f.dim_a, f.dim_v) != (n, m):
         raise ValueError(f"2-cochain dims {(f.dim_a, f.dim_v)} do not match ({n}, {m})")
-    v = cochain2_to_vec(f)
-    zero = table.field.zero()
-    for r in _d2_rows(table, rep):
-        acc = zero
-        for idx, x in r.items():
-            y = v[idx]
-            if y:
-                acc = acc + x * y
-        if acc:
-            return False
-    return True
+    return not any(_apply_rows(_d2_rows(table, rep), cochain2_to_vec(f), table.field.zero()))
 
 
 def cohomologous(

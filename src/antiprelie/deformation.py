@@ -193,8 +193,11 @@ def apply_isomorphism(d: TruncatedDeformation, iso: TruncatedIsomorphism) -> Tru
 
         w'_t = Phi_t^{-1} o w_t o (Phi_t (x) Phi_t),   truncated at d.order.
 
-    For a verified input the result verifies as well, and its degree-1 term
-    differs from the input's by the coboundary of phi_1.
+    Each total degree k of the pushed-forward product, pushed[k](e_a, e_b) =
+    sum_{r+s+t=k} w_r(phi_s e_a, phi_t e_b), is computed once; then w'_deg =
+    sum_q psi_q pushed[deg - q] with psi the inverse series.  For a verified
+    input the result verifies as well, and its degree-1 term differs from the
+    input's by the coboundary of phi_1.
     """
     n = d.dim
     field = d.field
@@ -202,22 +205,21 @@ def apply_isomorphism(d: TruncatedDeformation, iso: TruncatedIsomorphism) -> Tru
     phis = iso.padded(field, n, order)
     psis = inverse_series(phis)
     tables = d.tables()
-    new_terms = []
-    for deg in range(0, order + 1):
-        ent = [[None] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                acc = [field.zero()] * n
-                for r in range(0, min(deg, order) + 1):
-                    for s in range(0, deg - r + 1):
-                        for t in range(0, deg - r - s + 1):
-                            q = deg - r - s - t
-                            val = psis[q].apply(
-                                tables[r].multiply(phis[s].col(a), phis[t].col(b))
-                            )
-                            acc = [x + y for x, y in zip(acc, val)]
-                ent[a][b] = tuple(acc)
-        new_terms.append(MultTable.from_entries(field, ent))
+    images = [[p.col(a) for a in range(n)] for p in phis]
+
+    def summed(vectors) -> tuple:
+        acc = [field.zero()] * n
+        for v in vectors:
+            acc = [x + y for x, y in zip(acc, v)]
+        return tuple(acc)
+
+    pushed = [[[summed(tables[r].multiply(images[s][a], images[k - r - s][b])
+                       for r in range(k + 1) for s in range(k - r + 1))
+                for b in range(n)] for a in range(n)] for k in range(order + 1)]
+    new_terms = [MultTable.from_entries(field, [
+        [summed(psis[q].apply(pushed[deg - q][a][b]) for q in range(deg + 1)) for b in range(n)]
+        for a in range(n)
+    ]) for deg in range(order + 1)]
     if new_terms[0].tensor != d.base.table.tensor:
         raise RuntimeError("degree-0 part changed under an isomorphism with phi_0 = Id")
     return TruncatedDeformation(d.base, tuple(new_terms[1:]))
@@ -271,6 +273,8 @@ def rigidity_certificate(
     """Compute dim H2(A;A); when it is zero, flatten every sample through the
     given order by repeated trivialize_step and record each eliminating map.
     A nonzero dimension is reported as-is with no trivialization attempted."""
+    if order < 0:
+        raise ValueError(f"rigidity order must be non-negative, got {order}")
     spaces = cohomology_spaces(alg, regular_representation(alg))
     if spaces.h2_dim != 0:
         return RigidityCertificate(spaces.h2_dim, order, None)

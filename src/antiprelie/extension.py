@@ -5,7 +5,9 @@ anti-pre-Lie algebras in which V squares to zero.  Extensions are always
 materialized in the standard coordinates A + V (first n coordinates project
 to A, last m carry V), which makes the canonical section explicit and
 comparisons decidable; externally supplied extensions are normalized into
-these coordinates first.
+these coordinates first.  An AbelianExtension therefore stores only its
+total algebra and the two dimensions: iota, proj and the canonical section
+are derived from that layout, not stored.
 
 Given a 2-cocycle theta, the product
 
@@ -32,28 +34,45 @@ from .algebra import (
 )
 from .cohomology import Cochain2, cohomologous, cohomology_spaces, is_cocycle
 from .fields import Field
-from .linalg import Matrix, Tensor3, kernel_basis, rank, solve, vec_is_zero
-from .representation import Representation, check_representation
+from .linalg import Matrix, Tensor3, kernel_basis, rank, solve, vec_is_zero, vec_sub
+from .representation import Representation, check_representation, semidirect_product
 
 
 @dataclass(frozen=True)
 class AbelianExtension:
     """A verified total algebra in standard A + V coordinates.
 
-    iota embeds V as the last m coordinates, proj projects onto the first n,
-    and section is the canonical splitting x -> (x, 0).
+    The structure maps are derived from the layout, not stored: iota embeds
+    V as the last m coordinates, proj projects onto the first n, and section
+    is the canonical splitting x -> (x, 0).
     """
 
     total: AntiPreLieAlgebra
     dim_a: int
     dim_v: int
-    iota: Matrix  # (n+m) x m
-    proj: Matrix  # n x (n+m)
-    section: Matrix  # (n+m) x n
 
     @property
     def field(self) -> Field:
         return self.total.field
+
+    def _identity_rows(self, start: int, stop: Optional[int] = None) -> Matrix:
+        size = self.dim_a + self.dim_v
+        return Matrix.from_rows(self.field, Matrix.identity(self.field, size).entries[start:stop], size)
+
+    @property
+    def iota(self) -> Matrix:
+        """(n+m) x m."""
+        return self._identity_rows(self.dim_a).transpose()
+
+    @property
+    def proj(self) -> Matrix:
+        """n x (n+m)."""
+        return self._identity_rows(0, self.dim_a)
+
+    @property
+    def section(self) -> Matrix:
+        """(n+m) x n."""
+        return self.proj.transpose()
 
     def base_table(self) -> MultTable:
         """The induced product on A: the first-n block of the total product."""
@@ -65,21 +84,6 @@ class AbelianExtension:
         return MultTable.from_entries(self.field, ent)
 
 
-def canonical_maps(field: Field, n: int, m: int) -> tuple:
-    """(iota, proj, section) for the standard coordinates."""
-    z, o = field.zero(), field.one()
-    iota = Matrix(field, n + m, m, tuple(
-        tuple(o if (i - n) == b and i >= n else z for b in range(m)) for i in range(n + m)
-    ))
-    proj = Matrix(field, n, n + m, tuple(
-        tuple(o if i == j else z for j in range(n + m)) for i in range(n)
-    ))
-    section = Matrix(field, n + m, n, tuple(
-        tuple(o if i == j else z for j in range(n)) for i in range(n + m)
-    ))
-    return iota, proj, section
-
-
 def extension_table(alg_table: MultTable, rep: Representation, theta: Cochain2) -> MultTable:
     """The standard-coordinate product table built from (product, theta, rho, mu).
 
@@ -88,28 +92,15 @@ def extension_table(alg_table: MultTable, rep: Representation, theta: Cochain2) 
     n, m = alg_table.dim, rep.dim_v
     if (theta.dim_a, theta.dim_v) != (n, m):
         raise ValueError(f"cocycle dims {(theta.dim_a, theta.dim_v)} do not match ({n}, {m})")
-    field = alg_table.field
-    z = field.zero()
+    z = alg_table.field.zero()
     total = [[[z] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
     for i in range(n):
         for j in range(n):
-            prod = alg_table.basis_product(i, j)
-            th = theta.value(i, j)
-            for k in range(n):
-                total[i][j][k] = prod[k]
-            for k in range(m):
-                total[i][j][n + k] = th[k]
-    for i in range(n):
+            total[i][j] = alg_table.basis_product(i, j) + theta.value(i, j)
         for b in range(m):
-            col = rep.rho[i].col(b)
-            for k in range(m):
-                total[i][n + b][n + k] = col[k]
-    for a in range(m):
-        for j in range(n):
-            col = rep.mu[j].col(a)
-            for k in range(m):
-                total[n + a][j][n + k] = col[k]
-    return MultTable.from_entries(field, total)
+            total[i][n + b][n:] = rep.rho[i].col(b)
+            total[n + b][i][n:] = rep.mu[i].col(b)
+    return MultTable.from_entries(alg_table.field, total)
 
 
 def build_extension(
@@ -123,14 +114,13 @@ def build_extension(
     if not is_cocycle(alg, rep, theta):
         raise StructureError("theta is not a 2-cocycle; the extension product would not verify")
     table = extension_table(alg.table, rep, theta)
-    total = AntiPreLieAlgebra.verify(table)
-    iota, proj, section = canonical_maps(alg.field, alg.dim, rep.dim_v)
-    return AbelianExtension(total, alg.dim, rep.dim_v, iota, proj, section)
+    return AbelianExtension(AntiPreLieAlgebra.verify(table), alg.dim, rep.dim_v)
 
 
 def semidirect_extension(alg: AntiPreLieAlgebra, rep: Representation) -> AbelianExtension:
-    """The extension with theta = 0 (exactly the semidirect product)."""
-    return build_extension(alg, rep, Cochain2.zero(alg.field, alg.dim, rep.dim_v))
+    """The extension with theta = 0: the semidirect product, which refuses a
+    non-representation before it verifies the total table."""
+    return AbelianExtension(semidirect_product(alg, rep), alg.dim, rep.dim_v)
 
 
 def extract_cocycle(ext: AbelianExtension, section: Optional[Matrix] = None) -> tuple:
@@ -156,12 +146,7 @@ def extract_cocycle(ext: AbelianExtension, section: Optional[Matrix] = None) -> 
     for i in range(n):
         row = []
         for j in range(n):
-            diff = tuple(
-                a - b
-                for a, b in zip(
-                    total.multiply(scols[i], scols[j]), s.apply(base.basis_product(i, j))
-                )
-            )
+            diff = vec_sub(total.multiply(scols[i], scols[j]), s.apply(base.basis_product(i, j)))
             if not vec_is_zero(diff[:n]):
                 raise StructureError("cocycle escaped V; extension coordinates are inconsistent")
             row.append(diff[n:])
@@ -231,9 +216,7 @@ def normalize_extension(
         field, [section.col(i) for i in range(n)] + [iota.col(b) for b in range(m)], rows=nm
     )
     std_table = total.table.conjugate(change)
-    std_total = AntiPreLieAlgebra.verify(std_table)
-    iota_std, proj_std, section_std = canonical_maps(field, n, m)
-    ext = AbelianExtension(std_total, n, m, iota_std, proj_std, section_std)
+    ext = AbelianExtension(AntiPreLieAlgebra.verify(std_table), n, m)
     base = ext.base_table()
     check_morphism(proj, total.table, base).require("projection is not an algebra morphism")
     return ext
@@ -244,9 +227,9 @@ def are_isomorphic(ext1: AbelianExtension, ext2: AbelianExtension) -> Optional[M
 
     Both extensions must induce the same base algebra and the same
     representation (checked via extraction; a mismatch is refused).  When the
-    extracted cocycles are cohomologous via phi, zeta(x + u) = x + u + phi(x)
-    is returned after being re-verified as a morphism fixing V and covering
-    the identity on A.
+    extracted cocycles are cohomologous via phi, zeta(x + u) = x + u + phi(x),
+    the matrix I + iota phi proj, is returned after being re-verified as a
+    morphism fixing V and covering the identity on A.
     """
     if (ext1.dim_a, ext1.dim_v) != (ext2.dim_a, ext2.dim_v):
         raise ValueError("extensions have different dimensions")
@@ -261,18 +244,7 @@ def are_isomorphic(ext1: AbelianExtension, ext2: AbelianExtension) -> Optional[M
     phi = cohomologous(base1, rep1, theta1, theta2)
     if phi is None:
         return None
-    n, m = ext1.dim_a, ext1.dim_v
-    field = ext1.field
-    ident = Matrix.identity(field, n + m)
-    zeta_rows = []
-    for r in range(n + m):
-        if r < n:
-            zeta_rows.append(ident.row(r))
-        else:
-            zeta_rows.append(tuple(
-                phi.entries[r - n][c] if c < n else ident.entries[r][c] for c in range(n + m)
-            ))
-    zeta = Matrix(field, n + m, n + m, tuple(zeta_rows))
+    zeta = Matrix.identity(ext1.field, ext1.total.dim) + ext1.iota @ phi @ ext1.proj
     morph = check_morphism(zeta, ext1.total.table, ext2.total.table)
     if not morph.ok:
         raise RuntimeError("cohomologous cocycles produced a non-morphism; solver inconsistency")

@@ -30,6 +30,7 @@ from .algebra import (
     MultTable,
     Report,
     Violation,
+    sub_adjacent_lie,
 )
 from .fields import Field
 from .linalg import Matrix, _accumulate, _sparse_rows
@@ -203,8 +204,6 @@ def check_lie_representation(lie: LieTable, rep: LieRepresentation) -> Report:
 
 def sub_adjacent_representation(alg: AntiPreLieAlgebra, rep: Representation) -> LieRepresentation:
     """(V, rho - mu), an action of the commutator Lie algebra; asserted valid."""
-    from .algebra import sub_adjacent_lie
-
     action = tuple(r - m for r, m in zip(rep.rho, rep.mu))
     lierep = LieRepresentation(rep.dim_v, action)
     check_lie_representation(sub_adjacent_lie(alg), lierep).require(

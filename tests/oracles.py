@@ -1,5 +1,6 @@
-"""Naive nested-loop evaluators, pointwise coboundaries, a second nullspace
-solver, dense elimination and the brute-force prime-field search.
+"""Naive nested-loop evaluators, pointwise coboundaries, the triple-sum
+pullback of a deformation, a second nullspace solver, dense elimination and
+the brute-force prime-field search.
 
 Everything here is written straight off the defining identities with explicit
 index sums over structure constants, or (the pointwise d2) by evaluating the
@@ -13,6 +14,7 @@ from itertools import product
 
 from antiprelie.algebra import MultTable, is_anti_pre_lie
 from antiprelie.cohomology import Cochain2
+from antiprelie.deformation import TruncatedDeformation
 from antiprelie.dendriform import check_form_invariance, is_O_operator
 from antiprelie.fields import Field, Fp, PrimeField
 from antiprelie.linalg import Matrix, Tensor3, basis_vec, vec_sub
@@ -318,6 +320,43 @@ def naive_deformation_residuals(d):
                     if any(r2):
                         out[("deformation-cyclic", deg, a, b, cc)] = tuple(r2)
     return out
+
+
+def naive_pullback(d, iso):
+    """The deformation d pulled back along iso, by the triple sum
+
+        w'_deg(e_a, e_b) = sum_{q+r+s+t=deg} psi_q w_r(phi_s e_a, phi_t e_b)
+
+    over explicit structure constants, with phi_0 = psi_0 = Id, iso padded
+    with zeros or truncated at d.order, and psi the inverse series computed
+    here by its own recursion psi_k = -sum_{i=1..k} phi_i psi_{k-i}.
+    """
+    n, order, field = d.dim, d.order, d.field
+    z, o = field.zero(), field.one()
+    ident = [[o if i == j else z for j in range(n)] for i in range(n)]
+    phis = [ident] + [iso.phis[k].entries if k < iso.order else [[z] * n for _ in range(n)]
+                      for k in range(order)]
+    psis = [ident]
+    for k in range(1, order + 1):
+        psi = [[z] * n for _ in range(n)]
+        for i in range(1, k + 1):
+            for r, c, w in product(range(n), repeat=3):
+                psi[r][c] = psi[r][c] - phis[i][r][w] * psis[k - i][w][c]
+        psis.append(psi)
+    c = [t.tensor.entries for t in d.tables()]
+    terms = []
+    for deg in range(1, order + 1):
+        ent = [[[z] * n for _ in range(n)] for _ in range(n)]
+        for r in range(deg + 1):
+            for s in range(deg - r + 1):
+                for t in range(deg - r - s + 1):
+                    q = deg - r - s - t
+                    for a, b, i, j, k, l in product(range(n), repeat=6):
+                        ent[a][b][l] = ent[a][b][l] + (
+                            psis[q][l][k] * c[r][i][j][k] * phis[s][i][a] * phis[t][j][b]
+                        )
+        terms.append(MultTable.from_entries(field, ent))
+    return TruncatedDeformation(d.base, tuple(terms))
 
 
 def naive_d1_values(table, rep, f):

@@ -6,7 +6,7 @@ from antiprelie import documents as docs
 from antiprelie.algebra import AntiPreLieAlgebra, MultTable
 from antiprelie.cli import main
 from antiprelie.cohomology import Cochain2, cohomology_spaces
-from antiprelie.deformation import TruncatedDeformation, TruncatedIsomorphism
+from antiprelie.deformation import TruncatedDeformation, TruncatedIsomorphism, apply_isomorphism
 from antiprelie.dendriform import AntiLDendriform
 from antiprelie.extension import build_extension
 from antiprelie.fields import QQ
@@ -406,6 +406,20 @@ def test_rigidity_with_sample_files(write_doc, capsys, named_algebras):
     assert payload["rigid_verified"] is True
     assert len(payload["eliminations"]) == 1
     assert len(payload["eliminations"][0]) == 2
+
+
+@pytest.mark.parametrize("with_sample", [False, True])
+def test_rigidity_negative_order_is_input_error(write_doc, capsys, named_algebras, with_sample):
+    rigid = named_algebras["rigid2"]
+    paths = [write_doc(docs.encode_algebra(rigid))]
+    if with_sample:
+        phi = Matrix.from_rows(QQ, [[QQ.parse("1"), QQ.parse("2")], [QQ.parse("0"), QQ.parse("1")]])
+        moved = apply_isomorphism(TruncatedDeformation.trivial(rigid, 2), TruncatedIsomorphism((phi,)))
+        paths.append(write_doc(docs.encode_deformation(moved)))
+    code, out, err = run_cli(capsys, "rigidity", *paths, "--order", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and "Traceback" not in err
 
 
 def test_from_form_strict_skew_flag(write_doc, capsys, named_algebras):

@@ -1,12 +1,19 @@
-"""Mutated documents for the commands that run the sparse law walks.
+"""Mutated documents and arguments for the commands that read documents.
 
 Each case starts from valid documents for one of `check`, `rep-check`, `lie`,
-`special`, `dend-check`, `o-check`, `o-induce` and `from-form`, over Q or
-F_3, and mutates them: a value replaced by garbage (JSON numbers, booleans,
-null, nested arrays, objects), by a non-canonical or foreign-field scalar or
-by another field descriptor; a list shortened, lengthened or nested; a key
-dropped.  Every mutated input stays a few entries large.  The command must
-exit 0, 1 or 2 without raising, print no traceback and finish within a
+`semidirect`, `dual`, `special`, `dend-check`, `assoc`, `o-check`,
+`o-induce`, `o-compat`, `from-form`, `deform-check`, `infinitesimal`,
+`trivialize`, `apply-iso`, `rigidity` (with 0 to 2 sample deformations),
+`extend`, `extract`, `iso`, `cohomology` and `classify`, over Q or F_3, and
+mutates them: a value replaced by garbage (JSON numbers, booleans, null,
+nested arrays, objects), by a non-canonical or foreign-field scalar or by
+another field descriptor; a list shortened, lengthened or nested; a key
+dropped.  Every algebra in the documents has dimension at most 2 (an
+extension is of a dim-1 algebra by a dim-1 representation).  The
+`trivialize` order is drawn from -2..5 and the `rigidity --order` from
+-3..6; for those two commands the documents are left intact in about half
+the cases, so that the argument alone is under test.  The command must exit
+0, 1 or 2 without raising, print no traceback and finish within a
 wall-clock bound.
 
 The `search` command is fuzzed over its non-document arguments instead: kind,
@@ -28,9 +35,12 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from antiprelie import documents as docs
-from antiprelie.algebra import MultTable
+from antiprelie.algebra import AntiPreLieAlgebra, MultTable
 from antiprelie.cli import main
+from antiprelie.cohomology import cohomology_spaces
+from antiprelie.deformation import TruncatedDeformation, TruncatedIsomorphism, apply_isomorphism
 from antiprelie.dendriform import AntiLDendriform
+from antiprelie.extension import build_extension, semidirect_extension
 from antiprelie.fields import QQ, PrimeField
 from antiprelie.linalg import Matrix
 from antiprelie.representation import regular_representation
@@ -61,7 +71,60 @@ def _documents(field):
         "o-check": [alg, reg, operator],
         "o-induce": [alg, reg, zero_operator],
         "from-form": [docs.encode_algebra(comm2), form],
+        "semidirect": [alg, reg],
+        "dual": [reg],
+        "assoc": [dend],
+        "o-compat": [alg, reg, operator],
+        "cohomology": [alg, reg],
+        "classify": [alg, reg],
+        **_deformation_documents(field),
+        **_extension_documents(field),
     }
+
+
+def _deformation_documents(field):
+    """A verified order-2 deformation of a2, an isomorphism, and deformations
+    of the rigid dim-2 algebra (H2 = 0 over its regular representation)."""
+    def pulled_back(nonzero, *phis):
+        base = AntiPreLieAlgebra.verify(MultTable.from_dict(field, 2, nonzero))
+        iso = TruncatedIsomorphism(tuple(Matrix.from_rows(field, [
+            [field.of_int(x) for x in row] for row in phi]) for phi in phis))
+        return base, apply_isomorphism(TruncatedDeformation.trivial(base, len(phis)), iso), iso
+
+    _, d, iso = pulled_back({(0, 1, 1): 1}, [[1, 0], [1, 1]], [[0, 2], [1, 0]])
+    rigid, sample1, _ = pulled_back({(0, 1, 1): 1, (1, 1, 0): 1}, [[1, 2], [0, 1]], [[0, 1], [1, 1]])
+    _, sample2, _ = pulled_back({(0, 1, 1): 1, (1, 1, 0): 1}, [[0, 1], [2, 0]])
+    deformation = docs.encode_deformation(d)
+    samples = [docs.encode_deformation(sample1), docs.encode_deformation(sample2)]
+    return {
+        "deform-check": [deformation],
+        "infinitesimal": [deformation],
+        "trivialize": [deformation],
+        "apply-iso": [deformation, docs.encode_isomorphism(iso, field)],
+        **{f"rigidity/{k}": [docs.encode_algebra(rigid), *samples[:k]] for k in range(3)},
+    }
+
+
+def _extension_documents(field):
+    """Documents over e0.e0 = e0 and its regular representation: a cocycle
+    (a coboundary there), its extension and the semidirect product."""
+    alg = AntiPreLieAlgebra.verify(MultTable.from_dict(field, 1, {(0, 0, 0): 1}))
+    reg = regular_representation(alg)
+    theta = cohomology_spaces(alg, reg).z2_basis[0]
+    ext = docs.encode_extension(build_extension(alg, reg, theta))
+    return {
+        "extend": [docs.encode_algebra(alg), docs.encode_representation(reg),
+                   docs.encode_cochain2(theta)],
+        "extract": [ext],
+        "iso": [ext, docs.encode_extension(semidirect_extension(alg, reg))],
+    }
+
+
+# Non-document arguments drawn per command.
+ARGUMENTS = {
+    "trivialize": st.integers(-2, 5).map(lambda k: [str(k)]),
+    "rigidity": st.integers(-3, 6).map(lambda k: ["--order", str(k)]),
+}
 
 
 CASES = [(command, documents) for field in (QQ, PrimeField(3))
@@ -105,11 +168,14 @@ def mutated(draw, value):
 
 @st.composite
 def cases(draw):
-    command, documents = draw(st.sampled_from(CASES))
+    name, documents = draw(st.sampled_from(CASES))
+    command = name.split("/")[0]
+    arguments = ARGUMENTS.get(command)
     documents = list(documents)
-    for index in draw(st.sets(st.integers(0, len(documents) - 1), min_size=1)):
-        documents[index] = draw(mutated(documents[index]))
-    return command, documents
+    if arguments is None or draw(st.booleans()):
+        for index in draw(st.sets(st.integers(0, len(documents) - 1), min_size=1)):
+            documents[index] = draw(mutated(documents[index]))
+    return command, documents, [] if arguments is None else draw(arguments)
 
 
 def _run(argv):
@@ -125,17 +191,17 @@ def _run(argv):
     return code, err.getvalue(), time.perf_counter() - start
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
 def test_mutated_documents_exit_cleanly(case):
-    command, documents = case
+    command, documents, arguments = case
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for k, doc in enumerate(documents):
             path = Path(tmp) / f"doc{k}.json"
             path.write_text(json.dumps(doc))
             paths.append(str(path))
-        code, err, elapsed = _run([command, *paths])
+        code, err, elapsed = _run([command, *paths, *arguments])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert elapsed < SECONDS
