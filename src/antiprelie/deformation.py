@@ -272,9 +272,13 @@ def rigidity_certificate(
 ) -> RigidityCertificate:
     """Compute dim H2(A;A); when it is zero, flatten every sample through the
     given order by repeated trivialize_step and record each eliminating map.
-    A nonzero dimension is reported as-is with no trivialization attempted."""
+    A nonzero dimension is reported as-is with no trivialization attempted.
+    A negative order, or one above the order of any sample, is refused."""
     if order < 0:
         raise ValueError(f"rigidity order must be non-negative, got {order}")
+    for d in sample_defs:
+        if d.order < order:
+            raise ValueError(f"rigidity order {order} exceeds a sample's order {d.order}")
     spaces = cohomology_spaces(alg, regular_representation(alg))
     if spaces.h2_dim != 0:
         return RigidityCertificate(spaces.h2_dim, order, None)
@@ -284,7 +288,7 @@ def rigidity_certificate(
             raise ValueError("sample deformation has a different base algebra")
         current = d
         phis = []
-        for n in range(1, min(order, d.order) + 1):
+        for n in range(1, order + 1):
             step = trivialize_step(current, n)
             if step is None:
                 raise StructureError(
@@ -292,7 +296,7 @@ def rigidity_certificate(
                 )
             phi, current = step
             phis.append(phi)
-        for t in current.terms[: min(order, d.order)]:
+        for t in current.terms[:order]:
             if not t.tensor.is_zero():
                 raise RuntimeError("trivialization left a nonzero term in range")
         runs.append(tuple(phis))

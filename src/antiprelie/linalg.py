@@ -10,6 +10,21 @@ input and reproducible across runs and platforms.  The kernel core `_kernel`
 takes sparse rows as they are, so an operator assembled row by row (like d2)
 reaches elimination without ever being written out dense.
 
+Over Q, `_rref` eliminates modulo a word-size prime and certifies the result
+(Wang, Guy & Davenport, SIGSAM Bull. 1982; Dixon, Numer. Math. 1982).  Each
+row is scaled to integers by the lcm of its denominators, the same
+elimination runs on residues mod p, and every reduced entry is lifted to a
+fraction by rational reconstruction.  The lift is kept only if every input row
+equals, exactly over Z, the combination of the lifted rows that its own
+pivot-column entries prescribe; that is A K = 0 for the kernel basis K read
+off the lift.  For an integer matrix the rank mod p is at most the rank over
+Q, and K holds n - r independent vectors, so the two ranks agree and the lift
+is the reduced form over Q entry for entry (see `_rref_modular`).  When the
+lift or the check fails at every prime of `_PRIMES`, the rows are eliminated
+in `Fraction` arithmetic instead, so no result rests on trusting a prime.
+Everything is pure Python ints and fractions; the package has no
+dependencies.  Over a prime field the elimination runs on `Fp` values.
+
 Bilinear maps are evaluated in two ways, each with its own job.  Every law
 residual on basis triples (and pairs) is summed by `_accumulate` from the
 nonzero structure constants and action entries only; `Tensor3.contract`
@@ -19,9 +34,11 @@ evaluates a product of two arbitrary coordinate vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
-from .fields import Field, Scalar
+from .fields import Field, Rationals, Scalar
 
 Vec = tuple  # tuple[Scalar, ...]
 
@@ -172,17 +189,42 @@ def _accumulate(acc: dict, coeffs: dict, fibers, negate: bool = False) -> None:
             acc[j] = x * y if v is None else v + x * y
 
 
+# Word-size primes for elimination over Q, tried in order.  A lift mod p
+# reaches numerators and denominators up to sqrt(p / 2): 2^15 for 2^31 - 1,
+# 2^30 for 2^61 - 1.  A second prime also covers one that divides a minor.
+_PRIMES = (2**31 - 1, 2**61 - 1)
+
+
 def _rref(field: Field, rows_in: Iterable[dict]):
     """Reduced row echelon form of sparse rows; returns (rows, pivot columns).
 
-    `rows_in` holds {column: value} dicts of nonzero entries (they are
+    `rows_in` holds {column: value} dicts of nonzero entries (they may be
     consumed); the result lists the nonzero reduced rows, as such dicts, in
-    pivot-column order.  Each incoming row is reduced against the pivot rows
-    found so far, which are kept fully reduced (zero in every other pivot
-    column), so only nonzero entries are touched.  A row left nonzero gets its
-    first column as pivot and is cleared from the earlier pivot rows.  The
-    reduced row echelon form of a matrix is unique, so pivots and rows equal
-    those of column-by-column Gauss-Jordan elimination exactly.
+    pivot-column order.  Over a prime field this is `_rref_field`.  Over Q
+    each row is scaled to integers (which leaves the form unchanged) and
+    `_rref_modular` tries each of `_PRIMES` in turn; only when every prime
+    fails are the integer rows eliminated by `_rref_field` in `Fraction`
+    arithmetic.  Both routes give the one reduced row echelon form.
+    """
+    if not isinstance(field, Rationals):
+        return _rref_field(field, rows_in)
+    rows = [_integral(row) for row in rows_in if row]
+    for p in _PRIMES:
+        result = _rref_modular(rows, p)
+        if result is not None:
+            return result
+    return _rref_field(field, [{j: Fraction(x) for j, x in row.items()} for row in rows])
+
+
+def _rref_field(field: Field, rows_in: Iterable[dict]):
+    """`_rref` by arithmetic in the field itself.
+
+    Each incoming row is reduced against the pivot rows found so far, which
+    are kept fully reduced (zero in every other pivot column), so only nonzero
+    entries are touched.  A row left nonzero gets its first column as pivot
+    and is cleared from the earlier pivot rows.  The reduced row echelon form
+    of a matrix is unique, so pivots and rows equal those of column-by-column
+    Gauss-Jordan elimination exactly.
     """
     one = field.one()
     pivot_rows: dict = {}
@@ -203,6 +245,123 @@ def _rref(field: Field, rows_in: Iterable[dict]):
         pivot_rows[p] = row
     pivots = sorted(pivot_rows)
     return [pivot_rows[c] for c in pivots], pivots
+
+
+def _integral(row: dict) -> dict:
+    """A sparse rational row times the lcm of its denominators, as ints."""
+    dens = [x.denominator for x in row.values()]
+    scale = lcm(*dens)
+    if scale == 1:
+        return {j: x.numerator for j, x in row.items()}
+    return {j: x.numerator * (scale // d) for (j, x), d in zip(row.items(), dens)}
+
+
+def _subtract_mod(row: dict, f: int, other: dict, p: int) -> None:
+    """row -= f * other modulo p in place, dropping entries that cancel."""
+    for j, y in other.items():
+        x = row.get(j)
+        if x is None:
+            row[j] = -f * y % p
+        else:
+            x = (x - f * y) % p
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+
+
+def _reconstruct(u: int, p: int) -> Optional[tuple]:
+    """The fraction (a, b), b > 0 and gcd(a, b) = 1, with a = u b mod p and
+    |a|, b <= sqrt(p / 2), or None when there is none (Wang's half-extended
+    Euclid); such a fraction is unique when it exists."""
+    bound = isqrt(p // 2)
+    r0, r1, t0, t1 = p, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 > bound or gcd(r1, t1) != 1:
+        return None
+    return r1, t1
+
+
+def _rref_modular(rows: list, p: int):
+    """`_rref` of integer rows, eliminated modulo p and certified over Q, or
+    None when the lift or its certificate fails.
+
+    The elimination is `_rref_field`'s, step for step, on residues, so a pivot
+    row has its 1 at its pivot column, nothing at other pivot columns and
+    nothing before its pivot.  Every entry is lifted by `_reconstruct` and the
+    lift is checked by `_certify`.  A lift that passes has n - r kernel
+    vectors, one per non-pivot column, so rank over Q is at most the rank r
+    mod p, which for an integer matrix is at most the rank over Q.  The ranks
+    agree; each non-pivot column is then a combination of earlier pivot
+    columns, the r pivot columns are independent over Q, and the pivots and
+    lifted rows are the reduced row echelon form over Q, entry for entry.
+    """
+    pivot_rows: dict = {}
+    for source in rows:
+        row = {}
+        for j, x in source.items():
+            x %= p
+            if x:
+                row[j] = x
+        for c, f in [(c, f) for c, f in row.items() if c in pivot_rows]:
+            _subtract_mod(row, f, pivot_rows[c], p)
+        if not row:
+            continue
+        c = min(row)
+        lead = row[c]
+        if lead != 1:
+            inv = pow(lead, -1, p)
+            row = {j: inv * x % p for j, x in row.items()}
+        for other in pivot_rows.values():
+            f = other.get(c)
+            if f is not None:
+                _subtract_mod(other, f, row, p)
+        pivot_rows[c] = row
+    lifts = {}
+    for row in pivot_rows.values():
+        for x in row.values():
+            if x not in lifts:
+                lift = _reconstruct(x, p)
+                if lift is None:
+                    return None
+                lifts[x] = lift
+    if not _certify(rows, pivot_rows, lifts):
+        return None
+    value = {x: Fraction(a, b) for x, (a, b) in lifts.items()}
+    pivots = sorted(pivot_rows)
+    return [{j: value[x] for j, x in pivot_rows[c].items()} for c in pivots], pivots
+
+
+def _certify(rows: list, pivot_rows: dict, lifts: dict) -> bool:
+    """Whether every integer row equals the sum over its pivot columns c of
+    row[c] * (lifted pivot row c), that is A K = 0 for the kernel basis K of
+    the lift.  It is checked in integers: pivot row c is kept as numerators
+    over one denominator, and each row is compared after scaling by the lcm
+    of the denominators it uses."""
+    den, num = {}, {}
+    for c, row in pivot_rows.items():
+        d = lcm(*(lifts[x][1] for x in row.values()))
+        den[c] = d
+        num[c] = {j: lifts[x][0] * (d // lifts[x][1]) for j, x in row.items()}
+    for row in rows:
+        cols = [c for c in row if c in num]
+        scale = lcm(*(den[c] for c in cols))
+        acc: dict = {}
+        for c in cols:
+            k = row[c] * (scale // den[c])
+            for j, y in num[c].items():
+                acc[j] = acc.get(j, 0) + k * y
+        for j, x in row.items():
+            if acc.pop(j, 0) != scale * x:
+                return False
+        if any(acc.values()):
+            return False
+    return True
 
 
 def rank(m: Matrix) -> int:

@@ -422,6 +422,22 @@ def test_rigidity_negative_order_is_input_error(write_doc, capsys, named_algebra
     assert err.startswith("input error:") and "Traceback" not in err
 
 
+def test_rigidity_order_above_a_sample_is_input_error(write_doc, capsys, named_algebras):
+    """An order-1 sample cannot certify order 6: the run is refused, not
+    reported as a rigidity certificate through order 6."""
+    rigid = named_algebras["rigid2"]
+    phi = Matrix.from_rows(QQ, [[QQ.parse("1"), QQ.parse("2")], [QQ.parse("0"), QQ.parse("1")]])
+    moved = apply_isomorphism(TruncatedDeformation.trivial(rigid, 1), TruncatedIsomorphism((phi,)))
+    paths = [write_doc(docs.encode_algebra(rigid)), write_doc(docs.encode_deformation(moved))]
+    code, out, err = run_cli(capsys, "rigidity", *paths, "--order", "6")
+    assert code == 2
+    assert out == ""
+    assert err == "input error: rigidity order 6 exceeds a sample's order 1\n"
+    code, out, _ = run_cli(capsys, "rigidity", *paths, "--order", "1")
+    assert code == 0
+    assert out_json(out)["order"] == 1 and out_json(out)["rigid_verified"] is True
+
+
 def test_from_form_strict_skew_flag(write_doc, capsys, named_algebras):
     z2 = write_doc(docs.encode_algebra(named_algebras["zero2"]))
     sym = write_doc(docs.encode_bilinear_form(Matrix.identity(QQ, 2)))

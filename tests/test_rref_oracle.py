@@ -6,9 +6,18 @@ pivots, same reduced rows, same kernel basis, same solution, same inverse.
 Matching spans would not be enough, since H2 representatives, documents and
 golden outputs are read off these vectors.  H2 representatives from one
 elimination of [B2 | Z2] must equal the greedy choice, in the same order.
+
+Over Q the package eliminates modulo a word-size prime and certifies the
+lifted result, falling back to `Fraction` elimination only when every prime
+fails.  The Q cases count the eliminations that ran in `Fraction` arithmetic,
+so they show which route produced the result they compare; the fallback is
+forced in two more tests (a tiny prime, a wrong lift) and must still give the
+reference result.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +25,7 @@ from hypothesis import strategies as st
 
 from antiprelie.algebra import StructureError
 from antiprelie.cohomology import cochain2_to_vec, cohomology_spaces, d1_matrix, d2_matrix
+from antiprelie import linalg
 from antiprelie.fields import QQ, PrimeField
 from antiprelie.linalg import (
     Matrix,
@@ -84,24 +94,155 @@ def _dense(row: dict, ncols: int, zero) -> list:
     return [row.get(j, zero) for j in range(ncols)]
 
 
-@settings(max_examples=200, deadline=None)
-@given(matrices())
-def test_rref_equals_dense_reference(m):
-    rows, pivots = _rref(m.field, _sparse_rows(m.entries))
+@contextmanager
+def fraction_eliminations(**patches):
+    """Count the eliminations over Q that run in `Fraction` arithmetic (the
+    fallback of the modular path), with the given linalg names patched."""
+    count = [0]
+    inner = linalg._rref_field
+
+    def counted(field, rows):
+        count[0] += field == QQ
+        return inner(field, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_rref_field", counted)
+        for name, value in patches.items():
+            mp.setattr(linalg, name, value)
+        yield count
+
+
+# Every reduced entry a/b with |a|, b up to this bound is lifted mod the last prime.
+LIFT_BOUND = isqrt(linalg._PRIMES[-1] // 2)
+
+
+def assert_modular(m, fallbacks):
+    """Over Q, no Fraction elimination ran when every reference RREF entry lies
+    within the last prime's lifting bound (an unlucky prime that drops the
+    rank at every prime is left out of account)."""
+    if m.field == QQ and all(abs(x.numerator) <= LIFT_BOUND and x.denominator <= LIFT_BOUND
+                             for r in dense_rref(QQ, m.entries, m.cols)[0] for x in r):
+        assert fallbacks[0] == 0, "the modular path fell back"
+
+
+def check_rref(m):
+    """_rref, rank and pivot_columns of m equal the dense reference, and over
+    Q the modular path produced them; returns the Fraction eliminations."""
     ref_rows, ref_pivots = dense_rref(m.field, m.entries, m.cols)
+    with fraction_eliminations() as fallbacks:
+        rows, pivots = _rref(m.field, _sparse_rows(m.entries))
+        assert rank(m) == len(ref_pivots)
+        assert pivot_columns(m) == ref_pivots
     assert pivots == ref_pivots
-    assert rank(m) == len(ref_pivots)
-    assert pivot_columns(m) == ref_pivots
     z = m.field.zero()
     assert [_dense(r, m.cols, z) for r in rows] == ref_rows[: len(pivots)]
     assert not any(any(r) for r in ref_rows[len(pivots):])
     assert all(x for r in rows for x in r.values()), "a stored entry is zero"
+    assert_modular(m, fallbacks)
+    return fallbacks[0]
+
+
+def check_kernel(m):
+    with fraction_eliminations() as fallbacks:
+        basis = kernel_basis(m)
+    assert basis == dense_kernel_basis(m)
+    assert_modular(m, fallbacks)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Q matrices up to 6x6 with denominators up to 12, some rank-deficient."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    nonzero = st.builds(Fraction, st.integers(-50, 50).filter(bool), st.integers(1, 12))
+    entry = st.one_of(st.just(QQ.zero()), nonzero)
+    ent = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if rows > 2 and draw(st.booleans()):
+        c = draw(nonzero)
+        ent[-1] = [x + c * y for x, y in zip(ent[0], ent[1])]
+    return Matrix(QQ, rows, cols, tuple(tuple(r) for r in ent))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rref_equals_dense_reference(m):
+    check_rref(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_modular_rref_with_denominators_equals_dense_reference(m):
+    check_rref(m)
+    check_kernel(m)
+
+
+@pytest.mark.parametrize("entries", [
+    [[1, 40000]],  # 40000 does not lift mod 2^31 - 1
+    [[1, 1], [1, 1 + 2**31 - 1]],  # rank 1 mod 2^31 - 1, rank 2 over Q
+    [[Fraction(1, 70000), Fraction(1, 3)]],  # 70000/3 does not lift mod 2^31 - 1
+])
+def test_modular_rref_moves_on_to_the_next_prime(entries):
+    m = Matrix.from_rows(QQ, [[Fraction(x) for x in r] for r in entries])
+    scaled = [linalg._integral(r) for r in _sparse_rows(m.entries)]
+    assert linalg._rref_modular(scaled, linalg._PRIMES[0]) is None
+    assert check_rref(m) == 0
 
 
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_kernel_basis_equals_dense_reference(m):
-    assert kernel_basis(m) == dense_kernel_basis(m)
+    check_kernel(m)
+
+
+# Over F_5 every residue lifts to -1, 0 or 1 or to nothing: the lifts of 6 and
+# of 2/3 are wrong, 7 does not lift, and [[1, 1], [1, 6]] loses its rank.
+TINY_PRIME_CASES = [
+    [[1, 6]],
+    [[1, 7]],
+    [[3, 2]],
+    [[1, 1], [1, 6]],
+    [[2, 4, 1], [1, 0, 6], [0, 5, 5]],
+]
+
+
+@pytest.mark.parametrize("entries", TINY_PRIME_CASES)
+def test_tiny_prime_falls_back_to_fractions(entries):
+    m = Matrix.from_rows(QQ, [[Fraction(x) for x in r] for r in entries])
+    ref_rows, ref_pivots = dense_rref(QQ, m.entries, m.cols)
+    with fraction_eliminations(_PRIMES=(5,)) as fallbacks:
+        rows, pivots = _rref(QQ, _sparse_rows(m.entries))
+        basis = kernel_basis(m)
+    assert fallbacks[0] == 2
+    assert pivots == ref_pivots
+    assert [_dense(r, m.cols, QQ.zero()) for r in rows] == ref_rows[: len(pivots)]
+    assert basis == dense_kernel_basis(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_tiny_prime_gives_the_dense_reference(m):
+    with fraction_eliminations(_PRIMES=(5,)):
+        basis = kernel_basis(m)
+    assert basis == dense_kernel_basis(m)
+
+
+def test_certificate_rejects_a_wrong_lift():
+    """Every lift except the pivot 1 is off by one; the certificate refuses
+    it at each prime and the Fraction elimination gives the right form."""
+    right = linalg._reconstruct
+
+    def wrong(u, p):
+        lift = right(u, p)
+        return lift if lift in (None, (1, 1)) else (lift[0] + lift[1], lift[1])
+
+    m = Matrix.from_rows(QQ, [[Fraction(x) for x in r] for r in ([2, 4, 1, 0], [1, 0, 3, 5])])
+    ref_rows, ref_pivots = dense_rref(QQ, m.entries, m.cols)
+    with fraction_eliminations(_reconstruct=wrong) as fallbacks:
+        rows, pivots = _rref(QQ, _sparse_rows(m.entries))
+        basis = kernel_basis(m)
+    assert fallbacks[0] == 2
+    assert pivots == ref_pivots == [0, 1]
+    assert [_dense(r, m.cols, QQ.zero()) for r in rows] == ref_rows
+    assert basis == dense_kernel_basis(m)
 
 
 @settings(max_examples=200, deadline=None)
