@@ -15,23 +15,29 @@ residual routine for one triple whose terms are sparse products
 (MultTable.sparse).  Both anti-pre-Lie laws come from _law_residuals, built
 from an outer and an inner product: the anti-pre-Lie check uses one product
 in both places and the deformation equations sum it over pairs of
-deformation terms.  A residual is written out densely only when it is
-nonzero.  Tensor3.contract is kept for products of arbitrary vectors.  Every
-law family has one lazy violation walk: its check_* collects the walk, its
-is_* stops at the first violation.  A naive nested-loop oracle is kept in the
+deformation terms.  Over Q these two walks run on ints (_law_views): every
+view is scaled by one common denominator D of all the tables walked, each
+residual is homogeneous of degree 2 in the structure constants and so is D^2
+times the rational one, and only a violation's residual is turned back into
+Fractions; over F_p they run on the Fp views.  A residual is written out
+densely only when it is nonzero.  Tensor3.contract is kept for products of
+arbitrary vectors.  Every law family has one lazy violation walk: its check_*
+collects the walk, its is_* stops at the first violation.  A naive nested-loop oracle is kept in the
 test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product
-from typing import Callable, Iterator, Optional
+from math import lcm
+from typing import Callable, Iterator, Optional, Sequence
 
-from .fields import Field
-from .linalg import (Matrix, Tensor3, Vec, _accumulate, _sparse_rows, _subtract, invert,
-                     vec_is_zero, vec_sub)
+from .fields import Field, Rationals
+from .linalg import (Matrix, Tensor3, Vec, _accumulate, _integral, _sparse_rows, _subtract,
+                     invert, vec_is_zero, vec_sub)
 
 LAW_EXCHANGE = "exchange"
 LAW_CYCLIC = "cyclic"
@@ -156,19 +162,8 @@ class MultTable:
         """(rows, cols, comm), each [a][b] a {k: c} fiber over the nonzero
         coefficients c of e_k: rows[a][b] is e_a . e_b, cols[b][a] the same
         product and comm[a][b] the commutator [e_a, e_b]."""
-        rows = tuple(tuple(_sparse_rows(plane)) for plane in self.tensor.entries)
-        n = self.dim
-        one = self.field.one()
-        cols = tuple(tuple(rows[a][b] for a in range(n)) for b in range(n))
-        comm = []
-        for a in range(n):
-            line = []
-            for b in range(n):
-                d = dict(rows[a][b])
-                _subtract(d, one, rows[b][a])
-                line.append(d)
-            comm.append(tuple(line))
-        return rows, cols, tuple(comm)
+        return _view(tuple(tuple(_sparse_rows(plane)) for plane in self.tensor.entries),
+                     self.field.one())
 
     def conjugate(self, p: Matrix) -> "MultTable":
         """Basis change: the table of x *' y = P^{-1}(P(x) . P(y))."""
@@ -181,6 +176,42 @@ class MultTable:
         cols = [p.col(j) for j in range(n)]
         ent = [[p_inv.apply(self.multiply(cols[i], cols[j])) for j in range(n)] for i in range(n)]
         return MultTable.from_entries(self.field, ent)
+
+
+def _view(rows: tuple, one) -> tuple:
+    """(rows, cols, comm) of MultTable.sparse from its product fibers rows[a][b]."""
+    n = len(rows)
+    cols = tuple(tuple(rows[a][b] for a in range(n)) for b in range(n))
+    comm = []
+    for a in range(n):
+        line = []
+        for b in range(n):
+            d = dict(rows[a][b])
+            _subtract(d, one, rows[b][a])
+            line.append(d)
+        comm.append(tuple(line))
+    return rows, cols, tuple(comm)
+
+
+def _law_views(tables: Sequence[MultTable]) -> tuple:
+    """(views, zero, scale) for the anti-pre-Lie or deformation walk over the
+    tables, as _law_violations reads them.
+
+    Over a prime field: each table's own sparse view and no scale.  Over Q:
+    every view times one common denominator D, the lcm of the denominators
+    of all the tables, with int coefficients, and scale D^2.  Every residual
+    of these walks is a sum of products of one outer and one inner structure
+    constant, so its int value is exactly D^2 times the rational one: zero
+    exactly when the rational residual is.
+    """
+    field = tables[0].field
+    if not isinstance(field, Rationals):
+        return [t.sparse for t in tables], field.zero(), None
+    d = lcm(*(x.denominator for t in tables for plane in t.sparse[0] for fiber in plane
+              for x in fiber.values()))
+    views = [_view(tuple(tuple(_integral(f, d) for f in plane) for plane in t.sparse[0]), 1)
+             for t in tables]
+    return views, 0, d * d
 
 
 def _law_residuals(pairs: list, i: int, j: int, k: int) -> tuple:
@@ -207,21 +238,26 @@ def _law_residuals(pairs: list, i: int, j: int, k: int) -> tuple:
 
 
 def _law_violations(residuals: Callable, prefix: tuple, laws: tuple, n: int,
-                    zero) -> Iterator[Violation]:
+                    zero, scale: Optional[int] = None) -> Iterator[Violation]:
     """Violations at each basis triple (i, j, k) in lexicographic order, at
     (*prefix, i, j, k) and, within one triple, in the order of laws.
     residuals(i, j, k) gives one sparse {l: c} dict of length-n residual
-    coordinates per law; a residual is written out only when it is nonzero."""
+    coordinates per law; a residual is written out only when it is nonzero,
+    with zero at the absent coordinates.  With a scale (ints over Q, see
+    _law_views) each coordinate r is reported as Fraction(r, scale)."""
     for i, j, k in product(range(n), repeat=3):
         for law, res in zip(laws, residuals(i, j, k)):
             if any(res.values()):
-                yield Violation(law, (*prefix, i, j, k), tuple(res.get(l, zero) for l in range(n)))
+                residual = tuple(res.get(l, zero) for l in range(n))
+                if scale is not None:
+                    residual = tuple(Fraction(r, scale) for r in residual)
+                yield Violation(law, (*prefix, i, j, k), residual)
 
 
 def _apl_violations(table: MultTable) -> Iterator[Violation]:
-    view = table.sparse
+    (view,), zero, scale = _law_views([table])
     return _law_violations(partial(_law_residuals, [(view, view)]), (), (LAW_EXCHANGE, LAW_CYCLIC),
-                           table.dim, table.field.zero())
+                           table.dim, zero, scale)
 
 
 def check_anti_pre_lie(table: MultTable) -> Report:

@@ -23,19 +23,22 @@ coordinates of C1 and C2.  The rows of d1 and of d2 are each assembled by one
 routine, from the nonzero structure constants and action entries only.  Z2 is
 eliminated straight from the sparse d2 rows; d1 and is_cocycle apply the rows
 of their operator to a cochain vector one row at a time, and d1_matrix and
-d2_matrix are the dense views of the same rows.  The pointwise evaluations
-of d1 and d2 on basis pairs and triples live in the test suite, as the
-independent oracles for that linearization.
+d2_matrix are the dense views of the same rows.  Over Q each nonzero d2 row
+(_cocycle_rows) and the cochain tested are scaled to ints, so the cocycle
+test runs on ints; a caller testing many cochains builds the rows once and
+applies them with _in_kernel.  The pointwise evaluations of d1 and d2 on
+basis pairs and triples live in the test suite, as the independent oracles
+for that linearization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .algebra import AntiPreLieAlgebra, MultTable, StructureError
-from .fields import Field
-from .linalg import Matrix, Tensor3, Vec, _kernel, pivot_columns, solve
+from .fields import Field, Rationals
+from .linalg import Matrix, Tensor3, Vec, _integral, _kernel, pivot_columns, solve
 from .representation import AlgebraLike, Representation, as_table
 
 
@@ -276,8 +279,7 @@ def cohomology_spaces(alg: AntiPreLieAlgebra, rep: Representation) -> Cohomology
     table = as_table(alg)
     n, m = table.dim, rep.dim_v
     field = table.field
-    d2_rows = ({j: x for j, x in r.items() if x} for r in _d2_rows(table, rep))
-    z2_vecs = _kernel(field, d2_rows, n * n * m)
+    z2_vecs = _kernel(field, _cocycle_rows(table, rep), n * n * m)
     dd1 = d1_matrix(table, rep)
     b2_vecs = [dd1.col(c) for c in pivot_columns(dd1)]
     pivots = pivot_columns(Matrix.from_cols(field, b2_vecs + z2_vecs, rows=n * n * m))
@@ -293,14 +295,36 @@ def cohomology_spaces(alg: AntiPreLieAlgebra, rep: Representation) -> Cohomology
     )
 
 
+def _cocycle_rows(table: MultTable, rep: Representation) -> Iterator[dict]:
+    """The nonzero rows of d2, lazily, without the entries that cancelled;
+    over Q each row is scaled to ints by `_integral`, which leaves its kernel
+    unchanged.  A caller that keeps them must copy a row before elimination
+    over F_p, which consumes its rows."""
+    integral = isinstance(table.field, Rationals)
+    for r in _d2_rows(table, rep):
+        r = {j: x for j, x in r.items() if x}
+        if r:
+            yield _integral(r) if integral else r
+
+
+def _in_kernel(rows: Iterable[dict], f: Cochain2) -> bool:
+    """Whether rows from _cocycle_rows vanish on f, stopping at the first
+    that does not; over Q f is scaled to ints by the lcm of its own
+    denominators."""
+    v = cochain2_to_vec(f)
+    if isinstance(f.field, Rationals):
+        return not any(_apply_rows(rows, _integral(dict(enumerate(v))), 0))
+    return not any(_apply_rows(rows, v, f.field.zero()))
+
+
 def is_cocycle(alg: AlgebraLike, rep: Representation, f: Cochain2) -> bool:
-    """Whether d2 f = 0: the rows of d2 applied to f, stopping at the first
-    nonzero component."""
+    """Whether d2 f = 0: the nonzero rows of d2 applied to f, stopping at the
+    first nonzero component."""
     table = as_table(alg)
     n, m = table.dim, rep.dim_v
     if (f.dim_a, f.dim_v) != (n, m):
         raise ValueError(f"2-cochain dims {(f.dim_a, f.dim_v)} do not match ({n}, {m})")
-    return not any(_apply_rows(_d2_rows(table, rep), cochain2_to_vec(f), table.field.zero()))
+    return _in_kernel(_cocycle_rows(table, rep), f)
 
 
 def cohomologous(

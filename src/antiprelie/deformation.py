@@ -8,9 +8,12 @@ w_N t^N and requires, for every degree n = 1..N and all x, y, z,
     sum_{i+j=n} w_i(w_j(x,y) - w_j(y,x), z) + w_i(w_j(y,z) - w_j(z,y), x)
                 + w_i(w_j(z,x) - w_j(x,z), y) = 0
 
-with w_0 = w.  Series are truncated at the chosen order everywhere: products
-and inverses of truncated series simply discard higher terms, matching the
-degree-by-degree way the equations are indexed.
+with w_0 = w.  Over Q the equations are walked on ints: w_0 .. w_N are
+scaled by one common denominator D, the lcm over all of them, and each
+degree-n residual, a sum of products w_i w_j, is D^2 times the rational one
+(algebra._law_views).  Series are truncated at the chosen order everywhere:
+products and inverses of truncated series simply discard higher terms,
+matching the degree-by-degree way the equations are indexed.
 
 The degree-1 part of a verified deformation is a 2-cocycle for the regular
 representation; pulling a deformation back along a truncated isomorphism
@@ -33,6 +36,7 @@ from .algebra import (
     Violation,
     _law_residuals,
     _law_violations,
+    _law_views,
 )
 from .cohomology import Cochain2, cohomologous, cohomology_spaces, is_cocycle
 from .fields import Field
@@ -116,14 +120,14 @@ def _deformation_violations(d: TruncatedDeformation) -> Iterator[Violation]:
     """Both equation families per degree n and triple (a, b, c).
 
     The degree-n residuals are the anti-pre-Lie law residuals with w_i as the
-    outer and w_j as the inner product, summed over i + j = n.
+    outer and w_j as the inner product, summed over i + j = n, on the views
+    of _law_views: over Q every table scaled by the same denominator.
     """
-    views = [t.sparse for t in d.tables()]
-    zero = d.field.zero()
+    views, zero, scale = _law_views(d.tables())
     laws = (LAW_DEF_EXCHANGE, LAW_DEF_CYCLIC)
     for deg in range(1, d.order + 1):
         pairs = [(views[i], views[deg - i]) for i in range(deg + 1)]
-        yield from _law_violations(partial(_law_residuals, pairs), (deg,), laws, d.dim, zero)
+        yield from _law_violations(partial(_law_residuals, pairs), (deg,), laws, d.dim, zero, scale)
 
 
 def check_deformation(d: TruncatedDeformation) -> Report:

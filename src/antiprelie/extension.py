@@ -18,7 +18,9 @@ theta(x, y) = s(x) . s(y) - s(x.y) together with the actions rho(x)(u) =
 s(x) . u and mu(x)(u) = u . s(x).  Two extensions over a fixed (algebra,
 representation) are isomorphic exactly when their cocycles are cohomologous,
 with the isomorphism zeta(x + u) = x + u + phi(x); classification is by the
-second cohomology group.
+second cohomology group.  classify_extensions passes each H2 representative
+through the same cocycle gate as build_extension, against one set of int d2
+rows built for all of them, and re-verifies every extension table.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .algebra import (
     StructureError,
     check_morphism,
 )
-from .cohomology import Cochain2, cohomologous, cohomology_spaces, is_cocycle
+from .cohomology import (Cochain2, _cocycle_rows, _in_kernel, cohomologous,
+                         cohomology_spaces, is_cocycle)
 from .fields import Field
 from .linalg import Matrix, Tensor3, kernel_basis, rank, solve, vec_is_zero, vec_sub
 from .representation import Representation, check_representation, semidirect_product
@@ -111,7 +114,13 @@ def build_extension(
     A non-cocycle is refused: its table would fail the anti-pre-Lie check.
     Extracting along the canonical section returns theta exactly.
     """
-    if not is_cocycle(alg, rep, theta):
+    return _extension(alg, rep, theta, is_cocycle(alg, rep, theta))
+
+
+def _extension(alg: AntiPreLieAlgebra, rep: Representation, theta: Cochain2,
+               cocycle: bool) -> AbelianExtension:
+    """build_extension, given whether theta passed the cocycle gate."""
+    if not cocycle:
         raise StructureError("theta is not a 2-cocycle; the extension product would not verify")
     table = extension_table(alg.table, rep, theta)
     return AbelianExtension(AntiPreLieAlgebra.verify(table), alg.dim, rep.dim_v)
@@ -262,4 +271,6 @@ def classify_extensions(alg: AntiPreLieAlgebra, rep: Representation) -> tuple:
     the zero class not listed here.
     """
     spaces = cohomology_spaces(alg, rep)
-    return tuple((theta, build_extension(alg, rep, theta)) for theta in spaces.h2_representatives)
+    rows = list(_cocycle_rows(alg.table, rep))
+    return tuple((theta, _extension(alg, rep, theta, _in_kernel(rows, theta)))
+                 for theta in spaces.h2_representatives)

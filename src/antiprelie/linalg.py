@@ -28,7 +28,11 @@ dependencies.  Over a prime field the elimination runs on `Fp` values.
 Bilinear maps are evaluated in two ways, each with its own job.  Every law
 residual on basis triples (and pairs) is summed by `_accumulate` from the
 nonzero structure constants and action entries only; `Tensor3.contract`
-evaluates a product of two arbitrary coordinate vectors.
+evaluates a product of two arbitrary coordinate vectors.  `_accumulate` runs
+on whatever scalars its dicts hold: field elements, or over Q the ints of
+views scaled by one common denominator with `_integral` (the anti-pre-Lie
+and deformation walks, whose residuals are homogeneous of degree 2, so an
+int residual is the rational one times that denominator squared).
 """
 
 from __future__ import annotations
@@ -247,10 +251,12 @@ def _rref_field(field: Field, rows_in: Iterable[dict]):
     return [pivot_rows[c] for c in pivots], pivots
 
 
-def _integral(row: dict) -> dict:
-    """A sparse rational row times the lcm of its denominators, as ints."""
+def _integral(row: dict, scale: Optional[int] = None) -> dict:
+    """A sparse rational row times scale, as ints; scale is by default the
+    lcm of the row's denominators, and must be a multiple of each of them."""
     dens = [x.denominator for x in row.values()]
-    scale = lcm(*dens)
+    if scale is None:
+        scale = lcm(*dens)
     if scale == 1:
         return {j: x.numerator for j, x in row.items()}
     return {j: x.numerator * (scale // d) for (j, x), d in zip(row.items(), dens)}

@@ -7,6 +7,7 @@ prints a file path, so the hashes do not depend on where the test runs.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -50,11 +51,22 @@ def _documents(named, abar2, f3):
         TruncatedIsomorphism((_q_matrix([["1", "2"], ["0", "1"]]), Matrix.zero(QQ, 2, 2))),
     )
     bad_base = AntiPreLieAlgebra.verify(q_table(3, {(0, 1, 1): 1}))
+    base3 = AntiPreLieAlgebra.verify(q_table(3, {(0, 1, 1): 1, (0, 2, 2): 1}))
+    # Terms over 7, 11 and 13: the common denominator 1001 is no term's own.
+    coprime = TruncatedDeformation(base3, (
+        q_table(3, {(1, 2, 0): Fraction(1, 7), (0, 0, 1): Fraction(2, 7)}),
+        q_table(3, {(2, 1, 0): Fraction(3, 11), (0, 0, 2): Fraction(-1, 11)}),
+        q_table(3, {(1, 2, 1): Fraction(5, 13), (2, 2, 0): Fraction(1, 13)}),
+    ))
     section = [list(r) for r in ext.section.entries]
     section[2][0] = one
     return {
         "a2": docs.encode_algebra(a2),
         "abar2": docs.encode_algebra(abar2),
+        "halves-thirds": docs.encode_algebra(q_table(3, {
+            (0, 1, 2): Fraction(1, 2), (1, 2, 0): Fraction(2, 3),
+            (0, 0, 1): Fraction(-1, 2), (2, 0, 2): Fraction(3, 4),
+        })),
         "zero2": docs.encode_algebra(zero2),
         "idem2": docs.encode_algebra(named["idem2"]),
         "comm2": docs.encode_algebra(named["comm2"]),
@@ -81,6 +93,7 @@ def _documents(named, abar2, f3):
         "bad-deformation": docs.encode_deformation(
             TruncatedDeformation(bad_base, (q_table(3, {(0, 2, 0): 1}),))
         ),
+        "coprime-deformation": docs.encode_deformation(coprime),
         "moved": docs.encode_deformation(apply_isomorphism(trivial, iso)),
         "flat-fail": docs.encode_deformation(TruncatedDeformation(zero2, (a2.table,))),
         "iso": docs.encode_isomorphism(iso, QQ),
@@ -104,6 +117,7 @@ CASES = {
     "check-pass": ("check", "@a2"),
     "check-fail": ("check", "@abar2"),
     "check-bad-json": ("check", "@not-json"),
+    "check-fractions": ("check", "@halves-thirds"),
     "lie-pass": ("lie", "@a2"),
     "lie-fail": ("lie", "@abar2"),
     "rep-check-pass": ("rep-check", "@a2", "@reg"),
@@ -133,6 +147,7 @@ CASES = {
     "from-form-skew": ("from-form", "@zero2", "@ident-form", "--strict-skew"),
     "deform-check-pass": ("deform-check", "@deformation"),
     "deform-check-fail": ("deform-check", "@bad-deformation"),
+    "deform-check-coprime": ("deform-check", "@coprime-deformation"),
     "infinitesimal-pass": ("infinitesimal", "@deformation"),
     "infinitesimal-fail": ("infinitesimal", "@bad-deformation"),
     "apply-iso-pass": ("apply-iso", "@deformation", "@iso"),
@@ -182,6 +197,11 @@ GOLDEN = {
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "ec397e8539ca5aecceb4bad4214f951755ac33c23a8f30d868a33aad5ba8b1da",
+    ),
+    "check-fractions": (
+        1,
+        "b49da739e3d2065245363bcb8f2b11cdd15c0ad9188f839adbc45327e6ececbc",
+        "45a3130b8b9ad0e40b2cd177a393e4c7a06f2a76a586b56b35e979724b426981",
     ),
     "lie-pass": (
         0,
@@ -327,6 +347,11 @@ GOLDEN = {
         1,
         "927679c87142c23c0cf674ecb07e774f3c42b4a4957f2a85a7ad251d6eba1eb9",
         "8010170d573f2e49d96da1424f91c53b932554fe073ccb59e6e24ae94e668d2a",
+    ),
+    "deform-check-coprime": (
+        1,
+        "ed3210c642e1a9abc16f9a70b0bd9fc8204a488eddd3c13859a579dccc3b1e5c",
+        "3b292700312a60c5e6c2beb4c02eb2804feb8a61573e4b0a5ef4bcb6a7316b1f",
     ),
     "infinitesimal-pass": (
         0,

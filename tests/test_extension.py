@@ -275,3 +275,26 @@ def test_extract_cocycle_keeps_field_at_dim_0():
     _, rep = extract_cocycle(ext)
     assert rep.field == QQ
     assert encode_representation(rep)["field"] == {"type": "rational"}
+
+
+def test_classify_builds_d2_at_most_twice(named_algebras, monkeypatch):
+    """classify_extensions assembles the d2 rows once for Z2 and once for the
+    cocycle gate of every representative (not once per representative), and
+    gives the extensions build_extension gives one by one."""
+    import antiprelie.cohomology as cohomology
+
+    a2 = named_algebras["a2"]
+    a4 = semidirect_product(a2, regular_representation(a2))
+    rep = regular_representation(a4)
+    calls = []
+    d2_rows = cohomology._d2_rows
+
+    def counted(*args):
+        calls.append(args)
+        return d2_rows(*args)
+
+    monkeypatch.setattr(cohomology, "_d2_rows", counted)
+    classes = classify_extensions(a4, rep)
+    assert len(classes) == 11
+    assert len(calls) <= 2
+    assert [ext for _, ext in classes] == [build_extension(a4, rep, theta) for theta, _ in classes]

@@ -5,10 +5,12 @@ of verified algebras and one-entry bumps of both; regular and bumped
 representations; deformations pulled back along random truncated
 isomorphisms, and bumped ones; sparse and conjugated anti-L-dendriform
 structures and bumps of them; sparse, dense and bumped operators, forms and
-Lie actions.  Each check must give exactly the violations of its nested-loop
-oracle, with the same residuals, in walk order ((i, j), then k, then law;
-the form check walks each law over all triples in turn), and is_cocycle must
-agree with the pointwise coboundary on cocycles and on bumped cochains.
+Lie actions.  Rational scalars take pairwise coprime denominators, one of
+them above 2^31.  Each check must give exactly the violations of its
+nested-loop oracle, with the same residuals as scalars of the field, in walk
+order ((i, j), then k, then law; the form check walks each law over all
+triples in turn), and is_cocycle must agree with the pointwise coboundary on
+cocycles and on bumped cochains.
 """
 
 from fractions import Fraction
@@ -43,7 +45,7 @@ from antiprelie.dendriform import (
     is_anti_L_dendriform,
     is_O_operator,
 )
-from antiprelie.fields import QQ, PrimeField
+from antiprelie.fields import QQ, Fp, PrimeField
 from antiprelie.linalg import Matrix, Tensor3
 from antiprelie.representation import (
     LieRepresentation,
@@ -88,10 +90,16 @@ DENDRIFORM_BASES = [
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
+# Pairwise coprime denominators, so that one table (or the terms of one
+# deformation) can need a common denominator that no entry has, and one above
+# 2^31 (the prime 2^31 + 11).
+DENOMINATORS = (1, 2, 3, 7, 11, 13, 2**31 + 11)
+
+
 @st.composite
 def scalars(draw, field):
     if field == QQ:
-        return Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        return Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from(DENOMINATORS)))
     return field.of_int(draw(st.integers(0, field.p - 1)))
 
 
@@ -236,7 +244,14 @@ def lie_actions(draw):
     return bracket, LieRepresentation(rep.dim_v, action)
 
 
-def walk(report):
+def walk(report, field):
+    """The violations as ((law, *at), residual), once every residual
+    coordinate is checked to be a scalar of field: a Fraction over Q, an Fp
+    over F_p (a matrix residual is checked entry by entry)."""
+    kind = Fraction if field == QQ else Fp
+    for v in report.violations:
+        for c in v.residual:
+            assert all(isinstance(x, kind) for x in (c if isinstance(c, tuple) else (c,))), v
     return [((v.law, *v.at), v.residual) for v in report.violations]
 
 
@@ -244,7 +259,7 @@ def walk(report):
 @given(tables())
 def test_anti_pre_lie_walk_equals_oracle(table):
     report = check_anti_pre_lie(table)
-    assert walk(report) == list(naive_apl_residuals(table).items())
+    assert walk(report, table.field) == list(naive_apl_residuals(table).items())
     assert is_anti_pre_lie(table) == report.ok
 
 
@@ -253,7 +268,7 @@ def test_anti_pre_lie_walk_equals_oracle(table):
 def test_representation_walk_equals_oracle(pair):
     alg, rep = pair
     report = check_representation(alg, rep)
-    assert walk(report) == list(naive_rep_residuals(alg.table, rep).items())
+    assert walk(report, alg.field) == list(naive_rep_residuals(alg.table, rep).items())
     assert is_representation(alg, rep) == report.ok
 
 
@@ -261,7 +276,7 @@ def test_representation_walk_equals_oracle(pair):
 @given(deformations())
 def test_deformation_walk_equals_oracle(d):
     report = check_deformation(d)
-    assert walk(report) == list(naive_deformation_residuals(d).items())
+    assert walk(report, d.field) == list(naive_deformation_residuals(d).items())
     assert is_deformation(d) == report.ok
 
 
@@ -291,7 +306,7 @@ def test_is_cocycle_equals_pointwise_oracle(pair, data):
 @given(dendriforms())
 def test_dendriform_walk_equals_oracle(d):
     report = check_anti_L_dendriform(d)
-    assert walk(report) == list(naive_dendriform_residuals(d).items())
+    assert walk(report, d.field) == list(naive_dendriform_residuals(d).items())
     assert is_anti_L_dendriform(d) == report.ok
 
 
@@ -302,7 +317,7 @@ def test_o_operator_walk_equals_oracle(pair, data):
     t = data.draw(matrices(alg.field, alg.dim, rep.dim_v))
     report = check_O_operator(alg, rep, t)
     expected = [(("o-operator", *at), r) for at, r in naive_o_operator_residuals(alg.table, rep, t).items()]
-    assert walk(report) == expected
+    assert walk(report, alg.field) == expected
     assert is_O_operator(alg, rep, t) == report.ok
 
 
@@ -311,8 +326,8 @@ def test_o_operator_walk_equals_oracle(pair, data):
 def test_form_walk_equals_oracle(table, data):
     b = data.draw(matrices(table.field, table.dim, table.dim))
     laws = (LAW_FORM, LAW_TRANSPORT)
-    got = [((v.law, *v.at), v.residual[0]) for v in check_form_invariance(table, b).violations
-           if v.law in laws]
+    got = [(at, residual[0]) for at, residual in walk(check_form_invariance(table, b), table.field)
+           if at[0] in laws]
     expected = sorted(naive_form_residuals(table, b).items(),
                       key=lambda item: (laws.index(item[0][0]), item[0][1:]))
     assert got == expected
@@ -322,8 +337,42 @@ def test_form_walk_equals_oracle(table, data):
 @given(lie_actions())
 def test_lie_walks_equal_oracles(pair):
     bracket, action = pair
-    assert walk(check_lie_table(bracket)) == list(naive_lie_residuals(bracket).items())
+    assert walk(check_lie_table(bracket), bracket.field) == list(naive_lie_residuals(bracket).items())
     lie = LieTable(bracket.tensor)
-    assert walk(check_lie_representation(lie, action)) == list(
+    assert walk(check_lie_representation(lie, action), bracket.field) == list(
         naive_lie_action_residuals(lie, action).items()
     )
+
+
+def test_law_walks_over_q_run_on_ints(monkeypatch):
+    """Over Q the anti-pre-Lie and deformation walks hand _law_residuals
+    views scaled to ints; the Fractions are only made for the report."""
+    import antiprelie.algebra as algebra
+    import antiprelie.deformation as deformation
+
+    halves = MultTable.from_dict(QQ, 3, {(0, 1, 2): Fraction(1, 2), (1, 2, 0): Fraction(2, 3),
+                                         (0, 0, 1): Fraction(-1, 2), (2, 0, 2): Fraction(3, 4)})
+    base = AntiPreLieAlgebra.verify(MultTable.from_dict(QQ, 3, {(0, 1, 1): 1, (0, 2, 2): 1}))
+    coprime = TruncatedDeformation(base, tuple(
+        MultTable.from_dict(QQ, 3, {cell: Fraction(1, den)})
+        for cell, den in (((1, 2, 0), 7), ((2, 1, 0), 11), ((1, 2, 1), 2**31 + 11))
+    ))
+    seen = []
+
+    def spy(pairs, i, j, k):
+        if not seen or seen[-1] is not pairs:
+            seen.append(pairs)
+        return algebra_residuals(pairs, i, j, k)
+
+    algebra_residuals = algebra._law_residuals
+    monkeypatch.setattr(algebra, "_law_residuals", spy)
+    monkeypatch.setattr(deformation, "_law_residuals", spy)
+    assert not check_anti_pre_lie(halves).ok
+    assert not check_deformation(coprime).ok
+    assert len(seen) == 1 + coprime.order
+    for pairs in seen:
+        for views in pairs:
+            for rows, cols, comm in views:
+                for grid in (rows, cols, comm):
+                    assert all(type(x) is int for line in grid for fiber in line
+                               for x in fiber.values())
