@@ -19,26 +19,27 @@ and a 2-cochain f has a pair of degree-3 coboundary components
 
 Z2 is the joint kernel, B2 the image of d1, and H2 = Z2/B2.  The spaces are
 computed from a direct matrix linearization of the operators over the n^2 m
-coordinates of C1 and C2.  The rows of d1 and of d2 are each assembled by one
-routine, from the nonzero structure constants and action entries only.  Z2 is
-eliminated straight from the sparse d2 rows; d1 and is_cocycle apply the rows
-of their operator to a cochain vector one row at a time, and d1_matrix and
-d2_matrix are the dense views of the same rows.  Over Q each nonzero d2 row
-(_cocycle_rows) and the cochain tested are scaled to ints, so the cocycle
-test runs on ints; a caller testing many cochains builds the rows once and
-applies them with _in_kernel.  The pointwise evaluations of d1 and d2 on
-basis pairs and triples live in the test suite, as the independent oracles
-for that linearization.
+coordinates of C1 and C2, whose rows are each assembled by one routine from
+the nonzero structure constants and action entries only.  Over Q the d2 rows
+are assembled on ints, from views scaled by one common denominator.  Nothing
+on the way to H2 is dense: Z2 is eliminated from the sparse d2 rows, B2 and
+cohomologous read the sparse d1 rows, Z2 and B2 stay sparse vectors, the
+[B2 | Z2] block is their transpose, and each cochain is sliced from one flat
+list.  d1_matrix and d2_matrix are the dense views of the same rows.  A
+caller testing many cochains builds the d2 rows once and applies them with
+_in_kernel.  The pointwise evaluations of d1 and d2 on basis pairs and
+triples live in the test suite, as the independent oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Iterator, Optional
 
-from .algebra import AntiPreLieAlgebra, MultTable, StructureError
+from .algebra import AntiPreLieAlgebra, MultTable, StructureError, _view
 from .fields import Field, Rationals
-from .linalg import Matrix, Tensor3, Vec, _integral, _kernel, pivot_columns, solve
+from .linalg import Matrix, Tensor3, Vec, _integral, _kernel, _rref, _solve
 from .representation import AlgebraLike, Representation, as_table
 
 
@@ -113,11 +114,16 @@ def cochain2_to_vec(f: Cochain2) -> Vec:
 
 
 def cochain2_from_vec(field: Field, n: int, m: int, v: Vec) -> Cochain2:
-    ent = tuple(
-        tuple(tuple(v[(i * n + j) * m + k] for k in range(m)) for j in range(n))
-        for i in range(n)
-    )
-    return Cochain2(Tensor3(field, (n, n, m), ent))
+    return _cochain2(field, n, m, dict(enumerate(v)))
+
+
+def _cochain2(field: Field, n: int, m: int, v: dict) -> Cochain2:
+    """A sparse C2 vector as a 2-cochain: one flat list, sliced into n^2 fibers."""
+    flat = [field.zero()] * (n * n * m)
+    for j, x in v.items():
+        flat[j] = x
+    return Cochain2(Tensor3(field, (n, n, m), tuple(
+        tuple(tuple(flat[(i * n + j) * m:(i * n + j + 1) * m]) for j in range(n)) for i in range(n))))
 
 
 def _dense(field: Field, rows, ncols: int) -> Matrix:
@@ -133,7 +139,7 @@ def _dense(field: Field, rows, ncols: int) -> Matrix:
 
 
 def _d1_rows(table: MultTable, rep: Representation) -> Iterator[dict]:
-    """The rows of the d1 linearization in order, each as {C1 coordinate: value}.
+    """The rows of the d1 linearization in order, as {C1 coordinate: nonzero value}.
 
     Row (i n + j) m + l, the C2 coordinate of t[i][j][l], is component l of
     (d1 F)(e_i, e_j): row l of rho(e_i) placed at the C1 coordinates of
@@ -151,7 +157,7 @@ def _d1_rows(table: MultTable, rep: Representation) -> Iterator[dict]:
                 _add_at(r, j, n, rho[i][l])
                 _add_at(r, i, n, mu[j][l])
                 _add_at(r, l * n, 1, prod[i][j], negate=True)
-                yield r
+                yield {c: x for c, x in r.items() if x}
 
 
 def d1_matrix(alg: AlgebraLike, rep: Representation) -> Matrix:
@@ -186,7 +192,7 @@ def _apply_rows(rows, v: Vec, zero) -> Iterator:
         yield acc
 
 
-def _d2_rows(table: MultTable, rep: Representation) -> Iterator[dict]:
+def _d2_rows(table: MultTable, rep: Representation, integral: bool = False) -> Iterator[dict]:
     """The rows of the d2 linearization in order, each as {C2 coordinate: value}.
 
     Row ((a n + b) n + c) m + l of the first n^3 m is component l of
@@ -197,10 +203,17 @@ def _d2_rows(table: MultTable, rep: Representation) -> Iterator[dict]:
     bracket, with k the basis index w of f(e_p, e_w) (stride m) or of
     f(e_w, e_q) (stride n m).  Only nonzero fibers are visited; an entry that
     cancels stays as a zero, which cohomology_spaces drops before elimination.
+    With integral (over Q) the views are first scaled to ints by one common
+    denominator D; d2 is linear in them, so each row is D times the rational one.
     """
     n, m = table.dim, rep.dim_v
     prod, _, comm = table.sparse
     rho, mu = rep.sparse
+    if integral:
+        views = (prod, rho, mu)
+        d = lcm(*(x.denominator for v in views for line in v for f in line for x in f.values()))
+        prod, rho, mu = (tuple(tuple(_integral(f, d) for f in line) for line in v) for v in views)
+        comm = _view(prod, 1)[2]
     nm = n * m
 
     # Terms at (a, b, c): (action matrix rows, base, negate) for rows[l], and
@@ -263,48 +276,59 @@ class CohomologySpaces:
 
 
 def cohomology_spaces(alg: AntiPreLieAlgebra, rep: Representation) -> CohomologySpaces:
-    """Z2 as the kernel of the d2 linearization (eliminated from its sparse
-    rows, never written out dense), B2 as the column space of d1,
+    """Z2 as the kernel of the d2 linearization, B2 as the column space of d1,
     and H2 representatives chosen by greedily extending the B2 basis along the
     deterministic Z2 kernel basis (lexicographic coordinate order).
 
-    The representatives and the check that B2 lies inside Z2 both come from
-    one elimination of the column block [B2 | Z2].  Its pivot columns are the
-    lexicographically first independent columns: B2 is independent, so it is
-    all pivots, and a Z2 vector is a pivot exactly when it lies outside the
-    span of B2 and the Z2 vectors before it, which is the greedy choice, in
-    the same order.  Z2 is independent too, so the block has exactly len(Z2)
-    pivots if and only if B2 lies inside Z2.
+    Both stay sparse {C2 coordinate: value} vectors: Z2 read off the reduced
+    d2 rows, B2 the columns of the d1 rows at their pivots.  The
+    representatives and the check that B2 lies inside Z2 both come from one
+    elimination of the column block [B2 | Z2], given as the transpose of
+    those vectors.  Its pivot columns are the lexicographically first
+    independent columns: B2 is independent, so it is all pivots, and a Z2
+    vector is a pivot exactly when it lies outside the span of B2 and the Z2
+    vectors before it, which is the greedy choice, in the same order.  Z2 is
+    independent too, so the block has exactly len(Z2) pivots if and only if
+    B2 lies inside Z2.
     """
     table = as_table(alg)
+    return _spaces(table, rep, _cocycle_rows(table, rep))
+
+
+def _spaces(table: MultTable, rep: Representation, rows: Iterable[dict]) -> CohomologySpaces:
+    """cohomology_spaces from the rows of _cocycle_rows (consumed over F_p)."""
     n, m = table.dim, rep.dim_v
-    field = table.field
-    z2_vecs = _kernel(field, _cocycle_rows(table, rep), n * n * m)
-    dd1 = d1_matrix(table, rep)
-    b2_vecs = [dd1.col(c) for c in pivot_columns(dd1)]
-    pivots = pivot_columns(Matrix.from_cols(field, b2_vecs + z2_vecs, rows=n * n * m))
-    if len(pivots) != len(z2_vecs):
+    field, size = table.field, n * n * m
+    z2 = _kernel(field, rows, size)
+    d1_rows = list(_d1_rows(table, rep))
+    d1_cols = _transpose(d1_rows, n * m)
+    b2 = [d1_cols[c] for c in _rref(field, d1_rows)[1]]
+    pivots = _rref(field, _transpose(b2 + z2, size))[1]
+    if len(pivots) != len(z2):
         raise StructureError("a coboundary fell outside Z2; (alg, rep) was not verified")
-    reps = [z2_vecs[c - len(b2_vecs)] for c in pivots[len(b2_vecs):]]
-    mk = lambda v: cochain2_from_vec(field, n, m, v)
-    return CohomologySpaces(
-        tuple(mk(v) for v in z2_vecs),
-        tuple(mk(v) for v in b2_vecs),
-        len(reps),
-        tuple(mk(v) for v in reps),
-    )
+    reps = [z2[c - len(b2)] for c in pivots[len(b2):]]
+    mk = lambda vecs: tuple(_cochain2(field, n, m, v) for v in vecs)
+    return CohomologySpaces(mk(z2), mk(b2), len(reps), mk(reps))
+
+
+def _transpose(vecs: list, size: int) -> list:
+    """The size sparse rows of the matrix whose columns are the sparse vecs."""
+    rows = [{} for _ in range(size)]
+    for k, v in enumerate(vecs):
+        for i, x in v.items():
+            rows[i][k] = x
+    return rows
 
 
 def _cocycle_rows(table: MultTable, rep: Representation) -> Iterator[dict]:
     """The nonzero rows of d2, lazily, without the entries that cancelled;
-    over Q each row is scaled to ints by `_integral`, which leaves its kernel
-    unchanged.  A caller that keeps them must copy a row before elimination
-    over F_p, which consumes its rows."""
-    integral = isinstance(table.field, Rationals)
-    for r in _d2_rows(table, rep):
+    over Q on ints (D times the rational rows, see _d2_rows), which leaves
+    their kernel unchanged.  A caller that keeps them must copy a row before
+    elimination over F_p, which consumes its rows."""
+    for r in _d2_rows(table, rep, isinstance(table.field, Rationals)):
         r = {j: x for j, x in r.items() if x}
         if r:
-            yield _integral(r) if integral else r
+            yield r
 
 
 def _in_kernel(rows: Iterable[dict], f: Cochain2) -> bool:
@@ -333,8 +357,10 @@ def cohomologous(
     """A 1-cochain phi with f - g = d1(phi), or None when none exists."""
     table = as_table(alg)
     n, m = table.dim, rep.dim_v
-    diff = cochain2_to_vec(f - g)
-    x = solve(d1_matrix(table, rep), diff)
+    diff = f - g
+    if (diff.dim_a, diff.dim_v) != (n, m):
+        raise ValueError(f"2-cochain dims {(diff.dim_a, diff.dim_v)} do not match ({n}, {m})")
+    x = _solve(table.field, list(_d1_rows(table, rep)), n * m, cochain2_to_vec(diff))
     if x is None:
         return None
     return cochain1_from_vec(table.field, n, m, x)

@@ -95,7 +95,8 @@ def decode_matrix(field: Field, doc, rows: Optional[int] = None, cols: Optional[
 
 def encode_tensor3(t: Tensor3) -> list:
     f = t.field
-    return [[[f.to_str(x) for x in fiber] for fiber in plane] for plane in t.entries]
+    zero = f.to_str(f.zero())
+    return [[[f.to_str(x) if x else zero for x in fiber] for fiber in plane] for plane in t.entries]
 
 
 def decode_tensor3(field: Field, doc, dims: tuple) -> Tensor3:

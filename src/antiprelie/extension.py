@@ -19,8 +19,8 @@ s(x) . u and mu(x)(u) = u . s(x).  Two extensions over a fixed (algebra,
 representation) are isomorphic exactly when their cocycles are cohomologous,
 with the isomorphism zeta(x + u) = x + u + phi(x); classification is by the
 second cohomology group.  classify_extensions passes each H2 representative
-through the same cocycle gate as build_extension, against one set of int d2
-rows built for all of them, and re-verifies every extension table.
+through the same cocycle gate as build_extension, against the int d2 rows
+Z2 was eliminated from, and re-verifies every extension table.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from .algebra import (
     StructureError,
     check_morphism,
 )
-from .cohomology import (Cochain2, _cocycle_rows, _in_kernel, cohomologous,
-                         cohomology_spaces, is_cocycle)
+from .cohomology import Cochain2, _cocycle_rows, _in_kernel, _spaces, cohomologous, is_cocycle
 from .fields import Field
 from .linalg import Matrix, Tensor3, kernel_basis, rank, solve, vec_is_zero, vec_sub
 from .representation import Representation, check_representation, semidirect_product
@@ -270,7 +269,8 @@ def classify_extensions(alg: AntiPreLieAlgebra, rep: Representation) -> tuple:
     non-isomorphic, and the class of the semidirect product (theta = 0) is
     the zero class not listed here.
     """
-    spaces = cohomology_spaces(alg, rep)
     rows = list(_cocycle_rows(alg.table, rep))
+    # Elimination over F_p consumes its rows, and the gate reads them again.
+    spaces = _spaces(alg.table, rep, map(dict, rows))
     return tuple((theta, _extension(alg, rep, theta, _in_kernel(rows, theta)))
                  for theta in spaces.h2_representatives)

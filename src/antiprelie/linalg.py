@@ -381,44 +381,46 @@ def pivot_columns(m: Matrix) -> list[int]:
 
 def kernel_basis(m: Matrix) -> list[Vec]:
     """Deterministic basis of the right null space {v : Mv = 0}."""
-    return _kernel(m.field, _sparse_rows(m.entries), m.cols)
+    z = m.field.zero()
+    return [tuple(v.get(c, z) for c in range(m.cols))
+            for v in _kernel(m.field, _sparse_rows(m.entries), m.cols)]
 
 
-def _kernel(field: Field, rows: Iterable[dict], ncols: int) -> list[Vec]:
-    """The kernel basis of sparse rows of nonzero entries over ncols columns.
+def _kernel(field: Field, rows: Iterable[dict], ncols: int) -> list[dict]:
+    """The kernel basis of sparse rows over ncols columns, as sparse vectors.
 
     One vector per free column f, with 1 at f and minus the RREF column f at
     the pivots; a pivot row is nonzero only at its pivot and at free columns.
     """
     reduced, pivots = _rref(field, rows)
-    z, o = field.zero(), field.one()
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = {f: [z] * ncols for f in free}
-    for f, v in basis.items():
-        v[f] = o
+    basis = {f: {f: field.one()} for f in range(ncols) if f not in pivot_set}
     for pc, row in zip(pivots, reduced):
         for f, x in row.items():
             if f != pc:
                 basis[f][pc] = -x
-    return [tuple(v) for v in basis.values()]
+    return list(basis.values())
 
 
 def solve(m: Matrix, b: Vec) -> Optional[Vec]:
     """One exact solution of Mx = b (free variables set to zero), or None."""
     if len(b) != m.rows:
         raise ValueError(f"rhs length {len(b)} does not match {m.rows} rows")
-    aug = _sparse_rows(m.entries)
-    for row, bb in zip(aug, b):
+    return _solve(m.field, _sparse_rows(m.entries), m.cols, b)
+
+
+def _solve(field: Field, rows: list, ncols: int, b: Vec) -> Optional[Vec]:
+    """solve on sparse rows (consumed) over ncols columns, one per entry of b."""
+    for row, bb in zip(rows, b):
         if bb:
-            row[m.cols] = bb
-    rows, pivots = _rref(m.field, aug)
-    if pivots and pivots[-1] == m.cols:
+            row[ncols] = bb
+    reduced, pivots = _rref(field, rows)
+    if pivots and pivots[-1] == ncols:
         return None
-    z = m.field.zero()
-    x = [z] * m.cols
-    for pc, row in zip(pivots, rows):
-        x[pc] = row.get(m.cols, z)
+    z = field.zero()
+    x = [z] * ncols
+    for pc, row in zip(pivots, reduced):
+        x[pc] = row.get(ncols, z)
     return tuple(x)
 
 

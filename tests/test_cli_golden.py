@@ -59,6 +59,8 @@ def _documents(named, abar2, f3):
         q_table(3, {(1, 2, 1): Fraction(5, 13), (2, 2, 0): Fraction(1, 13)}),
     ))
     section = [list(r) for r in ext.section.entries]
+    # A fractional basis change of a2: its H2 representatives carry 1/4.
+    a2_frac = AntiPreLieAlgebra.verify(a2.table.conjugate(_q_matrix([["1", "1"], ["1", "-1/3"]])))
     section[2][0] = one
     return {
         "a2": docs.encode_algebra(a2),
@@ -68,6 +70,8 @@ def _documents(named, abar2, f3):
             (0, 0, 1): Fraction(-1, 2), (2, 0, 2): Fraction(3, 4),
         })),
         "zero2": docs.encode_algebra(zero2),
+        "a2-frac": docs.encode_algebra(a2_frac),
+        "a2-frac-reg": docs.encode_representation(regular_representation(a2_frac)),
         "idem2": docs.encode_algebra(named["idem2"]),
         "comm2": docs.encode_algebra(named["comm2"]),
         "rigid2": docs.encode_algebra(rigid2),
@@ -132,6 +136,8 @@ CASES = {
     "cohomology-pass": ("cohomology", "@zero2", "@zero-rep"),
     "cohomology-fail": ("cohomology", "@a2", "@bad-reg"),
     "cohomology-unverified": ("cohomology", "@abar2", "@reg"),
+    "cohomology-fractions": ("cohomology", "@a2-frac", "@a2-frac-reg"),
+    "cohomology-f3": ("cohomology", "@a2@3", "@reg@3"),
     "dend-check-pass": ("dend-check", "@dend"),
     "dend-check-fail": ("dend-check", "@bad-dend"),
     "assoc-pass": ("assoc", "@dend"),
@@ -272,6 +278,16 @@ GOLDEN = {
         1,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "9514d8e17d674e7a8576a9c61a90cd95b78ed5cae96cf95ed4b7facddfee3322",
+    ),
+    "cohomology-fractions": (
+        0,
+        "95e2355d075c756278d3895e1b6b3ee97d38bfd9b57a1f72ed69e7f44c1e0ed2",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "cohomology-f3": (
+        0,
+        "68097321f5cec3d26bbd4da374a16bc195e350b85237bd78173b0ad967b12ee5",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "dend-check-pass": (
         0,

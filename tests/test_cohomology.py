@@ -246,6 +246,24 @@ def test_cohomologous_absent_for_zero_context(named_algebras):
     assert cohomologous(alg, rep, f, Cochain2.zero(QQ, 2, 1)) is None
 
 
+def test_cohomologous_refuses_mismatched_dims(named_algebras):
+    """Cochains whose dims differ from (dim A, dim V) are refused with
+    is_cocycle's message, not read coordinate by coordinate as another shape
+    (a (1, 8) cochain has as many coordinates as a (2, 2) one)."""
+    a2 = named_algebras["a2"]
+    reg = regular_representation(a2)
+    good = Cochain2.zero(QQ, 2, 2)
+    for dims in ((1, 8), (2, 1)):
+        bad = Cochain2.zero(QQ, *dims)
+        for check in (lambda: cohomologous(a2, reg, bad, bad), lambda: is_cocycle(a2, reg, bad)):
+            with pytest.raises(ValueError, match=r"2-cochain dims .* do not match \(2, 2\)"):
+                check()
+        for f, g in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="dims"):
+                cohomologous(a2, reg, f, g)
+    assert cohomologous(a2, reg, good, good) == Matrix.zero(QQ, 2, 2)
+
+
 def test_is_cocycle_matches_d2(corpus_pairs):
     rng = random.Random(37)
     name, alg, rep = corpus_pairs[2]
@@ -263,14 +281,18 @@ def test_vectorization_round_trip():
 
 
 def test_cohomology_spaces_builds_no_dense_d2(corpus_pairs, monkeypatch):
-    """Z2 is eliminated from the sparse d2 rows; the dense view is never built."""
+    """Z2 is eliminated from the sparse d2 rows and B2 read off the sparse d1
+    rows; neither dense operator view, nor a dense [B2 | Z2] block, nor the
+    per-coordinate write-back of a dense vector is ever built."""
     import antiprelie.cohomology as cohomology
 
     before = [cohomology_spaces(alg, rep) for _, alg, rep in corpus_pairs]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("cohomology_spaces built the dense d2")
+        raise AssertionError("cohomology_spaces went through a dense view")
 
-    monkeypatch.setattr(cohomology, "d2_matrix", refuse)
+    for name in ("d1_matrix", "d2_matrix", "cochain2_from_vec"):
+        monkeypatch.setattr(cohomology, name, refuse)
+    monkeypatch.setattr(Matrix, "from_cols", staticmethod(refuse))
     for (name, alg, rep), spaces in zip(corpus_pairs, before):
         assert cohomology_spaces(alg, rep) == spaces, name

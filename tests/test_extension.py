@@ -6,6 +6,7 @@ import pytest
 from antiprelie.algebra import AntiPreLieAlgebra, MultTable, StructureError, check_anti_pre_lie
 from antiprelie.cohomology import (
     Cochain2,
+    _cocycle_rows,
     cochain2_to_vec,
     cohomologous,
     cohomology_spaces,
@@ -30,7 +31,7 @@ from antiprelie.representation import (
     semidirect_product,
 )
 
-from conftest import rand_fraction, rand_matrix
+from conftest import fp_table, rand_fraction, rand_matrix
 
 
 def section_with(ext, phi):
@@ -277,10 +278,10 @@ def test_extract_cocycle_keeps_field_at_dim_0():
     assert encode_representation(rep)["field"] == {"type": "rational"}
 
 
-def test_classify_builds_d2_at_most_twice(named_algebras, monkeypatch):
-    """classify_extensions assembles the d2 rows once for Z2 and once for the
-    cocycle gate of every representative (not once per representative), and
-    gives the extensions build_extension gives one by one."""
+def test_classify_builds_d2_once(named_algebras, monkeypatch):
+    """classify_extensions assembles the d2 rows once, for both Z2 and the
+    cocycle gate of every representative, and gives the extensions
+    build_extension gives one by one."""
     import antiprelie.cohomology as cohomology
 
     a2 = named_algebras["a2"]
@@ -296,5 +297,28 @@ def test_classify_builds_d2_at_most_twice(named_algebras, monkeypatch):
     monkeypatch.setattr(cohomology, "_d2_rows", counted)
     classes = classify_extensions(a4, rep)
     assert len(classes) == 11
-    assert len(calls) <= 2
+    assert len(calls) == 1
+    assert [ext for _, ext in classes] == [build_extension(a4, rep, theta) for theta, _ in classes]
+
+
+def test_classify_over_f3_gates_against_intact_rows(monkeypatch):
+    """Over F_p elimination consumes its rows; classify_extensions hands it a
+    copy, so the gate still reads the d2 rows Z2 came from."""
+    import antiprelie.extension as extension
+
+    a2 = AntiPreLieAlgebra.verify(fp_table(3, 2, {(0, 1, 1): 1}))
+    a4 = semidirect_product(a2, regular_representation(a2))
+    rep = regular_representation(a4)
+    gated = []
+    in_kernel = extension._in_kernel
+
+    def recording(rows, theta):
+        gated.append([dict(r) for r in rows])
+        return in_kernel(rows, theta)
+
+    monkeypatch.setattr(extension, "_in_kernel", recording)
+    classes = classify_extensions(a4, rep)
+    assert gated and all(rows == list(_cocycle_rows(a4.table, rep)) for rows in gated)
+    assert [theta for theta, _ in classes] == list(cohomology_spaces(a4, rep).h2_representatives)
+    assert len(classes) == 11
     assert [ext for _, ext in classes] == [build_extension(a4, rep, theta) for theta, _ in classes]
