@@ -32,12 +32,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product
-from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
 
 from .fields import Field, Rationals
-from .linalg import (Matrix, Tensor3, Vec, _accumulate, _integral, _sparse_rows, _subtract,
-                     invert, vec_is_zero, vec_sub)
+from .linalg import (Matrix, Tensor3, Vec, _accumulate, _integral_views, _sparse_rows,
+                     _subtract, invert, vec_is_zero, vec_sub)
 
 LAW_EXCHANGE = "exchange"
 LAW_CYCLIC = "cyclic"
@@ -207,11 +206,8 @@ def _law_views(tables: Sequence[MultTable]) -> tuple:
     field = tables[0].field
     if not isinstance(field, Rationals):
         return [t.sparse for t in tables], field.zero(), None
-    d = lcm(*(x.denominator for t in tables for plane in t.sparse[0] for fiber in plane
-              for x in fiber.values()))
-    views = [_view(tuple(tuple(_integral(f, d) for f in plane) for plane in t.sparse[0]), 1)
-             for t in tables]
-    return views, 0, d * d
+    d, planes = _integral_views(*(t.sparse[0] for t in tables))
+    return [_view(rows, 1) for rows in planes], 0, d * d
 
 
 def _law_residuals(pairs: list, i: int, j: int, k: int) -> tuple:

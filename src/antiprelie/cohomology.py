@@ -34,13 +34,12 @@ triples live in the test suite, as the independent oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Iterable, Iterator, Optional
 
-from .algebra import AntiPreLieAlgebra, MultTable, StructureError, _view
+from .algebra import AntiPreLieAlgebra, MultTable, StructureError
 from .fields import Field, Rationals
 from .linalg import Matrix, Tensor3, Vec, _integral, _kernel, _rref, _solve
-from .representation import AlgebraLike, Representation, as_table
+from .representation import AlgebraLike, Representation, _pair_views, as_table
 
 
 @dataclass(frozen=True)
@@ -204,16 +203,11 @@ def _d2_rows(table: MultTable, rep: Representation, integral: bool = False) -> I
     f(e_w, e_q) (stride n m).  Only nonzero fibers are visited; an entry that
     cancels stays as a zero, which cohomology_spaces drops before elimination.
     With integral (over Q) the views are first scaled to ints by one common
-    denominator D; d2 is linear in them, so each row is D times the rational one.
+    denominator D (_pair_views); d2 is linear in them, so each row is D times
+    the rational one.
     """
     n, m = table.dim, rep.dim_v
-    prod, _, comm = table.sparse
-    rho, mu = rep.sparse
-    if integral:
-        views = (prod, rho, mu)
-        d = lcm(*(x.denominator for v in views for line in v for f in line for x in f.values()))
-        prod, rho, mu = (tuple(tuple(_integral(f, d) for f in line) for line in v) for v in views)
-        comm = _view(prod, 1)[2]
+    (prod, comm, rho, mu), _, _ = _pair_views(table, rep, integral)
     nm = n * m
 
     # Terms at (a, b, c): (action matrix rows, base, negate) for rows[l], and
@@ -325,7 +319,7 @@ def _cocycle_rows(table: MultTable, rep: Representation) -> Iterator[dict]:
     over Q on ints (D times the rational rows, see _d2_rows), which leaves
     their kernel unchanged.  A caller that keeps them must copy a row before
     elimination over F_p, which consumes its rows."""
-    for r in _d2_rows(table, rep, isinstance(table.field, Rationals)):
+    for r in _d2_rows(table, rep, True):
         r = {j: x for j, x in r.items() if x}
         if r:
             yield r

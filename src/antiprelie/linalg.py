@@ -12,9 +12,11 @@ reaches elimination without ever being written out dense.
 
 Over Q, `_rref` eliminates modulo a word-size prime and certifies the result
 (Wang, Guy & Davenport, SIGSAM Bull. 1982; Dixon, Numer. Math. 1982).  Each
-row is scaled to integers by the lcm of its denominators, the same
-elimination runs on residues mod p, and every reduced entry is lifted to a
-fraction by rational reconstruction.  The lift is kept only if every input row
+row is replaced by its primitive integer multiple (coprime ints, positive at
+its first column), which leaves the row space unchanged, so a row repeated at
+any nonzero scale is eliminated and certified once.  The same elimination
+runs on residues mod p, and every reduced entry is lifted to a fraction by
+rational reconstruction.  The lift is kept only if every distinct input row
 equals, exactly over Z, the combination of the lifted rows that its own
 pivot-column entries prescribe; that is A K = 0 for the kernel basis K read
 off the lift.  For an integer matrix the rank mod p is at most the rank over
@@ -30,9 +32,10 @@ residual on basis triples (and pairs) is summed by `_accumulate` from the
 nonzero structure constants and action entries only; `Tensor3.contract`
 evaluates a product of two arbitrary coordinate vectors.  `_accumulate` runs
 on whatever scalars its dicts hold: field elements, or over Q the ints of
-views scaled by one common denominator with `_integral` (the anti-pre-Lie
-and deformation walks, whose residuals are homogeneous of degree 2, so an
-int residual is the rational one times that denominator squared).
+views scaled by one common denominator with `_integral_views` (the
+anti-pre-Lie, deformation and representation walks, whose residuals are
+homogeneous of degree 2, so an int residual is the rational one times that
+denominator squared).
 """
 
 from __future__ import annotations
@@ -205,14 +208,17 @@ def _rref(field: Field, rows_in: Iterable[dict]):
     `rows_in` holds {column: value} dicts of nonzero entries (they may be
     consumed); the result lists the nonzero reduced rows, as such dicts, in
     pivot-column order.  Over a prime field this is `_rref_field`.  Over Q
-    each row is scaled to integers (which leaves the form unchanged) and
-    `_rref_modular` tries each of `_PRIMES` in turn; only when every prime
-    fails are the integer rows eliminated by `_rref_field` in `Fraction`
-    arithmetic.  Both routes give the one reduced row echelon form.
+    the empty rows are dropped, every other row is replaced by its
+    `_primitive` multiple and only the first copy of each distinct one is
+    kept: the row space, and so the form, is unchanged.  `_rref_modular`
+    tries each of `_PRIMES` in turn on those rows; only when every prime
+    fails are they eliminated by `_rref_field` in `Fraction` arithmetic.
+    Both routes give the one reduced row echelon form.
     """
     if not isinstance(field, Rationals):
         return _rref_field(field, rows_in)
-    rows = [_integral(row) for row in rows_in if row]
+    primitive = (_primitive(row) for row in rows_in if row)
+    rows = list({frozenset(row.items()): row for row in primitive}.values())
     for p in _PRIMES:
         result = _rref_modular(rows, p)
         if result is not None:
@@ -260,6 +266,26 @@ def _integral(row: dict, scale: Optional[int] = None) -> dict:
     if scale == 1:
         return {j: x.numerator for j, x in row.items()}
     return {j: x.numerator * (scale // d) for (j, x), d in zip(row.items(), dens)}
+
+
+def _integral_views(*views) -> tuple:
+    """(d, scaled): d is the lcm of the denominators in all the views, each
+    a tuple of tuples of sparse rational {index: value} fibers, and scaled
+    holds every view times d, with int values."""
+    d = lcm(*(x.denominator for v in views for line in v for f in line for x in f.values()))
+    return d, tuple(tuple(tuple(_integral(f, d) for f in line) for line in v) for v in views)
+
+
+def _primitive(row: dict) -> dict:
+    """The primitive integer multiple of a nonzero sparse rational row: ints
+    with gcd 1, positive at the first column.  A row of ints is scaled only
+    when it is not primitive already, and is otherwise returned as it is."""
+    if not all(type(x) is int for x in row.values()):
+        row = _integral(row)
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
 def _subtract_mod(row: dict, f: int, other: dict, p: int) -> None:

@@ -11,7 +11,11 @@ reading of "for all x, y").  Every law on basis pairs here (the three axioms,
 the Lie action law, the symmetry of mu) is walked by one routine,
 _matrix_violations, which builds each residual matrix row by row from sparse
 products (linalg._accumulate) of the cached nonzero structure constants and
-action entries.  The module also builds the regular
+action entries.  Over Q the three axioms run on ints (_pair_views): table
+and representation are scaled by one common denominator D, each residual
+term is a product of two of their entries, so an int residual is D^2 times
+the rational one.  A representation over another field than the table's is
+refused before any arithmetic.  The module also builds the regular
 representation (L, R), semidirect products, the induced sub-adjacent Lie
 action rho - mu, dual representations on V*, and the three-way equivalence
 report for (mu - rho, mu) / (rho*, mu*) / mu(x.y) + mu(y.x) = 0.
@@ -20,6 +24,7 @@ report for (mu - rho, mu) / (rho*, mu*) / mu(x.y) + mu(y.x) = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from typing import Callable, Iterator, Optional, Union
@@ -30,10 +35,11 @@ from .algebra import (
     MultTable,
     Report,
     Violation,
+    _view,
     sub_adjacent_lie,
 )
-from .fields import Field
-from .linalg import Matrix, _accumulate, _sparse_rows
+from .fields import Field, Rationals
+from .linalg import Matrix, _accumulate, _integral_views, _sparse_rows
 
 AlgebraLike = Union[AntiPreLieAlgebra, MultTable]
 
@@ -89,28 +95,47 @@ def _by_row(mats: tuple, m: int) -> tuple:
 
 
 def _matrix_violations(residual_rows: Callable, laws: tuple, n: int, m: int,
-                       zero) -> Iterator[Violation]:
+                       zero, scale: Optional[int] = None) -> Iterator[Violation]:
     """Violations at each basis pair (i, j) in lexicographic order and, within
     one pair, in the order of laws.  residual_rows(i, j, r) gives row r of
     each law's m x m residual matrix as a sparse {s: x} dict (row r of A @ B
     is the combination of the rows of B by the entries of row r of A); a
-    residual is written out only when it is nonzero."""
+    residual is written out only when it is nonzero.  With a scale (ints
+    over Q, see _pair_views) each entry x is reported as Fraction(x, scale)."""
     for i, j in product(range(n), repeat=2):
         mats = zip(*(residual_rows(i, j, r) for r in range(m)))
         for law, rows in zip(laws, mats):
             if any(any(row.values()) for row in rows):
-                yield Violation(law, (i, j), tuple(
-                    tuple(row.get(s, zero) for s in range(m)) for row in rows
-                ))
+                residual = tuple(tuple(row.get(s, zero) for s in range(m)) for row in rows)
+                if scale is not None:
+                    residual = tuple(tuple(Fraction(x, scale) for x in row) for row in residual)
+                yield Violation(law, (i, j), residual)
+
+
+def _pair_views(table: MultTable, rep: Representation, integral: bool = True) -> tuple:
+    """((prod, comm, rho, mu), zero, scale): the product and commutator
+    fibers of the table's sparse view and the representation's sparse rows,
+    as algebra._law_views gives them.  Over Q and with integral, all four
+    are scaled to ints by one common denominator D, the lcm over table and
+    representation, and scale is D^2; otherwise scale is None.  A
+    representation over another field than the table's is refused."""
+    if rep.field not in (None, table.field):
+        raise ValueError(f"representation is over {rep.field}, the table over {table.field}")
+    prod, _, comm = table.sparse
+    rho, mu = rep.sparse
+    if not integral or not isinstance(table.field, Rationals):
+        return (prod, comm, rho, mu), table.field.zero(), None
+    d, (prod, rho, mu) = _integral_views(prod, rho, mu)
+    return (prod, _view(prod, 1)[2], rho, mu), 0, d * d
 
 
 def _representation_violations(table: MultTable, rep: Representation) -> Iterator[Violation]:
-    """The three axioms at each ordered basis pair (i, j), as residual matrices."""
+    """The three axioms at each ordered basis pair (i, j), as residual
+    matrices; over Q on ints, each residual D^2 times the rational one."""
     n, m = table.dim, rep.dim_v
     if rep.dim_a != n:
         raise ValueError(f"representation is over a dim-{rep.dim_a} algebra, table has dim {n}")
-    prod, _, comm = table.sparse
-    rho, mu = rep.sparse
+    (prod, comm, rho, mu), zero, scale = _pair_views(table, rep)
     rho_at, mu_at = _by_row(rho, m), _by_row(mu, m)
 
     def residual_rows(i, j, r):
@@ -134,7 +159,7 @@ def _representation_violations(table: MultTable, rep: Representation) -> Iterato
         _accumulate(r3, mu[i][r], rho[j])
         return r1, r2, r3
 
-    return _matrix_violations(residual_rows, (LAW_RHO, LAW_MIXED, LAW_MU), n, m, table.field.zero())
+    return _matrix_violations(residual_rows, (LAW_RHO, LAW_MIXED, LAW_MU), n, m, zero, scale)
 
 
 def check_representation(alg: AlgebraLike, rep: Representation) -> Report:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antiprelie.algebra import AntiPreLieAlgebra, MultTable, StructureError, check_anti_pre_lie
-from antiprelie.fields import QQ
+from antiprelie.fields import QQ, PrimeField
 from antiprelie.linalg import Matrix, basis_vec
 from antiprelie.representation import (
     LieRepresentation,
@@ -21,7 +21,7 @@ from antiprelie.representation import (
     sub_adjacent_representation,
 )
 
-from conftest import rand_matrix, rand_table
+from conftest import fp_table, rand_matrix, rand_table
 from oracles import naive_rep_residuals
 
 
@@ -244,3 +244,15 @@ def test_negated_rho_is_lie_action(corpus_pairs):
         lie = sub_adjacent_lie(alg)
         neg_rho = LieRepresentation(rep.dim_v, tuple(-r for r in rep.rho))
         assert check_lie_representation(lie, neg_rho).ok, name
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+def test_representation_over_another_field_is_refused(field):
+    """A representation over F_3 against a table over Q or F_5 is refused
+    by both the check and the boolean, before any arithmetic."""
+    table = MultTable.from_dict(field, 2, {(0, 0, 0): 1})
+    rep = regular_representation(AntiPreLieAlgebra.verify(fp_table(3, 2, {(0, 1, 1): 1})))
+    with pytest.raises(ValueError, match="representation is over PrimeField"):
+        check_representation(table, rep)
+    with pytest.raises(ValueError, match="representation is over PrimeField"):
+        is_representation(table, rep)

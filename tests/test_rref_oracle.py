@@ -308,3 +308,69 @@ def test_coboundary_outside_z2_is_refused(named_algebras):
                 else:
                     _check_h2_against_oracle((i, r, c), a2, rep)
     assert refused == 7
+
+
+def _up_to_scale(rows):
+    """The distinct nonzero rows of a dense list, up to a nonzero scale:
+    each divided by its first nonzero entry."""
+    out = set()
+    for r in rows:
+        lead = next((x for x in r if x), None)
+        if lead is not None:
+            out.add(tuple(x / lead for x in r))
+    return out
+
+
+@st.composite
+def repeated_rows(draw):
+    """(m, scaled, b, scaled_b): m from matrices() or rational_matrices(), and
+    the matrix of its rows each repeated one to three times at random nonzero
+    scales (negative ones included), interleaved in a random order, with a
+    right-hand side b of m and the same copies of it."""
+    m = draw(st.one_of(matrices(), rational_matrices()))
+    field = m.field
+    scale = (st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 5))
+             if field == QQ else st.integers(1, field.p - 1).map(field.of_int))
+    b = tuple(draw(scalars(field)) for _ in range(m.rows))
+    copies = [(i, draw(scale)) for i in range(m.rows) for _ in range(draw(st.integers(1, 3)))]
+    copies = draw(st.permutations(copies))
+    scaled = Matrix(field, len(copies), m.cols,
+                    tuple(tuple(s * x for x in m.entries[i]) for i, s in copies))
+    return m, scaled, b, tuple(s * b[i] for i, s in copies)
+
+
+def check_repeated(m, scaled, b, scaled_b):
+    ref_rows, ref_pivots = dense_rref(m.field, m.entries, m.cols)
+    rows, pivots = _rref(m.field, _sparse_rows(scaled.entries))
+    assert pivots == ref_pivots
+    assert [_dense(r, m.cols, m.field.zero()) for r in rows] == ref_rows[: len(pivots)]
+    assert kernel_basis(scaled) == dense_kernel_basis(m)
+    assert solve(scaled, scaled_b) == dense_solve(m, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_rows())
+def test_repeated_scaled_rows_give_the_reference_of_the_original(case):
+    """Over Q each distinct row up to scale reaches the modular elimination
+    once; on every field the result is that of the original matrix."""
+    m, scaled, b, scaled_b = case
+    handed = []
+    inner = linalg._rref_modular
+
+    def spy(rows, p):
+        handed.append(len(rows))
+        return inner(rows, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_rref_modular", spy)
+        rows, _ = _rref(m.field, _sparse_rows(scaled.entries))
+    if m.field == QQ:
+        assert handed and set(handed) == {len(_up_to_scale(m.entries))}
+    check_repeated(m, scaled, b, scaled_b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(repeated_rows())
+def test_repeated_scaled_rows_through_the_fraction_fallback(case):
+    with fraction_eliminations(_PRIMES=(5,)):
+        check_repeated(*case)

@@ -15,6 +15,7 @@ cocycles and on bumped cochains.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -278,6 +279,62 @@ def test_deformation_walk_equals_oracle(d):
     report = check_deformation(d)
     assert walk(report, d.field) == list(naive_deformation_residuals(d).items())
     assert is_deformation(d) == report.ok
+
+
+# Denominators of the table and of the representation in coprime_pairs: no
+# one of them divides another, so the common denominator D needs both.
+TABLE_DENOMINATORS = (1, 2, 3, 6)
+REP_DENOMINATORS = (1, 7, 11, 2**31 + 11)
+
+
+@st.composite
+def coprime_pairs(draw):
+    """A Q table with denominators in TABLE_DENOMINATORS and a representation
+    with denominators in REP_DENOMINATORS: random actions on a random table,
+    or rho = 0 and mu(e_0) = a N with N^2 = 0 on a table whose products have
+    no e_0 component, which is a representation."""
+    n = draw(st.integers(2, 3))
+    table_scalar = st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                             st.sampled_from(TABLE_DENOMINATORS))
+    rep_scalar = st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                           st.sampled_from(REP_DENOMINATORS))
+    passing = draw(st.booleans())
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                      st.integers(1 if passing else 0, n - 1))
+    table = MultTable.from_dict(QQ, n, draw(st.dictionaries(cells, table_scalar, max_size=6)))
+    if passing:
+        zero = Matrix.zero(QQ, 2, 2)
+        a = draw(rep_scalar)
+        nil = Matrix.from_rows(QQ, [[QQ.zero(), a], [QQ.zero(), QQ.zero()]])
+        return table, Representation(n, 2, (zero,) * n, (nil,) + (zero,) * (n - 1))
+    m = draw(st.integers(1, 2))
+    mats = [Matrix.from_rows(QQ, [[draw(st.one_of(st.just(QQ.zero()), rep_scalar))
+                                   for _ in range(m)] for _ in range(m)])
+            for _ in range(2 * n)]
+    return table, Representation(n, m, tuple(mats[:n]), tuple(mats[n:]))
+
+
+@SETTINGS
+@given(coprime_pairs())
+def test_representation_walk_with_coprime_denominators_equals_oracle(pair):
+    """The walk runs on ints scaled by the lcm over table and representation,
+    and reports exactly the oracle's residuals, as Fractions."""
+    import antiprelie.representation as representation
+
+    table, rep = pair
+    coefficients = []
+    inner = representation._accumulate
+
+    def spy(acc, coeffs, fibers, negate=False):
+        coefficients.extend(coeffs.values())
+        return inner(acc, coeffs, fibers, negate)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(representation, "_accumulate", spy)
+        report = check_representation(table, rep)
+    assert all(type(x) is int for x in coefficients)
+    assert walk(report, QQ) == list(naive_rep_residuals(table, rep).items())
+    assert is_representation(table, rep) == report.ok
 
 
 def _naive_is_cocycle(table, rep, f):
