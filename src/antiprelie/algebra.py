@@ -15,13 +15,14 @@ residual routine for one triple whose terms are sparse products
 (MultTable.sparse).  Both anti-pre-Lie laws come from _law_residuals, built
 from an outer and an inner product: the anti-pre-Lie check uses one product
 in both places and the deformation equations sum it over pairs of
-deformation terms.  Over Q these two walks run on ints (_law_views): every
-view is scaled by one common denominator D of all the tables walked, each
-residual is homogeneous of degree 2 in the structure constants and so is D^2
-times the rational one, and only a violation's residual is turned back into
-Fractions; over F_p they run on the Fp views.  A residual is written out
-densely only when it is nonzero.  Tensor3.contract is kept for products of
-arbitrary vectors.  Every law family has one lazy violation walk: its check_*
+deformation terms.  Every triple walk runs on ints (_law_views,
+linalg._integral_views): over Q every view is scaled by one common
+denominator D of all the tables walked, each residual is homogeneous of
+degree 2 in the structure constants and so is D^2 times the rational one;
+over F_p the views hold the residues, and a residual is reduced mod p only
+where it is tested.  Only a violation's residual is turned back into field
+scalars, and it is written out densely.  Tensor3.contract is kept for
+products of arbitrary vectors.  Every law family has one lazy violation walk: its check_*
 collects the walk, its is_* stops at the first violation.  A naive nested-loop oracle is kept in the
 test suite.
 """
@@ -29,12 +30,11 @@ test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product
 from typing import Callable, Iterator, Optional, Sequence
 
-from .fields import Field, Rationals
+from .fields import Field
 from .linalg import (Matrix, Tensor3, Vec, _accumulate, _integral_views, _sparse_rows,
                      _subtract, invert, vec_is_zero, vec_sub)
 
@@ -157,12 +157,17 @@ class MultTable:
         )
 
     @cached_property
+    def sparse_rows(self) -> tuple:
+        """rows[a][b], the product e_a . e_b as a {k: c} fiber over its nonzero
+        coefficients c of e_k."""
+        return tuple(tuple(_sparse_rows(plane)) for plane in self.tensor.entries)
+
+    @cached_property
     def sparse(self) -> tuple:
-        """(rows, cols, comm), each [a][b] a {k: c} fiber over the nonzero
-        coefficients c of e_k: rows[a][b] is e_a . e_b, cols[b][a] the same
-        product and comm[a][b] the commutator [e_a, e_b]."""
-        return _view(tuple(tuple(_sparse_rows(plane)) for plane in self.tensor.entries),
-                     self.field.one())
+        """(rows, cols, comm), each [a][b] a fiber as in sparse_rows: rows[a][b]
+        is e_a . e_b, cols[b][a] the same product and comm[a][b] the
+        commutator [e_a, e_b]."""
+        return _view(self.sparse_rows, self.field.one())
 
     def conjugate(self, p: Matrix) -> "MultTable":
         """Basis change: the table of x *' y = P^{-1}(P(x) . P(y))."""
@@ -193,21 +198,15 @@ def _view(rows: tuple, one) -> tuple:
 
 
 def _law_views(tables: Sequence[MultTable]) -> tuple:
-    """(views, zero, scale) for the anti-pre-Lie or deformation walk over the
-    tables, as _law_violations reads them.
-
-    Over a prime field: each table's own sparse view and no scale.  Over Q:
-    every view times one common denominator D, the lcm of the denominators
-    of all the tables, with int coefficients, and scale D^2.  Every residual
-    of these walks is a sum of products of one outer and one inner structure
-    constant, so its int value is exactly D^2 times the rational one: zero
-    exactly when the rational residual is.
+    """(views, nonzero, scalar) for a walk over the tables, as _law_violations
+    reads them: the MultTable.sparse view of each table on the ints of
+    linalg._integral_views (over Q every table times one common denominator
+    D, over F_p the residues).  Every residual of these walks is a sum of
+    products of two structure constants, so its int value is D^2 times the
+    rational one, or congruent to the residual mod p.
     """
-    field = tables[0].field
-    if not isinstance(field, Rationals):
-        return [t.sparse for t in tables], field.zero(), None
-    d, planes = _integral_views(*(t.sparse[0] for t in tables))
-    return [_view(rows, 1) for rows in planes], 0, d * d
+    planes, nonzero, scalar = _integral_views(tables[0].field, *(t.sparse_rows for t in tables))
+    return [_view(rows, 1) for rows in planes], nonzero, scalar
 
 
 def _law_residuals(pairs: list, i: int, j: int, k: int) -> tuple:
@@ -234,26 +233,24 @@ def _law_residuals(pairs: list, i: int, j: int, k: int) -> tuple:
 
 
 def _law_violations(residuals: Callable, prefix: tuple, laws: tuple, n: int,
-                    zero, scale: Optional[int] = None) -> Iterator[Violation]:
+                    nonzero: Callable, scalar: Callable) -> Iterator[Violation]:
     """Violations at each basis triple (i, j, k) in lexicographic order, at
     (*prefix, i, j, k) and, within one triple, in the order of laws.
-    residuals(i, j, k) gives one sparse {l: c} dict of length-n residual
-    coordinates per law; a residual is written out only when it is nonzero,
-    with zero at the absent coordinates.  With a scale (ints over Q, see
-    _law_views) each coordinate r is reported as Fraction(r, scale)."""
+    residuals(i, j, k) gives one sparse {l: r} dict of length-n int residual
+    coordinates per law, read by the nonzero and scalar of _law_views; a
+    residual is written out only when it is nonzero, with 0 at the absent
+    coordinates, and each coordinate r is reported as scalar(r)."""
     for i, j, k in product(range(n), repeat=3):
         for law, res in zip(laws, residuals(i, j, k)):
-            if any(res.values()):
-                residual = tuple(res.get(l, zero) for l in range(n))
-                if scale is not None:
-                    residual = tuple(Fraction(r, scale) for r in residual)
-                yield Violation(law, (*prefix, i, j, k), residual)
+            if nonzero(res.values()):
+                yield Violation(law, (*prefix, i, j, k),
+                                tuple(scalar(res.get(l, 0)) for l in range(n)))
 
 
 def _apl_violations(table: MultTable) -> Iterator[Violation]:
-    (view,), zero, scale = _law_views([table])
+    (view,), nonzero, scalar = _law_views([table])
     return _law_violations(partial(_law_residuals, [(view, view)]), (), (LAW_EXCHANGE, LAW_CYCLIC),
-                           table.dim, zero, scale)
+                           table.dim, nonzero, scalar)
 
 
 def check_anti_pre_lie(table: MultTable) -> Report:
@@ -313,7 +310,7 @@ def check_lie_table(table: MultTable) -> Report:
             s = tuple(a + b for a, b in zip(table.basis_product(i, j), table.basis_product(j, i)))
             if not vec_is_zero(s):
                 violations.append(Violation("antisymmetry", (i, j), s))
-    rows, cols, _ = table.sparse
+    ((rows, cols, _),), nonzero, scalar = _law_views([table])
 
     def jacobi(i, j, k):
         # (e_i e_j) e_k + (e_j e_k) e_i + (e_k e_i) e_j
@@ -322,7 +319,7 @@ def check_lie_table(table: MultTable) -> Report:
             _accumulate(res, rows[a][b], cols[c])
         return (res,)
 
-    violations.extend(_law_violations(jacobi, (), ("jacobi",), n, table.field.zero()))
+    violations.extend(_law_violations(jacobi, (), ("jacobi",), n, nonzero, scalar))
     return Report("lie", tuple(violations))
 
 

@@ -12,7 +12,9 @@ gates for every command, in this order: one field across all documents; a
 representation over an algebra of the document's dimension; operator, form
 and cocycle shapes; the representation axioms, when the command takes a
 verified algebra.  The body gets the decoded objects and returns a document,
-a Report or an Exit.  The parser is generated from the same table.
+a Report or an Exit.  The parser is generated from the same table.  The
+bodies reach the package's functions through its lazy surface when they
+run, so a command loads only the modules it uses.
 """
 
 from __future__ import annotations
@@ -22,55 +24,12 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
+import antiprelie as api
+
 from . import documents as docs
-from .algebra import (
-    AntiPreLieAlgebra,
-    Report,
-    StructureError,
-    check_anti_pre_lie,
-    sub_adjacent_lie,
-)
-from .cohomology import cohomology_spaces
-from .deformation import (
-    apply_isomorphism,
-    check_deformation,
-    infinitesimal,
-    rigidity_certificate,
-    trivialize_step,
-    verify_deformation,
-)
-from .dendriform import (
-    associated_anti_pre_lie,
-    check_anti_L_dendriform,
-    check_O_operator,
-    compatible_from_invertible_O,
-    dendriform_from_bilinear_form,
-    induced_dendriform,
-)
+from .algebra import AntiPreLieAlgebra, Report, StructureError
 from .documents import DocumentError
-from .extension import (
-    are_isomorphic,
-    build_extension,
-    classify_extensions,
-    extract_cocycle,
-)
 from .fields import PrimeField
-from .representation import (
-    check_representation,
-    dual_representation,
-    semidirect_product,
-    special_condition_report,
-    verify_representation,
-)
-from .search import (
-    SearchRefused,
-    SearchSpec,
-    search_algebras,
-    search_bilinear_forms,
-    search_o_operators,
-    search_representations,
-    space_size,
-)
 
 PASS, FAIL, BAD_INPUT = 0, 1, 2
 
@@ -114,9 +73,10 @@ class Doc(NamedTuple):
 
 
 class Exit(NamedTuple):
-    """A body's result other than plain success: output document, exit code, stderr note."""
+    """A body's result other than plain success: output document (None for
+    none), exit code, stderr note."""
 
-    doc: dict
+    doc: Optional[dict]
     code: int
     note: str = ""
 
@@ -193,7 +153,7 @@ def _gate(decoded: list) -> None:
     if theta is not None and (theta.dim_a, theta.dim_v) != (alg.dim, rep.dim_v):
         raise DocumentError("cocycle dimensions do not match the algebra and representation")
     if rep is not None and "algebra" in got:
-        verify_representation(alg, rep)
+        api.verify_representation(alg, rep)
 
 
 def _load(cmd: Command, args) -> list:
@@ -228,7 +188,8 @@ def _finish(result) -> int:
         return PASS if result.ok else FAIL
     if isinstance(result, dict):
         result = Exit(result, PASS)
-    _emit(result.doc)
+    if result.doc is not None:
+        _emit(result.doc)
     if result.note:
         sys.stderr.write(result.note + "\n")
     return result.code
@@ -238,12 +199,12 @@ def _finish(result) -> int:
 
 
 def _special(args, table, rep) -> dict:
-    conds = special_condition_report(table, rep)
+    conds = api.special_condition_report(table, rep)
     return {"conditions": list(conds), "equal": len(set(conds)) == 1}
 
 
 def _cohomology(args, alg, rep) -> dict:
-    spaces = cohomology_spaces(alg, rep)
+    spaces = api.cohomology_spaces(alg, rep)
     return {
         "Z2": spaces.z2_dim,
         "B2": spaces.b2_dim,
@@ -255,7 +216,7 @@ def _cohomology(args, alg, rep) -> dict:
 
 
 def _trivialize(args, d):
-    step = trivialize_step(verify_deformation(d), args.order)
+    step = api.trivialize_step(api.verify_deformation(d), args.order)
     if step is None:
         return Exit({"trivialized": False}, FAIL, f"term at order {args.order} is not a coboundary")
     phi, out = step
@@ -267,7 +228,8 @@ def _trivialize(args, d):
 
 
 def _rigidity(args, alg, samples) -> Exit:
-    cert = rigidity_certificate(alg, [verify_deformation(d) for d in samples], args.order)
+    samples = [api.verify_deformation(d) for d in samples]
+    cert = api.rigidity_certificate(alg, samples, args.order)
     return Exit({
         "h2_dim": cert.h2_dim,
         "order": cert.order,
@@ -281,13 +243,13 @@ def _rigidity(args, alg, samples) -> Exit:
 def _extract(args, ext, section) -> dict:
     if section is not None:
         section = docs.decode_matrix(ext.field, section)
-    theta, rep = extract_cocycle(ext, section)
+    theta, rep = api.extract_cocycle(ext, section)
     return {"theta": docs.encode_cochain2(theta), "rep": docs.encode_representation(rep)}
 
 
 def _iso(args, ext1, ext2):
     try:
-        zeta = are_isomorphic(ext1, ext2)
+        zeta = api.are_isomorphic(ext1, ext2)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
     if zeta is None:
@@ -296,7 +258,7 @@ def _iso(args, ext1, ext2):
 
 
 def _classify(args, alg, rep) -> dict:
-    classes = classify_extensions(alg, rep)
+    classes = api.classify_extensions(alg, rep)
     return {
         "h2_dim": len(classes),
         "classes": [
@@ -306,8 +268,11 @@ def _classify(args, alg, rep) -> dict:
     }
 
 
-def _search(args, context, rep) -> dict:
-    spec = SearchSpec(
+def _search(args, context, rep):
+    """The documents are checked before the space is sized: the context here,
+    its dimensions by the search function before it sizes the space.  So the
+    size is printed once the search has run."""
+    spec = api.SearchSpec(
         kind=args.kind,
         dim=args.dim,
         p=args.prime,
@@ -317,26 +282,31 @@ def _search(args, context, rep) -> dict:
         max_results=args.max_results,
         seed=args.seed,
     )
-    size = space_size(spec)
-    sys.stderr.write(f"search space: {size} candidates\n")
-    if args.kind == "algebra":
-        results = [docs.encode_algebra(t) for t in search_algebras(spec)]
-    else:
+    if args.kind != "algebra":
         if context is None:
             raise DocumentError(f"search kind {args.kind!r} needs a context algebra document")
         if not isinstance(context.field, PrimeField) or context.field.p != spec.p:
             raise DocumentError("context algebra must live over the searched prime field")
-        if args.kind == "representation":
-            results = [docs.encode_representation(r) for r in search_representations(spec, context)]
+        if args.kind == "o-operator" and rep is None:
+            raise DocumentError("o-operator search needs a representation document")
+    try:
+        if args.kind == "algebra":
+            results = [docs.encode_algebra(t) for t in api.search_algebras(spec)]
+        elif args.kind == "representation":
+            results = [docs.encode_representation(r)
+                       for r in api.search_representations(spec, context)]
         elif args.kind == "o-operator":
-            if rep is None:
-                raise DocumentError("o-operator search needs a representation document")
-            results = [docs.encode_o_operator(t) for t in search_o_operators(spec, context, rep)]
+            results = [docs.encode_o_operator(t)
+                       for t in api.search_o_operators(spec, context, rep)]
         else:
             results = [
                 docs.encode_bilinear_form(b)
-                for b in search_bilinear_forms(spec, context, strict_skew=args.strict_skew)
+                for b in api.search_bilinear_forms(spec, context, strict_skew=args.strict_skew)
             ]
+    except api.SearchRefused as exc:
+        return Exit(None, FAIL, f"refused: {exc}")
+    size = api.space_size(spec)
+    sys.stderr.write(f"search space: {size} candidates\n")
     return {"space": size, "count": len(results), "results": results}
 
 
@@ -346,44 +316,44 @@ O_CONTEXT = (ALGEBRA, REP, Doc("operator", "operator"))
 
 COMMANDS = (
     Command("check", "verify the anti-pre-Lie laws of a table",
-            lambda args, table: check_anti_pre_lie(table), (TABLE,)),
+            lambda args, table: api.check_anti_pre_lie(table), (TABLE,)),
     Command("lie", "commutator bracket of a verified algebra",
-            lambda args, alg: docs.encode_lie(sub_adjacent_lie(alg)), (ALGEBRA,)),
+            lambda args, alg: docs.encode_lie(api.sub_adjacent_lie(alg)), (ALGEBRA,)),
     Command("rep-check", "verify the representation axioms",
-            lambda args, table, rep: check_representation(table, rep), (TABLE, REP)),
+            lambda args, table, rep: api.check_representation(table, rep), (TABLE, REP)),
     Command("semidirect", "semidirect product algebra on A + V",
-            lambda args, alg, rep: docs.encode_algebra(semidirect_product(alg, rep)),
+            lambda args, alg, rep: docs.encode_algebra(api.semidirect_product(alg, rep)),
             (ALGEBRA, REP)),
     Command("dual", "dual representation on V*",
-            lambda args, rep: docs.encode_representation(dual_representation(rep)), (REP,)),
+            lambda args, rep: docs.encode_representation(api.dual_representation(rep)), (REP,)),
     Command("special", "three-way equivalence report", _special, (TABLE, REP)),
     Command("cohomology", "Z2, B2 and H2 with representatives", _cohomology, (ALGEBRA, REP)),
     Command("dend-check", "verify the anti-L-dendriform laws",
-            lambda args, d: check_anti_L_dendriform(d), (DENDRIFORM,)),
+            lambda args, d: api.check_anti_L_dendriform(d), (DENDRIFORM,)),
     Command("assoc", "associated anti-pre-Lie algebra of a dendriform structure",
-            lambda args, d: docs.encode_algebra(associated_anti_pre_lie(d)), (DENDRIFORM,)),
+            lambda args, d: docs.encode_algebra(api.associated_anti_pre_lie(d)), (DENDRIFORM,)),
     Command("o-check", "verify the operator relation",
-            lambda args, alg, rep, t: check_O_operator(alg, rep, t), O_CONTEXT),
+            lambda args, alg, rep, t: api.check_O_operator(alg, rep, t), O_CONTEXT),
     Command("o-induce", "dendriform structure induced on V",
-            lambda args, alg, rep, t: docs.encode_dendriform(induced_dendriform(alg, rep, t)),
+            lambda args, alg, rep, t: docs.encode_dendriform(api.induced_dendriform(alg, rep, t)),
             O_CONTEXT),
     Command("o-compat", "compatible structure on A from an invertible operator",
             lambda args, alg, rep, t: docs.encode_dendriform(
-                compatible_from_invertible_O(alg, rep, t)),
+                api.compatible_from_invertible_O(alg, rep, t)),
             O_CONTEXT),
     Command("from-form", "compatible structure from an invariant bilinear form",
             lambda args, alg, b: docs.encode_dendriform(
-                dendriform_from_bilinear_form(alg, b, strict_skew=args.strict_skew)),
+                api.dendriform_from_bilinear_form(alg, b, strict_skew=args.strict_skew)),
             (ALGEBRA, Doc("form", "form")),
             (("--strict-skew", {"action": "store_true", "help": "also require B(x,y) = -B(y,x)"}),)),
     Command("deform-check", "verify the deformation equations",
-            lambda args, d: check_deformation(d), (DEFORMATION,)),
+            lambda args, d: api.check_deformation(d), (DEFORMATION,)),
     Command("infinitesimal", "degree-1 cocycle of a verified deformation",
-            lambda args, d: docs.encode_cochain2(infinitesimal(verify_deformation(d))),
+            lambda args, d: docs.encode_cochain2(api.infinitesimal(api.verify_deformation(d))),
             (DEFORMATION,)),
     Command("apply-iso", "pull a deformation back along a truncated isomorphism",
             lambda args, d, iso: docs.encode_deformation(
-                apply_isomorphism(verify_deformation(d), iso)),
+                api.apply_isomorphism(api.verify_deformation(d), iso)),
             (DEFORMATION, Doc("isomorphism", "isomorphism"))),
     Command("trivialize", "flatten the first nonzero order if it is exact", _trivialize,
             (DEFORMATION,), (("order", {"type": int}),)),
@@ -391,7 +361,8 @@ COMMANDS = (
             (ALGEBRA, Doc("deformations", "deformation", "*")),
             (("--order", {"type": int, "default": 3}),)),
     Command("extend", "build an abelian extension from a 2-cocycle",
-            lambda args, alg, rep, theta: docs.encode_extension(build_extension(alg, rep, theta)),
+            lambda args, alg, rep, theta: docs.encode_extension(
+                api.build_extension(alg, rep, theta)),
             (ALGEBRA, Doc("rep", "rep", "?"), Doc("theta", "theta", "?")), bundled=True),
     Command("extract", "cocycle and representation of an extension", _extract,
             (Doc("extension", "extension"), Doc("section", "section", "?"))),
@@ -443,9 +414,6 @@ def main(argv: Optional[list] = None) -> int:
     except DocumentError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return BAD_INPUT
-    except SearchRefused as exc:
-        sys.stderr.write(f"refused: {exc}\n")
-        return FAIL
     except StructureError as exc:
         sys.stderr.write(f"verification failed: {exc}\n")
         if exc.report is not None:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .algebra import AntiPreLieAlgebra, MultTable, StructureError
-from .fields import Field, Rationals
+from .fields import Field, Rationals, _require_field
 from .linalg import Matrix, Tensor3, Vec, _integral, _kernel, _rref, _solve
 from .representation import AlgebraLike, Representation, _pair_views, as_table
 
@@ -94,6 +94,7 @@ def d1(alg: AlgebraLike, rep: Representation, f: Matrix) -> Cochain2:
     n, m = table.dim, rep.dim_v
     if (f.rows, f.cols) != (m, n):
         raise ValueError(f"1-cochain must be {m}x{n}, got {f.rows}x{f.cols}")
+    _require_field("cochain", f.field, table.field)
     values = tuple(_apply_rows(_d1_rows(table, rep), cochain1_to_vec(f), table.field.zero()))
     return cochain2_from_vec(table.field, n, m, values)
 
@@ -147,7 +148,7 @@ def _d1_rows(table: MultTable, rep: Representation) -> Iterator[dict]:
     (base l n, stride 1).
     """
     n, m = table.dim, rep.dim_v
-    prod = table.sparse[0]
+    prod = table.sparse_rows
     rho, mu = rep.sparse
     for i in range(n):
         for j in range(n):
@@ -319,7 +320,7 @@ def _cocycle_rows(table: MultTable, rep: Representation) -> Iterator[dict]:
     over Q on ints (D times the rational rows, see _d2_rows), which leaves
     their kernel unchanged.  A caller that keeps them must copy a row before
     elimination over F_p, which consumes its rows."""
-    for r in _d2_rows(table, rep, True):
+    for r in _d2_rows(table, rep, isinstance(table.field, Rationals)):
         r = {j: x for j, x in r.items() if x}
         if r:
             yield r
@@ -342,6 +343,7 @@ def is_cocycle(alg: AlgebraLike, rep: Representation, f: Cochain2) -> bool:
     n, m = table.dim, rep.dim_v
     if (f.dim_a, f.dim_v) != (n, m):
         raise ValueError(f"2-cochain dims {(f.dim_a, f.dim_v)} do not match ({n}, {m})")
+    _require_field("cochain", f.field, table.field)
     return _in_kernel(_cocycle_rows(table, rep), f)
 
 
@@ -351,6 +353,8 @@ def cohomologous(
     """A 1-cochain phi with f - g = d1(phi), or None when none exists."""
     table = as_table(alg)
     n, m = table.dim, rep.dim_v
+    for c in (f, g):
+        _require_field("cochain", c.field, table.field)
     diff = f - g
     if (diff.dim_a, diff.dim_v) != (n, m):
         raise ValueError(f"2-cochain dims {(diff.dim_a, diff.dim_v)} do not match ({n}, {m})")

@@ -121,13 +121,14 @@ def _deformation_violations(d: TruncatedDeformation) -> Iterator[Violation]:
 
     The degree-n residuals are the anti-pre-Lie law residuals with w_i as the
     outer and w_j as the inner product, summed over i + j = n, on the views
-    of _law_views: over Q every table scaled by the same denominator.
+    of _law_views: ints, over Q every table scaled by the same denominator.
     """
-    views, zero, scale = _law_views(d.tables())
+    views, nonzero, scalar = _law_views(d.tables())
     laws = (LAW_DEF_EXCHANGE, LAW_DEF_CYCLIC)
     for deg in range(1, d.order + 1):
         pairs = [(views[i], views[deg - i]) for i in range(deg + 1)]
-        yield from _law_violations(partial(_law_residuals, pairs), (deg,), laws, d.dim, zero, scale)
+        yield from _law_violations(partial(_law_residuals, pairs), (deg,), laws, d.dim,
+                                   nonzero, scalar)
 
 
 def check_deformation(d: TruncatedDeformation) -> Report:

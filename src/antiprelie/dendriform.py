@@ -13,10 +13,12 @@ invariant bilinear form.
 
 The three identities are residuals at basis triples, walked by
 algebra._law_violations; each term is one sparse product (linalg._accumulate)
-of the cached nonzero structure constants of the two tables and of their
-associated product.  The operator relation is checked through the induced
-structure, and both pairing identities of a form are sums over nonzero
-structure constants.
+of the nonzero structure constants of the two tables and of their associated
+product, on the ints of algebra._law_views (over Q all three scaled by one
+common denominator, over F_p their residues).  The operator relation is
+checked through the induced structure, and both pairing identities of a form
+are sums over nonzero structure constants.  An operator, form or
+representation over another field than the table's is refused.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from .algebra import (
     StructureError,
     Violation,
     _law_violations,
+    _law_views,
 )
-from .fields import Field
+from .fields import Field, _require_field
 from .linalg import Matrix, _accumulate, invert, rank, vec_is_zero, vec_sub
 from .representation import (
     AlgebraLike,
@@ -81,9 +84,8 @@ def _dendriform_violations(d: AntiLDendriform) -> Iterator[Violation]:
         D3 = e_j<(e_i<e_k) + e_j<(e_i>e_k) + [e_i,e_j]o > e_k
              - e_i<(e_j>e_k) - e_i<(e_j<e_k)
     """
-    r_rows, r_cols, _ = d.right.sparse
-    l_rows, l_cols, _ = d.left.sparse
-    o_rows, _, o_comm = associated_table(d).sparse
+    views, nonzero, scalar = _law_views([d.right, d.left, associated_table(d)])
+    (r_rows, r_cols, _), (l_rows, l_cols, _), (o_rows, _, o_comm) = views
 
     def residuals(i, j, k):
         d1, d2, d3 = {}, {}, {}
@@ -101,7 +103,7 @@ def _dendriform_violations(d: AntiLDendriform) -> Iterator[Violation]:
         _accumulate(d3, l_rows[j][k], l_rows[i], negate=True)
         return d1, d2, d3
 
-    return _law_violations(residuals, (), (LAW_D1, LAW_D2, LAW_D3), d.dim, d.field.zero())
+    return _law_violations(residuals, (), (LAW_D1, LAW_D2, LAW_D3), d.dim, nonzero, scalar)
 
 
 def check_anti_L_dendriform(d: AntiLDendriform) -> Report:
@@ -163,6 +165,8 @@ def _induced(table: MultTable, rep: Representation, t: Matrix) -> AntiLDendrifor
     if (t.rows, t.cols) != (n, m):
         raise ValueError(f"operator matrix must be {n}x{m}, got {t.rows}x{t.cols}")
     field = table.field
+    _require_field("representation", rep.field, field)
+    _require_field("operator", t.field, field)
     zero, one = field.zero(), field.one()
     tables = []
     for mats, sign in zip(rep.sparse, (one, -one)):
@@ -274,6 +278,7 @@ def check_form_invariance(alg: AlgebraLike, b: Matrix, strict_skew: bool = False
     n = table.dim
     if (b.rows, b.cols) != (n, n):
         raise ValueError(f"form matrix must be {n}x{n}, got {b.rows}x{b.cols}")
+    _require_field("form", b.field, table.field)
     violations = []
     if rank(b) != n:
         violations.append(Violation(LAW_DEGENERATE, (), (b.field.zero(),)))

@@ -4,21 +4,25 @@ Documents are tagged objects ({"kind": ...}) whose scalars are canonical
 strings, never JSON numbers: rationals as "p/q" or "p" in lowest terms,
 prime-field values as "k mod p".  Matrices and tensors are nested row-major
 arrays.  Printing always emits canonical form, so parse(print(x)) = x.
+Each decoder imports the module of the class it builds, so a command loads
+only the modules of the documents it reads.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .algebra import AntiPreLieAlgebra, LieTable, MultTable
-from .cohomology import Cochain2
-from .deformation import TruncatedDeformation, TruncatedIsomorphism
-from .dendriform import AntiLDendriform
-from .extension import AbelianExtension, normalize_extension
 from .fields import Field, field_from_json
 from .linalg import Matrix, Tensor3
-from .representation import Representation
+
+if TYPE_CHECKING:
+    from .cohomology import Cochain2
+    from .deformation import TruncatedDeformation, TruncatedIsomorphism
+    from .dendriform import AntiLDendriform
+    from .extension import AbelianExtension
+    from .representation import Representation
 
 KIND_ALGEBRA = "anti-pre-lie"
 KIND_REPRESENTATION = "representation"
@@ -160,6 +164,8 @@ def encode_representation(rep: Representation) -> dict:
 
 
 def decode_representation(doc: dict) -> Representation:
+    from .representation import Representation
+
     _expect(doc, KIND_REPRESENTATION)
     field = _field_of(doc)
     n = _int(doc, "dim_a")
@@ -191,6 +197,8 @@ def encode_cochain2(c: Cochain2) -> dict:
 
 
 def decode_cochain2(doc: dict) -> Cochain2:
+    from .cohomology import Cochain2
+
     _expect(doc, KIND_COCHAIN2)
     field = _field_of(doc)
     n = _int(doc, "dim_a")
@@ -209,6 +217,8 @@ def encode_dendriform(d: AntiLDendriform) -> dict:
 
 
 def decode_dendriform(doc: dict) -> AntiLDendriform:
+    from .dendriform import AntiLDendriform
+
     _expect(doc, KIND_DENDRIFORM)
     field = _field_of(doc)
     n = _int(doc, "dim")
@@ -257,6 +267,8 @@ def encode_deformation(d: TruncatedDeformation) -> dict:
 
 
 def decode_deformation(doc: dict) -> TruncatedDeformation:
+    from .deformation import TruncatedDeformation
+
     _expect(doc, KIND_DEFORMATION)
     base_doc = doc.get("base")
     if not isinstance(base_doc, dict):
@@ -284,6 +296,8 @@ def encode_isomorphism(iso: TruncatedIsomorphism, field: Field) -> dict:
 
 
 def decode_isomorphism(doc: dict) -> TruncatedIsomorphism:
+    from .deformation import TruncatedIsomorphism
+
     _expect(doc, KIND_ISOMORPHISM)
     field = _field_of(doc)
     order = _int(doc, "order")
@@ -309,6 +323,8 @@ def decode_extension(doc: dict) -> AbelianExtension:
     The document carries the total algebra plus iota, p and a section; all
     exactness and abelianness invariants are verified during normalization.
     """
+    from .extension import normalize_extension
+
     _expect(doc, KIND_EXTENSION)
     total_doc = doc.get("total")
     if not isinstance(total_doc, dict):

@@ -172,6 +172,13 @@ Field = Union[Rationals, PrimeField]
 QQ = Rationals()
 
 
+def _require_field(what: str, field, table_field: Field) -> None:
+    """Refuse an operand over another field than the table it is used with;
+    None, the field of an operand that holds no scalars, is accepted."""
+    if field not in (None, table_field):
+        raise ValueError(f"{what} is over {field}, the table over {table_field}")
+
+
 def field_from_json(doc: dict) -> Field:
     if not isinstance(doc, dict) or "type" not in doc:
         raise ValueError(f"malformed field descriptor: {doc!r}")

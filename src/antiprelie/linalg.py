@@ -31,11 +31,11 @@ Bilinear maps are evaluated in two ways, each with its own job.  Every law
 residual on basis triples (and pairs) is summed by `_accumulate` from the
 nonzero structure constants and action entries only; `Tensor3.contract`
 evaluates a product of two arbitrary coordinate vectors.  `_accumulate` runs
-on whatever scalars its dicts hold: field elements, or over Q the ints of
-views scaled by one common denominator with `_integral_views` (the
-anti-pre-Lie, deformation and representation walks, whose residuals are
-homogeneous of degree 2, so an int residual is the rational one times that
-denominator squared).
+on whatever scalars its dicts hold: field elements, or the ints of
+`_integral_views` (every law walk on basis triples or pairs, whose residuals
+are homogeneous of degree 2: over Q an int residual is the rational one
+times the views' common denominator squared, over F_p it is reduced mod p
+only where it is tested and reported).
 """
 
 from __future__ import annotations
@@ -268,12 +268,26 @@ def _integral(row: dict, scale: Optional[int] = None) -> dict:
     return {j: x.numerator * (scale // d) for (j, x), d in zip(row.items(), dens)}
 
 
-def _integral_views(*views) -> tuple:
-    """(d, scaled): d is the lcm of the denominators in all the views, each
-    a tuple of tuples of sparse rational {index: value} fibers, and scaled
-    holds every view times d, with int values."""
-    d = lcm(*(x.denominator for v in views for line in v for f in line for x in f.values()))
-    return d, tuple(tuple(tuple(_integral(f, d) for f in line) for line in v) for v in views)
+def _integral_views(field: Field, *views) -> tuple:
+    """(scaled, nonzero, scalar) for a walk whose residuals are sums of
+    products of two view values.  Each view is a tuple of tuples of sparse
+    {index: value} fibers, and scaled holds every view with int values.
+
+    Over Q every view is multiplied by d, the lcm of all their denominators,
+    so an int residual r is d^2 times the rational one: scalar(r) is
+    Fraction(r, d^2) and nonzero(values) is any(values).  Over F_p every
+    value is its residue in [0, p), r is congruent to the residual mod p:
+    scalar(r) is r mod p and nonzero(values) tests each value mod p.
+    """
+    if isinstance(field, Rationals):
+        d = lcm(*(x.denominator for v in views for line in v for f in line for x in f.values()))
+        scaled = tuple(tuple(tuple(_integral(f, d) for f in line) for line in v) for v in views)
+        scale = d * d
+        return scaled, any, lambda r: Fraction(r, scale)
+    scaled = tuple(tuple(tuple({j: x.value for j, x in f.items()} for f in line) for line in v)
+                   for v in views)
+    mod = field.p.__rmod__  # mod(x) is x % p
+    return scaled, lambda values: any(map(mod, values)), field.of_int
 
 
 def _primitive(row: dict) -> dict:

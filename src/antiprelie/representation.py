@@ -11,20 +11,21 @@ reading of "for all x, y").  Every law on basis pairs here (the three axioms,
 the Lie action law, the symmetry of mu) is walked by one routine,
 _matrix_violations, which builds each residual matrix row by row from sparse
 products (linalg._accumulate) of the cached nonzero structure constants and
-action entries.  Over Q the three axioms run on ints (_pair_views): table
+action entries, on ints (_pair_views, linalg._integral_views): over Q table
 and representation are scaled by one common denominator D, each residual
 term is a product of two of their entries, so an int residual is D^2 times
-the rational one.  A representation over another field than the table's is
-refused before any arithmetic.  The module also builds the regular
-representation (L, R), semidirect products, the induced sub-adjacent Lie
-action rho - mu, dual representations on V*, and the three-way equivalence
-report for (mu - rho, mu) / (rho*, mu*) / mu(x.y) + mu(y.x) = 0.
+the rational one; over F_p they hold their residues, and a residual is
+reduced mod p only where it is tested.  A representation over another field
+than the table's is refused before any arithmetic.  The module also builds
+the regular representation (L, R), semidirect products, the induced
+sub-adjacent Lie action rho - mu, dual representations on V*, and the
+three-way equivalence report for (mu - rho, mu) / (rho*, mu*) /
+mu(x.y) + mu(y.x) = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from typing import Callable, Iterator, Optional, Union
@@ -38,7 +39,7 @@ from .algebra import (
     _view,
     sub_adjacent_lie,
 )
-from .fields import Field, Rationals
+from .fields import Field, _require_field
 from .linalg import Matrix, _accumulate, _integral_views, _sparse_rows
 
 AlgebraLike = Union[AntiPreLieAlgebra, MultTable]
@@ -95,47 +96,45 @@ def _by_row(mats: tuple, m: int) -> tuple:
 
 
 def _matrix_violations(residual_rows: Callable, laws: tuple, n: int, m: int,
-                       zero, scale: Optional[int] = None) -> Iterator[Violation]:
+                       nonzero: Callable, scalar: Callable) -> Iterator[Violation]:
     """Violations at each basis pair (i, j) in lexicographic order and, within
     one pair, in the order of laws.  residual_rows(i, j, r) gives row r of
-    each law's m x m residual matrix as a sparse {s: x} dict (row r of A @ B
-    is the combination of the rows of B by the entries of row r of A); a
-    residual is written out only when it is nonzero.  With a scale (ints
-    over Q, see _pair_views) each entry x is reported as Fraction(x, scale)."""
+    each law's m x m int residual matrix as a sparse {s: x} dict (row r of
+    A @ B is the combination of the rows of B by the entries of row r of A),
+    read by the nonzero and scalar of linalg._integral_views; a residual is
+    written out only when it is nonzero, each entry x as scalar(x)."""
     for i, j in product(range(n), repeat=2):
         mats = zip(*(residual_rows(i, j, r) for r in range(m)))
         for law, rows in zip(laws, mats):
-            if any(any(row.values()) for row in rows):
-                residual = tuple(tuple(row.get(s, zero) for s in range(m)) for row in rows)
-                if scale is not None:
-                    residual = tuple(tuple(Fraction(x, scale) for x in row) for row in residual)
-                yield Violation(law, (i, j), residual)
+            if any(nonzero(row.values()) for row in rows):
+                yield Violation(law, (i, j), tuple(tuple(scalar(row.get(s, 0)) for s in range(m))
+                                                   for row in rows))
 
 
 def _pair_views(table: MultTable, rep: Representation, integral: bool = True) -> tuple:
-    """((prod, comm, rho, mu), zero, scale): the product and commutator
-    fibers of the table's sparse view and the representation's sparse rows,
-    as algebra._law_views gives them.  Over Q and with integral, all four
-    are scaled to ints by one common denominator D, the lcm over table and
-    representation, and scale is D^2; otherwise scale is None.  A
+    """((prod, comm, rho, mu), nonzero, scalar): the product and commutator
+    fibers of the table's sparse view and the representation's sparse rows.
+    With integral they are on the ints of linalg._integral_views (over Q
+    all four scaled by one common denominator D, the lcm over table and
+    representation; over F_p the residues), read by its nonzero and scalar;
+    otherwise they hold field scalars, and nonzero and scalar are None.  A
     representation over another field than the table's is refused."""
-    if rep.field not in (None, table.field):
-        raise ValueError(f"representation is over {rep.field}, the table over {table.field}")
-    prod, _, comm = table.sparse
+    _require_field("representation", rep.field, table.field)
     rho, mu = rep.sparse
-    if not integral or not isinstance(table.field, Rationals):
-        return (prod, comm, rho, mu), table.field.zero(), None
-    d, (prod, rho, mu) = _integral_views(prod, rho, mu)
-    return (prod, _view(prod, 1)[2], rho, mu), 0, d * d
+    if not integral:
+        prod, _, comm = table.sparse
+        return (prod, comm, rho, mu), None, None
+    (prod, rho, mu), nonzero, scalar = _integral_views(table.field, table.sparse_rows, rho, mu)
+    return (prod, _view(prod, 1)[2], rho, mu), nonzero, scalar
 
 
 def _representation_violations(table: MultTable, rep: Representation) -> Iterator[Violation]:
     """The three axioms at each ordered basis pair (i, j), as residual
-    matrices; over Q on ints, each residual D^2 times the rational one."""
+    matrices, on the ints of _pair_views."""
     n, m = table.dim, rep.dim_v
     if rep.dim_a != n:
         raise ValueError(f"representation is over a dim-{rep.dim_a} algebra, table has dim {n}")
-    (prod, comm, rho, mu), zero, scale = _pair_views(table, rep)
+    (prod, comm, rho, mu), nonzero, scalar = _pair_views(table, rep)
     rho_at, mu_at = _by_row(rho, m), _by_row(mu, m)
 
     def residual_rows(i, j, r):
@@ -159,7 +158,7 @@ def _representation_violations(table: MultTable, rep: Representation) -> Iterato
         _accumulate(r3, mu[i][r], rho[j])
         return r1, r2, r3
 
-    return _matrix_violations(residual_rows, (LAW_RHO, LAW_MIXED, LAW_MU), n, m, zero, scale)
+    return _matrix_violations(residual_rows, (LAW_RHO, LAW_MIXED, LAW_MU), n, m, nonzero, scalar)
 
 
 def check_representation(alg: AlgebraLike, rep: Representation) -> Report:
@@ -211,8 +210,11 @@ class LieRepresentation:
 def check_lie_representation(lie: LieTable, rep: LieRepresentation) -> Report:
     """action_i action_j - action_j action_i - action([e_i, e_j]) on all basis pairs."""
     n, m = lie.dim, rep.dim_v
-    bracket = MultTable(lie.tensor).sparse[0]
-    act = tuple(tuple(_sparse_rows(a.entries)) for a in rep.action)
+    for a in rep.action:
+        _require_field("action", a.field, lie.field)
+    (bracket, act), nonzero, scalar = _integral_views(
+        lie.field, MultTable(lie.tensor).sparse_rows,
+        tuple(tuple(_sparse_rows(a.entries)) for a in rep.action))
     act_at = _by_row(act, m)
 
     def residual_rows(i, j, r):
@@ -223,7 +225,7 @@ def check_lie_representation(lie: LieTable, rep: LieRepresentation) -> Report:
         return (row,)
 
     return Report("lie-representation", tuple(
-        _matrix_violations(residual_rows, ("lie-action",), n, m, lie.field.zero())
+        _matrix_violations(residual_rows, ("lie-action",), n, m, nonzero, scalar)
     ))
 
 
@@ -271,8 +273,8 @@ def special_condition_report(alg: AlgebraLike, rep: Representation) -> tuple:
     )
     cond2 = is_representation(table, starred)
 
-    prod = table.sparse[0]
-    mu_at = _by_row(rep.sparse[1], rep.dim_v)
+    (prod, _, _, mu), nonzero, scalar = _pair_views(table, rep)
+    mu_at = _by_row(mu, rep.dim_v)
 
     def symmetric_mu(i, j, r):
         row = {}
@@ -281,5 +283,5 @@ def special_condition_report(alg: AlgebraLike, rep: Representation) -> tuple:
         return (row,)
 
     cond3 = next(_matrix_violations(symmetric_mu, ("mu-symmetric",), table.dim, rep.dim_v,
-                                    table.field.zero()), None) is None
+                                    nonzero, scalar), None) is None
     return (cond1, cond2, cond3)

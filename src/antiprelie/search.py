@@ -23,7 +23,8 @@ Exhaustive enumeration refuses spaces larger than MAX_EXHAUSTIVE candidates
 before their size p**cells is computed, reporting it in that form; a sampled
 search refuses more than MAX_EXHAUSTIVE draws, and spaces whose size does not
 print in MAX_SPACE_DIGITS digits.  Negative dimensions, sample counts and
-result limits are rejected when the spec is made.
+result limits are rejected when the spec is made.  Each kind imports the
+modules of its own checks when it runs.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from .algebra import MultTable, Report, check_anti_pre_lie, is_anti_pre_lie
-from .dendriform import LAW_DEGENERATE, check_O_operator, check_form_invariance, is_O_operator
 from .fields import Fp, PrimeField, QQ
 from .linalg import Matrix, Tensor3
-from .representation import Representation, check_representation, is_representation
+
+if TYPE_CHECKING:
+    from .representation import Representation
 
 MAX_EXHAUSTIVE = 2_000_000
 # The space size is reported as an exact JSON integer, and Python reads and
@@ -128,11 +130,10 @@ def space_size(spec: SearchSpec) -> int:
 
 def _coordinates(report: Report) -> dict:
     """{(law, at, index): residue} over the nonzero residual coordinates of a
-    report, matrix residuals read row-major; nondegeneracy is left out."""
+    report, matrix residuals read row-major; nondegeneracy, whose residual
+    is zero, is left out."""
     out = {}
     for v in report.violations:
-        if v.law == LAW_DEGENERATE:
-            continue
         flat = v.residual
         if flat and isinstance(flat[0], tuple):
             flat = [x for row in flat for x in row]
@@ -322,6 +323,8 @@ def search_algebras(spec: SearchSpec) -> list:
 
 def search_representations(spec: SearchSpec, table: MultTable) -> list:
     """Action pairs (rho, mu) on F_p^m passing the representation axioms."""
+    from .representation import Representation, check_representation, is_representation
+
     field, x = _residues(spec.p)
     n, m = spec.dim, spec.dim_v
     if table.dim != n:
@@ -339,6 +342,8 @@ def search_representations(spec: SearchSpec, table: MultTable) -> list:
 
 def search_o_operators(spec: SearchSpec, table: MultTable, rep: Representation) -> list:
     """Matrices V -> A over F_p satisfying the operator relation."""
+    from .dendriform import check_O_operator, is_O_operator
+
     field, x = _residues(spec.p)
     n, m = spec.dim, spec.dim_v
     if table.dim != n or rep.dim_v != m:
@@ -350,6 +355,8 @@ def search_o_operators(spec: SearchSpec, table: MultTable, rep: Representation) 
 def search_bilinear_forms(spec: SearchSpec, table: MultTable, strict_skew: bool = False) -> list:
     """Nondegenerate forms satisfying both pairing identities (and optionally
     full skewness)."""
+    from .dendriform import check_form_invariance
+
     field, x = _residues(spec.p)
     n = spec.dim
     if table.dim != n:
@@ -377,6 +384,8 @@ def lift_table(t: MultTable) -> MultTable:
 
 
 def lift_representation(rep: Representation) -> Representation:
+    from .representation import Representation
+
     return Representation(
         rep.dim_a,
         rep.dim_v,

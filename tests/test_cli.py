@@ -763,3 +763,28 @@ def test_search_over_dim0_context(write_doc, capsys, kind):
                              "--prime", "2", "--context", ctx, "--rep", rep)
     assert (code, err) == (0, "search space: 1 candidates\n")
     assert out_json(out)["count"] == 1
+
+
+@pytest.mark.parametrize("kind, dims, rep, message", [
+    ("bilinear-form", ("--dim", "9"), False, "table dimension does not match the spec"),
+    ("representation", ("--dim", "9", "--dim-v", "2"), False,
+     "table dimension does not match the spec"),
+    ("o-operator", ("--dim", "9", "--dim-v", "9"), True,
+     "context dimensions do not match the spec"),
+    ("o-operator", ("--dim", "2", "--dim-v", "2"), False,
+     "o-operator search needs a representation document"),
+])
+def test_search_checks_documents_before_sizing(write_doc, capsys, kind, dims, rep, message):
+    """A context that does not fit the spec is an input error, even where the
+    space would be refused for its size (5**81 candidates and more), and
+    nothing about the space is printed before it."""
+    from antiprelie.fields import PrimeField
+
+    table = MultTable.from_dict(PrimeField(5), 2, {(0, 1, 1): 1})
+    argv = ["search", "--kind", kind, *dims, "--prime", "5",
+            "--context", write_doc(docs.encode_algebra(table))]
+    if rep:
+        argv += ["--rep", write_doc(docs.encode_representation(regular_representation(table)))]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {message}\n"

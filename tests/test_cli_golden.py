@@ -492,12 +492,12 @@ GOLDEN = {
     "search-no-context": (
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "8a68e289806ae4aed12186eb18e5875a2c994b9e2dcf84e704f7a535a714d234",
+        "d2887d3a72f4b4b5ed4396489b3ce0944eca546ef0fb5d99a05f54ad163c8154",
     ),
     "search-wrong-prime": (
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "7a7e1d79794731adbafa73a290478b21a9c63849be737121436685f917091b80",
+        "845b102027cc42e4193d8e302d00267c6daa59911a26d91087f5e824e432acfa",
     ),
 }
 

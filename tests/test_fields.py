@@ -117,3 +117,50 @@ def test_prime_ceiling_is_decided_before_trial_division():
     with pytest.raises(ValueError, match="ceiling"):
         PrimeField(10**40 + 1)
 
+
+
+
+def _entry_points():
+    """{name: (operand, call)} for each operation that takes an operand beside
+    a table, each called on the Q algebra a2 (or its Lie bracket) with one
+    operand over F_3."""
+    from antiprelie.algebra import AntiPreLieAlgebra, MultTable, sub_adjacent_lie
+    from antiprelie.cohomology import Cochain2, cohomologous, d1, is_cocycle
+    from antiprelie.dendriform import (check_form_invariance, check_O_operator,
+                                       dendriform_from_bilinear_form, is_O_operator)
+    from antiprelie.linalg import Matrix
+    from antiprelie.representation import (LieRepresentation, check_lie_representation,
+                                           regular_representation)
+
+    f3 = PrimeField(3)
+    alg = AntiPreLieAlgebra.verify(MultTable.from_dict(QQ, 2, {(0, 1, 1): 1}))
+    rep = regular_representation(alg)
+    zero, q_zero = Cochain2.zero(f3, 2, 2), Cochain2.zero(QQ, 2, 2)
+    nonzero = Cochain2(MultTable.from_dict(f3, 2, {(0, 0, 1): 1}).tensor)
+    ident = Matrix.identity(f3, 2)
+    return {
+        "is_cocycle-zero": ("cochain", lambda: is_cocycle(alg, rep, zero)),
+        "is_cocycle": ("cochain", lambda: is_cocycle(alg, rep, nonzero)),
+        "cohomologous-zero": ("cochain", lambda: cohomologous(alg, rep, zero, q_zero)),
+        "cohomologous": ("cochain", lambda: cohomologous(alg, rep, q_zero, nonzero)),
+        "d1": ("cochain", lambda: d1(alg, rep, ident)),
+        "check_O_operator": ("operator", lambda: check_O_operator(alg, rep, ident)),
+        "is_O_operator": ("operator", lambda: is_O_operator(alg, rep, ident)),
+        "check_form_invariance": ("form", lambda: check_form_invariance(alg, ident)),
+        "dendriform_from_bilinear_form": (
+            "form", lambda: dendriform_from_bilinear_form(alg, ident)),
+        "check_lie_representation": ("action", lambda: check_lie_representation(
+            sub_adjacent_lie(alg), LieRepresentation(2, (ident, ident)))),
+    }
+
+
+@pytest.mark.parametrize("name", list(_entry_points()))
+def test_operand_over_another_field_is_refused(name):
+    """An F_3 cochain, operator, form or action against a Q algebra (or its
+    Lie bracket) is refused with a ValueError naming both fields, zero
+    operands included: no TypeError from mixing Fraction and Fp, and no
+    answer over Q."""
+    operand, call = _entry_points()[name]
+    message = rf"{operand} is over PrimeField\(p=3\), the table over Rationals"
+    with pytest.raises(ValueError, match=message):
+        call()

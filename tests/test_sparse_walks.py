@@ -433,3 +433,47 @@ def test_law_walks_over_q_run_on_ints(monkeypatch):
                 for grid in (rows, cols, comm):
                     assert all(type(x) is int for line in grid for fiber in line
                                for x in fiber.values())
+
+
+def test_law_walks_over_f3_run_on_ints(monkeypatch):
+    """Over F_3 the algebra, representation and dendriform walks hand their
+    sparse products residues as ints, not Fp values; only a violation's
+    residual is made of Fp values, for the report."""
+    import antiprelie.algebra as algebra
+    import antiprelie.dendriform as dendriform
+    import antiprelie.representation as representation
+    from antiprelie.representation import special_condition_report
+
+    f3 = PrimeField(3)
+    base = AntiPreLieAlgebra.verify(MultTable.from_dict(f3, 3, {(0, 1, 1): 1, (0, 2, 2): 1}))
+    bumped = bump_table(base.table, 1, 2, 0)
+    rep = regular_representation(base)
+    bad_rep = Representation(3, 3, (bump_matrix(rep.rho[0], 1, 2), *rep.rho[1:]), rep.mu, f3)
+    d = AntiLDendriform(MultTable.from_dict(f3, 2, {(0, 1, 1): 2, (1, 0, 1): 1}),
+                        MultTable.from_dict(f3, 2, {(1, 1, 0): 1}))
+    lie = LieTable(commutator_table(bumped).tensor)
+    seen = set()
+
+    def spy(acc, coeffs, fibers, negate=False):
+        seen.update(type(x) for x in coeffs.values())
+        seen.update(type(y) for a in coeffs for y in fibers[a].values())
+        accumulate(acc, coeffs, fibers, negate)
+
+    accumulate = algebra._accumulate
+    for module in (algebra, representation, dendriform):
+        monkeypatch.setattr(module, "_accumulate", spy)
+    reports = [
+        check_anti_pre_lie(bumped),
+        check_deformation(TruncatedDeformation(base, (bumped,))),
+        check_lie_table(bumped),
+        check_representation(base, bad_rep),
+        check_lie_representation(lie, LieRepresentation(3, bad_rep.rho)),
+        check_anti_L_dendriform(d),
+    ]
+    assert special_condition_report(base, bad_rep) is not None
+    assert seen == {int}
+    for report in reports:
+        assert not report.ok, report.subject
+        for v in report.violations:
+            flat = [x for row in v.residual for x in (row if isinstance(row, tuple) else (row,))]
+            assert all(type(x) is Fp and x.p == 3 for x in flat), v
