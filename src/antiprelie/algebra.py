@@ -7,36 +7,39 @@ table satisfying, for all x, y, z and with [x,y] = x.y - y.x,
     x.(y.z) - y.(x.z) = [y,x].z            (exchange law)
     [x,y].z + [y,z].x + [z,x].y = 0        (cyclic law)
 
-Checks run over all ordered basis triples and report exact residual vectors.
-Every law on basis triples in the package (anti-pre-Lie, deformation,
-anti-L-dendriform, Jacobi) is walked by one routine, _law_violations, from a
-residual routine for one triple whose terms are sparse products
-(linalg._accumulate) of the cached nonzero structure constants
-(MultTable.sparse).  Both anti-pre-Lie laws come from _law_residuals, built
-from an outer and an inner product: the anti-pre-Lie check uses one product
-in both places and the deformation equations sum it over pairs of
-deformation terms.  Every triple walk runs on ints (_law_views,
-linalg._integral_views): over Q every view is scaled by one common
-denominator D of all the tables walked, each residual is homogeneous of
-degree 2 in the structure constants and so is D^2 times the rational one;
-over F_p the views hold the residues, and a residual is reduced mod p only
-where it is tested.  Only a violation's residual is turned back into field
-scalars, and it is written out densely.  Tensor3.contract is kept for
-products of arbitrary vectors.  Every law family has one lazy violation walk: its check_*
-collects the walk, its is_* stops at the first violation.  A naive nested-loop oracle is kept in the
-test suite.
+Checks report exact residual vectors at basis triples.  Every law on basis
+triples or pairs in the package (anti-pre-Lie, deformation, Jacobi,
+anti-L-dendriform, the form identities, the representation axioms and the
+Lie action law) is a list of terms sign * X[p][q] . Y[.][w], read by one
+kernel, _support_walk: for each nonzero fiber X[p][q], each w in it and
+each z with Y[z][w] nonzero it adds the term at the residual key it places
+(p, q, z) at, so a key that no term reaches is never visited (the
+co-iteration over sparse operands of Kjolstad et al., "The tensor algebra
+compiler", OOPSLA 2017).  It reports the nonzero residuals in lexicographic
+key order and, within a key, in law order: the violations, order and
+residuals of a walk over all ordered triples.  Both anti-pre-Lie laws come
+from _apl_terms of an outer and an inner product: the anti-pre-Lie check
+uses one product in both places and the deformation equations sum it over
+pairs of deformation terms.  Every walk runs on ints (_law_views,
+linalg._integral_views): over Q every table is scaled by one common
+denominator D, each residual is homogeneous of degree 2 in the structure
+constants and so is D^2 times the rational one; over F_p the views hold the
+residues, and a residual is reduced mod p only where it is tested.  Only a
+violation's residual is turned back into field scalars, written out densely.
+A check_* collects the violations; an is_* builds every residual and stops
+at the first violation.  A naive nested-loop oracle is kept in the test
+suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import product
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 from .fields import Field
-from .linalg import (Matrix, Tensor3, Vec, _accumulate, _integral_views, _sparse_rows,
-                     _subtract, invert, vec_is_zero, vec_sub)
+from .linalg import (Matrix, Tensor3, Vec, _integral_views, _sparse_rows, _subtract, invert,
+                     vec_is_zero, vec_sub)
 
 LAW_EXCHANGE = "exchange"
 LAW_CYCLIC = "cyclic"
@@ -164,10 +167,9 @@ class MultTable:
 
     @cached_property
     def sparse(self) -> tuple:
-        """(rows, cols, comm), each [a][b] a fiber as in sparse_rows: rows[a][b]
-        is e_a . e_b, cols[b][a] the same product and comm[a][b] the
-        commutator [e_a, e_b]."""
-        return _view(self.sparse_rows, self.field.one())
+        """(rows, comm), each [a][b] a fiber as in sparse_rows: rows[a][b] is
+        e_a . e_b and comm[a][b] the commutator [e_a, e_b]."""
+        return self.sparse_rows, _commutators(self.sparse_rows, self.field.one())
 
     def conjugate(self, p: Matrix) -> "MultTable":
         """Basis change: the table of x *' y = P^{-1}(P(x) . P(y))."""
@@ -182,75 +184,109 @@ class MultTable:
         return MultTable.from_entries(self.field, ent)
 
 
-def _view(rows: tuple, one) -> tuple:
-    """(rows, cols, comm) of MultTable.sparse from its product fibers rows[a][b]."""
-    n = len(rows)
-    cols = tuple(tuple(rows[a][b] for a in range(n)) for b in range(n))
-    comm = []
-    for a in range(n):
-        line = []
-        for b in range(n):
-            d = dict(rows[a][b])
-            _subtract(d, one, rows[b][a])
-            line.append(d)
-        comm.append(tuple(line))
-    return rows, cols, tuple(comm)
+def _commutators(rows: tuple, one) -> tuple:
+    """comm[a][b], the commutator [e_a, e_b] as a fiber, from the product fibers rows[a][b]."""
+    comm = tuple(tuple(dict(fiber) for fiber in line) for line in rows)
+    for a, line in enumerate(comm):
+        for b, fiber in enumerate(line):
+            _subtract(fiber, one, rows[b][a])
+    return comm
+
+
+def _entries(grid) -> list:
+    """The nonzero fibers grid[p][q] as (p, q, fiber), in index order."""
+    return [(p, q, f) for p, line in enumerate(grid) for q, f in enumerate(line) if f]
+
+
+def _by_first(grid) -> list:
+    """by_first[w], the nonzero fibers grid[w][z] of line w as (z, fiber)."""
+    return [[(z, f) for z, f in enumerate(line) if f] for line in grid]
+
+
+def _by_second(grid, width: int) -> list:
+    """by_second[w], the nonzero fibers grid[z][w] of column w < width as (z, fiber)."""
+    return [[(z, line[w]) for z, line in enumerate(grid) if line[w]] for w in range(width)]
+
+
+def _support_walk(terms: list, laws: tuple, prefix: tuple, nonzero: Callable, scalar: Callable,
+                  dims: tuple, width: int, matrix: bool = False) -> Iterator[Violation]:
+    """The violations of laws, built from the nonzero terms of their residuals.
+
+    A term (law, sign, xs, ys, place) is sign * X[p][q] . Y[.][w]: xs lists
+    the nonzero fibers X[p][q] = {w: x} as (p, q, fiber), ys[w] the nonzero
+    fibers Y[z][w] = {l: y} as (z, fiber), and each product x * y is added at
+    coordinate l < width of residual laws[law] at the key that the word place
+    makes of p, q and z ("zpq" is (z, p, q)), a key in the box dims.  A key
+    that no term reaches is never visited.  A residual, on the ints of
+    linalg._integral_views, is written out only when it is nonzero, each
+    coordinate r as scalar(r), in lexicographic key order and, within a key,
+    in the order of laws: at (*prefix, *key) as a vector or, with matrix, at
+    (*prefix, k0, k1) as the matrix whose row k2 it is.
+    """
+    _, d1, d2 = dims
+    strides = (d1 * d2, d2, 1)
+    zero = [0] * width
+    per_law = [{} for _ in laws]  # {flat key: residual as a list of ints}
+    for law, sign, xs, ys, place in terms:
+        acc = per_law[law]
+        sp, sq, sz = (strides[place.index(c)] for c in "pqz")
+        for p, q, fiber in xs:
+            base = p * sp + q * sq
+            for w, x in fiber.items():
+                x *= sign
+                for z, y_fiber in ys[w]:
+                    key = base + z * sz
+                    res = acc.get(key)
+                    if res is None:
+                        acc[key] = res = zero.copy()
+                    for l, y in y_fiber.items():
+                        res[l] += x * y
+    rows = d2 if matrix else 1
+    failing = [{key // rows for key, res in acc.items() if any(map(nonzero, res))}
+               for acc in per_law]
+    for g in sorted(set().union(*failing)):
+        at = divmod(g, d1) if matrix else (g // (d1 * d2), g // d2 % d1, g % d2)
+        for law, acc, bad in zip(laws, per_law, failing):
+            if g in bad:
+                res = tuple(tuple(map(scalar, acc.get(g * rows + r, zero))) for r in range(rows))
+                yield Violation(law, (*prefix, *at), res if matrix else res[0])
 
 
 def _law_views(tables: Sequence[MultTable]) -> tuple:
-    """(views, nonzero, scalar) for a walk over the tables, as _law_violations
-    reads them: the MultTable.sparse view of each table on the ints of
+    """(views, nonzero, scalar) for a walk over the tables: per table the
+    supports (prods, comms, left, right) its law terms read, on the ints of
     linalg._integral_views (over Q every table times one common denominator
-    D, over F_p the residues).  Every residual of these walks is a sum of
-    products of two structure constants, so its int value is D^2 times the
-    rational one, or congruent to the residual mod p.
+    D, over F_p the residues).  prods and comms list the nonzero fibers of
+    e_a . e_b and [e_a, e_b] as (a, b, fiber); left[w] pairs each z with
+    e_z . e_w and right[w] with e_w . e_z.
     """
     planes, nonzero, scalar = _integral_views(tables[0].field, *(t.sparse_rows for t in tables))
-    return [_view(rows, 1) for rows in planes], nonzero, scalar
+    n = tables[0].dim
+    views = [(_entries(rows), _entries(_commutators(rows, 1)), _by_second(rows, n), _by_first(rows))
+             for rows in planes]
+    return views, nonzero, scalar
 
 
-def _law_residuals(pairs: list, i: int, j: int, k: int) -> tuple:
-    """The residuals (exchange, cyclic) at the triple (e_i, e_j, e_k) as sparse
-    {l: c} dicts, summed over the (outer, inner) pairs of MultTable.sparse
-    views, with the outer product applied to the result of the inner one:
+def _apl_terms(outer: tuple, inner: tuple) -> list:
+    """The _support_walk terms of the residuals (exchange, cyclic) at
+    (e_i, e_j, e_k), with . the outer and * the inner product of two _law_views:
 
         exchange:  e_i . (e_j * e_k) - e_j . (e_i * e_k) + [e_i, e_j]* . e_k
         cyclic:    [e_i, e_j]* . e_k + [e_j, e_k]* . e_i + [e_k, e_i]* . e_j
 
-    with . the outer and * the inner product.  With outer = inner these are
-    the anti-pre-Lie laws; summed over outer = w_p, inner = w_q with p + q = n
-    they are the degree-n deformation equations.
+    With outer = inner these are the anti-pre-Lie laws; summed over outer =
+    w_p, inner = w_q with p + q = n, the degree-n deformation equations.
     """
-    exchange, cyclic = {}, {}
-    for (rows, cols, _), (in_rows, _, in_comm) in pairs:
-        _accumulate(exchange, in_rows[j][k], rows[i])
-        _accumulate(exchange, in_rows[i][k], rows[j], negate=True)
-        _accumulate(exchange, in_comm[i][j], cols[k])
-        _accumulate(cyclic, in_comm[i][j], cols[k])
-        _accumulate(cyclic, in_comm[j][k], cols[i])
-        _accumulate(cyclic, in_comm[k][i], cols[j])
-    return exchange, cyclic
-
-
-def _law_violations(residuals: Callable, prefix: tuple, laws: tuple, n: int,
-                    nonzero: Callable, scalar: Callable) -> Iterator[Violation]:
-    """Violations at each basis triple (i, j, k) in lexicographic order, at
-    (*prefix, i, j, k) and, within one triple, in the order of laws.
-    residuals(i, j, k) gives one sparse {l: r} dict of length-n int residual
-    coordinates per law, read by the nonzero and scalar of _law_views; a
-    residual is written out only when it is nonzero, with 0 at the absent
-    coordinates, and each coordinate r is reported as scalar(r)."""
-    for i, j, k in product(range(n), repeat=3):
-        for law, res in zip(laws, residuals(i, j, k)):
-            if nonzero(res.values()):
-                yield Violation(law, (*prefix, i, j, k),
-                                tuple(scalar(res.get(l, 0)) for l in range(n)))
+    prods, comms, _, _ = inner
+    _, _, left, right = outer
+    return [(0, 1, prods, left, "zpq"), (0, -1, prods, left, "pzq"), (0, 1, comms, right, "pqz"),
+            (1, 1, comms, right, "pqz"), (1, 1, comms, right, "zpq"), (1, 1, comms, right, "qzp")]
 
 
 def _apl_violations(table: MultTable) -> Iterator[Violation]:
     (view,), nonzero, scalar = _law_views([table])
-    return _law_violations(partial(_law_residuals, [(view, view)]), (), (LAW_EXCHANGE, LAW_CYCLIC),
-                           table.dim, nonzero, scalar)
+    return _support_walk(_apl_terms(view, view), (LAW_EXCHANGE, LAW_CYCLIC), (), nonzero, scalar,
+                         (table.dim,) * 3, table.dim)
 
 
 def check_anti_pre_lie(table: MultTable) -> Report:
@@ -259,7 +295,7 @@ def check_anti_pre_lie(table: MultTable) -> Report:
 
 
 def is_anti_pre_lie(table: MultTable) -> bool:
-    """Early-exit boolean form of check_anti_pre_lie (used by the search corpus)."""
+    """Boolean form of check_anti_pre_lie, stopping at the first violation (used by the search)."""
     return next(_apl_violations(table), None) is None
 
 
@@ -310,16 +346,10 @@ def check_lie_table(table: MultTable) -> Report:
             s = tuple(a + b for a, b in zip(table.basis_product(i, j), table.basis_product(j, i)))
             if not vec_is_zero(s):
                 violations.append(Violation("antisymmetry", (i, j), s))
-    ((rows, cols, _),), nonzero, scalar = _law_views([table])
-
-    def jacobi(i, j, k):
-        # (e_i e_j) e_k + (e_j e_k) e_i + (e_k e_i) e_j
-        res = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            _accumulate(res, rows[a][b], cols[c])
-        return (res,)
-
-    violations.extend(_law_violations(jacobi, (), ("jacobi",), n, nonzero, scalar))
+    # (e_i e_j) e_k + (e_j e_k) e_i + (e_k e_i) e_j
+    ((prods, _, _, right),), nonzero, scalar = _law_views([table])
+    terms = [(0, 1, prods, right, place) for place in ("pqz", "zpq", "qzp")]
+    violations.extend(_support_walk(terms, ("jacobi",), (), nonzero, scalar, (n,) * 3, n))
     return Report("lie", tuple(violations))
 
 

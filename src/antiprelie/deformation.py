@@ -8,25 +8,29 @@ w_N t^N and requires, for every degree n = 1..N and all x, y, z,
     sum_{i+j=n} w_i(w_j(x,y) - w_j(y,x), z) + w_i(w_j(y,z) - w_j(z,y), x)
                 + w_i(w_j(z,x) - w_j(x,z), y) = 0
 
-with w_0 = w.  Over Q the equations are walked on ints: w_0 .. w_N are
-scaled by one common denominator D, the lcm over all of them, and each
-degree-n residual, a sum of products w_i w_j, is D^2 times the rational one
-(algebra._law_views).  Series are truncated at the chosen order everywhere:
-products and inverses of truncated series simply discard higher terms,
-matching the degree-by-degree way the equations are indexed.
+with w_0 = w.  Each degree is one support walk (algebra._support_walk) over
+the nonzero terms of every pair w_i, w_j, so a zero w_i costs nothing.  Over
+Q the equations are walked on ints: w_0 .. w_N are scaled by one common
+denominator D, the lcm over all of them, and each degree-n residual, a sum
+of products w_i w_j, is D^2 times the rational one (algebra._law_views).
+Series are truncated at the chosen order everywhere: products and inverses
+of truncated series simply discard higher terms, matching the
+degree-by-degree way the equations are indexed; they sum only their nonzero
+terms.
 
 The degree-1 part of a verified deformation is a 2-cocycle for the regular
 representation; pulling a deformation back along a truncated isomorphism
 Id + phi_1 t + ... preserves verification and shifts that cocycle by the
 coboundary of phi_1.  When H2(A;A) = 0 every deformation can be flattened
-order by order, which rigidity_certificate performs and records.
+order by order, which rigidity_certificate performs and records.  The
+cohomology and representation modules are imported only by the functions
+that use them, so checking a deformation loads neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .algebra import (
     AntiPreLieAlgebra,
@@ -34,14 +38,15 @@ from .algebra import (
     Report,
     StructureError,
     Violation,
-    _law_residuals,
-    _law_violations,
+    _apl_terms,
     _law_views,
+    _support_walk,
 )
-from .cohomology import Cochain2, cohomologous, cohomology_spaces, is_cocycle
 from .fields import Field
 from .linalg import Matrix
-from .representation import regular_representation
+
+if TYPE_CHECKING:
+    from .cohomology import Cochain2
 
 LAW_DEF_EXCHANGE = "deformation-exchange"
 LAW_DEF_CYCLIC = "deformation-cyclic"
@@ -126,9 +131,8 @@ def _deformation_violations(d: TruncatedDeformation) -> Iterator[Violation]:
     views, nonzero, scalar = _law_views(d.tables())
     laws = (LAW_DEF_EXCHANGE, LAW_DEF_CYCLIC)
     for deg in range(1, d.order + 1):
-        pairs = [(views[i], views[deg - i]) for i in range(deg + 1)]
-        yield from _law_violations(partial(_law_residuals, pairs), (deg,), laws, d.dim,
-                                   nonzero, scalar)
+        terms = [t for i in range(deg + 1) for t in _apl_terms(views[i], views[deg - i])]
+        yield from _support_walk(terms, laws, (deg,), nonzero, scalar, (d.dim,) * 3, d.dim)
 
 
 def check_deformation(d: TruncatedDeformation) -> Report:
@@ -149,6 +153,9 @@ def infinitesimal(d: TruncatedDeformation) -> Cochain2:
     """The degree-1 term as a 2-cochain with coefficients in the regular
     representation; it must be a cocycle, and a failure of that assertion
     signals an unverified or corrupted deformation."""
+    from .cohomology import Cochain2, is_cocycle
+    from .representation import regular_representation
+
     if d.order == 0:
         return Cochain2.zero(d.field, d.dim, d.dim)
     w1 = Cochain2.from_table(d.terms[0])
@@ -164,7 +171,8 @@ def inverse_series(phis: Sequence[Matrix]) -> list:
     for k in range(1, len(phis)):
         acc = Matrix.zero(ident.field, ident.rows, ident.cols)
         for i in range(1, k + 1):
-            acc = acc + phis[i] @ psis[k - i]
+            if not (phis[i].is_zero() or psis[k - i].is_zero()):
+                acc = acc + phis[i] @ psis[k - i]
         psis.append(-acc)
     return psis
 
@@ -200,9 +208,11 @@ def apply_isomorphism(d: TruncatedDeformation, iso: TruncatedIsomorphism) -> Tru
 
     Each total degree k of the pushed-forward product, pushed[k](e_a, e_b) =
     sum_{r+s+t=k} w_r(phi_s e_a, phi_t e_b), is computed once; then w'_deg =
-    sum_q psi_q pushed[deg - q] with psi the inverse series.  For a verified
-    input the result verifies as well, and its degree-1 term differs from the
-    input's by the coboundary of phi_1.
+    sum_q psi_q pushed[deg - q] with psi the inverse series.  Only the
+    nonzero w_r, phi_s and psi_q are summed: along Id + phi_n t^n, as in
+    trivialize_step, that is phi_0 and phi_n.  For a verified input the
+    result verifies as well, and its degree-1 term differs from the input's
+    by the coboundary of phi_1.
     """
     n = d.dim
     field = d.field
@@ -211,19 +221,24 @@ def apply_isomorphism(d: TruncatedDeformation, iso: TruncatedIsomorphism) -> Tru
     psis = inverse_series(phis)
     tables = d.tables()
     images = [[p.col(a) for a in range(n)] for p in phis]
+    live_w = [r for r, t in enumerate(tables) if not t.tensor.is_zero()]
+    live_phi = [s for s, p in enumerate(phis) if not p.is_zero()]
+    live_psi = [q for q, p in enumerate(psis) if not p.is_zero()]
+
+    zero = (field.zero(),) * n
 
     def summed(vectors) -> tuple:
-        acc = [field.zero()] * n
+        acc = zero
         for v in vectors:
-            acc = [x + y for x, y in zip(acc, v)]
-        return tuple(acc)
+            acc = v if acc is zero else tuple(x + y for x, y in zip(acc, v))
+        return acc
 
     pushed = [[[summed(tables[r].multiply(images[s][a], images[k - r - s][b])
-                       for r in range(k + 1) for s in range(k - r + 1))
+                       for r in live_w for s in live_phi if k - r - s in live_phi)
                 for b in range(n)] for a in range(n)] for k in range(order + 1)]
     new_terms = [MultTable.from_entries(field, [
-        [summed(psis[q].apply(pushed[deg - q][a][b]) for q in range(deg + 1)) for b in range(n)]
-        for a in range(n)
+        [summed(psis[q].apply(pushed[deg - q][a][b]) for q in live_psi if q <= deg)
+         for b in range(n)] for a in range(n)
     ]) for deg in range(order + 1)]
     if new_terms[0].tensor != d.base.table.tensor:
         raise RuntimeError("degree-0 part changed under an isomorphism with phi_0 = Id")
@@ -242,6 +257,9 @@ def trivialize_step(d: TruncatedDeformation, n: int) -> Optional[tuple]:
     for k in range(n - 1):
         if not d.terms[k].tensor.is_zero():
             raise StructureError(f"term at order {k + 1} is nonzero; flatten lower orders first")
+    from .cohomology import Cochain2, cohomologous
+    from .representation import regular_representation
+
     field = d.field
     dim = d.dim
     w_n = d.terms[n - 1]
@@ -284,6 +302,9 @@ def rigidity_certificate(
     for d in sample_defs:
         if d.order < order:
             raise ValueError(f"rigidity order {order} exceeds a sample's order {d.order}")
+    from .cohomology import cohomology_spaces
+    from .representation import regular_representation
+
     spaces = cohomology_spaces(alg, regular_representation(alg))
     if spaces.h2_dim != 0:
         return RigidityCertificate(spaces.h2_dim, order, None)

@@ -11,13 +11,13 @@ the induced dendriform structure on V, the compatible structure on A obtained
 from an invertible such operator, and the construction from a nondegenerate
 invariant bilinear form.
 
-The three identities are residuals at basis triples, walked by
-algebra._law_violations; each term is one sparse product (linalg._accumulate)
-of the nonzero structure constants of the two tables and of their associated
-product, on the ints of algebra._law_views (over Q all three scaled by one
-common denominator, over F_p their residues).  The operator relation is
-checked through the induced structure, and both pairing identities of a form
-are sums over nonzero structure constants.  An operator, form or
+The three identities are residuals at basis triples, stated as terms for
+the kernel algebra._support_walk over the nonzero structure constants of the
+two tables and of their associated product, on the ints of
+algebra._law_views (over Q all three scaled by one common denominator, over
+F_p their residues).  Both pairing identities of a form are terms for the
+same kernel, on the ints of the table and the form.  The operator relation is
+checked through the induced structure.  An operator, form or
 representation over another field than the table's is refused.
 """
 
@@ -33,11 +33,15 @@ from .algebra import (
     Report,
     StructureError,
     Violation,
-    _law_violations,
+    _by_first,
+    _by_second,
+    _commutators,
+    _entries,
     _law_views,
+    _support_walk,
 )
 from .fields import Field, _require_field
-from .linalg import Matrix, _accumulate, invert, rank, vec_is_zero, vec_sub
+from .linalg import Matrix, _integral_views, invert, rank, vec_is_zero, vec_sub
 from .representation import (
     AlgebraLike,
     Representation,
@@ -85,25 +89,18 @@ def _dendriform_violations(d: AntiLDendriform) -> Iterator[Violation]:
              - e_i<(e_j>e_k) - e_i<(e_j<e_k)
     """
     views, nonzero, scalar = _law_views([d.right, d.left, associated_table(d)])
-    (r_rows, r_cols, _), (l_rows, l_cols, _), (o_rows, _, o_comm) = views
-
-    def residuals(i, j, k):
-        d1, d2, d3 = {}, {}, {}
-        _accumulate(d1, r_rows[j][k], r_rows[i])
-        _accumulate(d1, r_rows[i][k], r_rows[j], negate=True)
-        _accumulate(d1, o_comm[i][j], r_cols[k])
-        _accumulate(d2, l_rows[j][k], r_rows[i])
-        _accumulate(d2, o_rows[i][j], l_cols[k], negate=True)
-        _accumulate(d2, r_rows[i][k], l_rows[j])
-        _accumulate(d2, l_rows[i][k], l_rows[j])
-        _accumulate(d3, l_rows[i][k], l_rows[j])
-        _accumulate(d3, r_rows[i][k], l_rows[j])
-        _accumulate(d3, o_comm[i][j], r_cols[k])
-        _accumulate(d3, r_rows[j][k], l_rows[i], negate=True)
-        _accumulate(d3, l_rows[j][k], l_rows[i], negate=True)
-        return d1, d2, d3
-
-    return _law_violations(residuals, (), (LAW_D1, LAW_D2, LAW_D3), d.dim, nonzero, scalar)
+    (r_prods, _, r_left, r_right), (l_prods, _, l_left, l_right), (o_prods, o_comms, _, _) = views
+    terms = [
+        (0, 1, r_prods, r_left, "zpq"), (0, -1, r_prods, r_left, "pzq"),
+        (0, 1, o_comms, r_right, "pqz"),
+        (1, 1, l_prods, r_left, "zpq"), (1, -1, o_prods, l_right, "pqz"),
+        (1, 1, r_prods, l_left, "pzq"), (1, 1, l_prods, l_left, "pzq"),
+        (2, 1, l_prods, l_left, "pzq"), (2, 1, r_prods, l_left, "pzq"),
+        (2, 1, o_comms, r_right, "pqz"), (2, -1, r_prods, l_left, "zpq"),
+        (2, -1, l_prods, l_left, "zpq"),
+    ]
+    return _support_walk(terms, (LAW_D1, LAW_D2, LAW_D3), (), nonzero, scalar,
+                         (d.dim,) * 3, d.dim)
 
 
 def check_anti_L_dendriform(d: AntiLDendriform) -> Report:
@@ -288,20 +285,20 @@ def check_form_invariance(alg: AlgebraLike, b: Matrix, strict_skew: bool = False
                 s = b.entries[i][j] + b.entries[j][i]
                 if s:
                     violations.append(Violation(LAW_SKEW, (i, j), (s,)))
-    rows, _, comm = table.sparse
-    be, bt = b.entries, b.transpose().entries
-    zero = b.field.zero()
-    laws = (
-        (LAW_FORM, lambda i, j, k: _pair(rows[j][k], be[i], zero) - _pair(rows[i][k], be[j], zero)
-         - _pair(comm[j][i], bt[k], zero)),
-        (LAW_TRANSPORT, lambda i, j, k: _pair(rows[i][j], bt[k], zero)
-         + _pair(comm[k][i], be[j], zero) + _pair(rows[k][j], be[i], zero)),
-    )
-    for law, residual in laws:
-        for i, j, k in product(range(n), repeat=3):
-            acc = residual(i, j, k)
-            if acc:
-                violations.append(Violation(law, (i, j, k), (acc,)))
+    # Each law is walked on its own over the ints of the table and of B:
+    # B(e_i, e_j.e_k) - B(e_j, e_i.e_k) - B([e_j, e_i], e_k) and
+    # B(e_i.e_j, e_k) + B(e_j, [e_k, e_i]) + B(e_i, e_k.e_j).
+    form = tuple(tuple({0: x} if x else {} for x in row) for row in b.entries)
+    (prod, form), nonzero, scalar = _integral_views(table.field, table.sparse_rows, form)
+    prods, comms = _entries(prod), _entries(_commutators(prod, 1))
+    left, right = _by_second(form, n), _by_first(form)
+    for law, terms in (
+        (LAW_FORM, [(0, 1, prods, left, "zpq"), (0, -1, prods, left, "pzq"),
+                    (0, -1, comms, right, "qpz")]),
+        (LAW_TRANSPORT, [(0, 1, prods, right, "pqz"), (0, 1, comms, left, "qzp"),
+                         (0, 1, prods, left, "zqp")]),
+    ):
+        violations.extend(_support_walk(terms, (law,), (), nonzero, scalar, (n,) * 3, 1))
     return Report("bilinear-form", tuple(violations))
 
 
@@ -323,7 +320,7 @@ def dendriform_from_bilinear_form(
     n = table.dim
     field = table.field
     bt_inv = invert(b.transpose())
-    rows, _, comm = table.sparse
+    rows, comm = table.sparse
     zero = field.zero()
     # Row j of B against e_k . e_i and [e_k, e_i]: B(y, z . x) and -B(y, [z, x]).
     right = [[bt_inv.apply(tuple(-_pair(comm[k][i], b.entries[j], zero) for k in range(n)))

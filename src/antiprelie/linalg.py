@@ -27,15 +27,12 @@ in `Fraction` arithmetic instead, so no result rests on trusting a prime.
 Everything is pure Python ints and fractions; the package has no
 dependencies.  Over a prime field the elimination runs on `Fp` values.
 
-Bilinear maps are evaluated in two ways, each with its own job.  Every law
-residual on basis triples (and pairs) is summed by `_accumulate` from the
-nonzero structure constants and action entries only; `Tensor3.contract`
-evaluates a product of two arbitrary coordinate vectors.  `_accumulate` runs
-on whatever scalars its dicts hold: field elements, or the ints of
-`_integral_views` (every law walk on basis triples or pairs, whose residuals
-are homogeneous of degree 2: over Q an int residual is the rational one
-times the views' common denominator squared, over F_p it is reduced mod p
-only where it is tested and reported).
+`Tensor3.contract` evaluates a product of two arbitrary coordinate vectors.
+The law residuals on basis triples and pairs are not evaluated here: they
+are summed from their nonzero terms by `algebra._support_walk`, on the ints
+of `_integral_views` (the residuals are homogeneous of degree 2: over Q an
+int residual is the rational one times the views' common denominator
+squared, over F_p it is reduced mod p only where it is tested and reported).
 """
 
 from __future__ import annotations
@@ -182,20 +179,6 @@ def _subtract(row: dict, f: Scalar, other: dict) -> None:
                 del row[j]
 
 
-def _accumulate(acc: dict, coeffs: dict, fibers, negate: bool = False) -> None:
-    """acc += sum over a of coeffs[a] * fibers[a] in place (-= with negate),
-    where acc, coeffs and every fibers[a] are sparse {index: value} dicts.
-
-    Only nonzero products are formed; an entry that cancels stays as a zero.
-    """
-    for a, x in coeffs.items():
-        if negate:
-            x = -x
-        for j, y in fibers[a].items():
-            v = acc.get(j)
-            acc[j] = x * y if v is None else v + x * y
-
-
 # Word-size primes for elimination over Q, tried in order.  A lift mod p
 # reaches numerators and denominators up to sqrt(p / 2): 2^15 for 2^31 - 1,
 # 2^30 for 2^61 - 1.  A second prime also covers one that divides a minor.
@@ -275,19 +258,18 @@ def _integral_views(field: Field, *views) -> tuple:
 
     Over Q every view is multiplied by d, the lcm of all their denominators,
     so an int residual r is d^2 times the rational one: scalar(r) is
-    Fraction(r, d^2) and nonzero(values) is any(values).  Over F_p every
-    value is its residue in [0, p), r is congruent to the residual mod p:
-    scalar(r) is r mod p and nonzero(values) tests each value mod p.
+    Fraction(r, d^2) and nonzero(r) is bool(r).  Over F_p every value is its
+    residue in [0, p), r is congruent to the residual mod p: scalar(r) is
+    r mod p and nonzero(r) is r % p, true when r is nonzero mod p.
     """
     if isinstance(field, Rationals):
         d = lcm(*(x.denominator for v in views for line in v for f in line for x in f.values()))
         scaled = tuple(tuple(tuple(_integral(f, d) for f in line) for line in v) for v in views)
         scale = d * d
-        return scaled, any, lambda r: Fraction(r, scale)
+        return scaled, bool, lambda r: Fraction(r, scale)
     scaled = tuple(tuple(tuple({j: x.value for j, x in f.items()} for f in line) for line in v)
                    for v in views)
-    mod = field.p.__rmod__  # mod(x) is x % p
-    return scaled, lambda values: any(map(mod, values)), field.of_int
+    return scaled, field.p.__rmod__, field.of_int  # p.__rmod__(r) is r % p
 
 
 def _primitive(row: dict) -> dict:

@@ -8,27 +8,26 @@ A representation on V is a pair of linear actions satisfying, for all x, y,
 
 verified on basis pairs (bilinearity extends them; that is the normative
 reading of "for all x, y").  Every law on basis pairs here (the three axioms,
-the Lie action law, the symmetry of mu) is walked by one routine,
-_matrix_violations, which builds each residual matrix row by row from sparse
-products (linalg._accumulate) of the cached nonzero structure constants and
-action entries, on ints (_pair_views, linalg._integral_views): over Q table
-and representation are scaled by one common denominator D, each residual
-term is a product of two of their entries, so an int residual is D^2 times
-the rational one; over F_p they hold their residues, and a residual is
-reduced mod p only where it is tested.  A representation over another field
-than the table's is refused before any arithmetic.  The module also builds
-the regular representation (L, R), semidirect products, the induced
-sub-adjacent Lie action rho - mu, dual representations on V*, and the
-three-way equivalence report for (mu - rho, mu) / (rho*, mu*) /
-mu(x.y) + mu(y.x) = 0.
+the Lie action law, the symmetry of mu) is a list of terms for the kernel
+algebra._support_walk, which reaches only the nonzero products of the cached
+structure constants and action rows: row r of a residual matrix at (e_i, e_j)
+is its key (i, j, r), and the matrix is reported whole.  The walks run on
+ints (_pair_views, linalg._integral_views): over Q table and representation
+are scaled by one common denominator D, each residual term is a product of
+two of their entries, so an int residual is D^2 times the rational one; over
+F_p they hold their residues, and a residual is reduced mod p only where it
+is tested.  A representation over another field than the table's is refused
+before any arithmetic.  The module also builds the regular representation
+(L, R), semidirect products, the induced sub-adjacent Lie action rho - mu,
+dual representations on V*, and the three-way equivalence report for
+(mu - rho, mu) / (rho*, mu*) / mu(x.y) + mu(y.x) = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from itertools import product
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .algebra import (
     AntiPreLieAlgebra,
@@ -36,11 +35,15 @@ from .algebra import (
     MultTable,
     Report,
     Violation,
-    _view,
+    _by_first,
+    _by_second,
+    _commutators,
+    _entries,
+    _support_walk,
     sub_adjacent_lie,
 )
 from .fields import Field, _require_field
-from .linalg import Matrix, _accumulate, _integral_views, _sparse_rows
+from .linalg import Matrix, _integral_views, _sparse_rows
 
 AlgebraLike = Union[AntiPreLieAlgebra, MultTable]
 
@@ -89,28 +92,6 @@ LAW_MIXED = "rep-mixed"
 LAW_MU = "rep-mu"
 
 
-def _by_row(mats: tuple, m: int) -> tuple:
-    """by_row[r][a] = mats[a][r]: row r of each sparse action matrix, so that
-    row r of the action of x = sum x_a e_a is a sparse product over a."""
-    return tuple(tuple(mat[r] for mat in mats) for r in range(m))
-
-
-def _matrix_violations(residual_rows: Callable, laws: tuple, n: int, m: int,
-                       nonzero: Callable, scalar: Callable) -> Iterator[Violation]:
-    """Violations at each basis pair (i, j) in lexicographic order and, within
-    one pair, in the order of laws.  residual_rows(i, j, r) gives row r of
-    each law's m x m int residual matrix as a sparse {s: x} dict (row r of
-    A @ B is the combination of the rows of B by the entries of row r of A),
-    read by the nonzero and scalar of linalg._integral_views; a residual is
-    written out only when it is nonzero, each entry x as scalar(x)."""
-    for i, j in product(range(n), repeat=2):
-        mats = zip(*(residual_rows(i, j, r) for r in range(m)))
-        for law, rows in zip(laws, mats):
-            if any(nonzero(row.values()) for row in rows):
-                yield Violation(law, (i, j), tuple(tuple(scalar(row.get(s, 0)) for s in range(m))
-                                                   for row in rows))
-
-
 def _pair_views(table: MultTable, rep: Representation, integral: bool = True) -> tuple:
     """((prod, comm, rho, mu), nonzero, scalar): the product and commutator
     fibers of the table's sparse view and the representation's sparse rows.
@@ -122,10 +103,10 @@ def _pair_views(table: MultTable, rep: Representation, integral: bool = True) ->
     _require_field("representation", rep.field, table.field)
     rho, mu = rep.sparse
     if not integral:
-        prod, _, comm = table.sparse
+        prod, comm = table.sparse
         return (prod, comm, rho, mu), None, None
     (prod, rho, mu), nonzero, scalar = _integral_views(table.field, table.sparse_rows, rho, mu)
-    return (prod, _view(prod, 1)[2], rho, mu), nonzero, scalar
+    return (prod, _commutators(prod, 1), rho, mu), nonzero, scalar
 
 
 def _representation_violations(table: MultTable, rep: Representation) -> Iterator[Violation]:
@@ -135,30 +116,25 @@ def _representation_violations(table: MultTable, rep: Representation) -> Iterato
     if rep.dim_a != n:
         raise ValueError(f"representation is over a dim-{rep.dim_a} algebra, table has dim {n}")
     (prod, comm, rho, mu), nonzero, scalar = _pair_views(table, rep)
-    rho_at, mu_at = _by_row(rho, m), _by_row(mu, m)
-
-    def residual_rows(i, j, r):
+    prods, comms = _entries(prod), _entries(comm)
+    rho_x, rho_first, rho_second = _entries(rho), _by_first(rho), _by_second(rho, m)
+    mu_x, mu_first, mu_second = _entries(mu), _by_first(mu), _by_second(mu, m)
+    # Row r of each residual at (e_i, e_j) is key (i, j, r): rho_i rho_j is
+    # rho[i][r] . rho[j][.], rho([e_j, e_i]) is comm[j][i] . rho[.][r].
+    terms = [
         # rho_i rho_j - rho_j rho_i - rho([e_j, e_i])
-        r1 = {}
-        _accumulate(r1, rho[i][r], rho[j])
-        _accumulate(r1, rho[j][r], rho[i], negate=True)
-        _accumulate(r1, comm[j][i], rho_at[r], negate=True)
+        (0, 1, rho_x, rho_second, "pzq"), (0, -1, rho_x, rho_second, "zpq"),
+        (0, -1, comms, rho_first, "qpz"),
         # mu(e_i . e_j) - rho_i mu_j - mu_j rho_i + mu_j mu_i
-        r2 = {}
-        _accumulate(r2, prod[i][j], mu_at[r])
-        _accumulate(r2, rho[i][r], mu[j], negate=True)
-        _accumulate(r2, mu[j][r], rho[i], negate=True)
-        _accumulate(r2, mu[j][r], mu[i])
+        (1, 1, prods, mu_first, "pqz"), (1, -1, rho_x, mu_second, "pzq"),
+        (1, -1, mu_x, rho_second, "zpq"), (1, 1, mu_x, mu_second, "zpq"),
         # mu_j mu_i - mu_i mu_j + rho([e_i, e_j]) - mu_j rho_i + mu_i rho_j
-        r3 = {}
-        _accumulate(r3, mu[j][r], mu[i])
-        _accumulate(r3, mu[i][r], mu[j], negate=True)
-        _accumulate(r3, comm[i][j], rho_at[r])
-        _accumulate(r3, mu[j][r], rho[i], negate=True)
-        _accumulate(r3, mu[i][r], rho[j])
-        return r1, r2, r3
-
-    return _matrix_violations(residual_rows, (LAW_RHO, LAW_MIXED, LAW_MU), n, m, nonzero, scalar)
+        (2, 1, mu_x, mu_second, "zpq"), (2, -1, mu_x, mu_second, "pzq"),
+        (2, 1, comms, rho_first, "pqz"), (2, -1, mu_x, rho_second, "zpq"),
+        (2, 1, mu_x, rho_second, "pzq"),
+    ]
+    return _support_walk(terms, (LAW_RHO, LAW_MIXED, LAW_MU), (), nonzero, scalar, (n, n, m), m,
+                         True)
 
 
 def check_representation(alg: AlgebraLike, rep: Representation) -> Report:
@@ -215,17 +191,11 @@ def check_lie_representation(lie: LieTable, rep: LieRepresentation) -> Report:
     (bracket, act), nonzero, scalar = _integral_views(
         lie.field, MultTable(lie.tensor).sparse_rows,
         tuple(tuple(_sparse_rows(a.entries)) for a in rep.action))
-    act_at = _by_row(act, m)
-
-    def residual_rows(i, j, r):
-        row = {}
-        _accumulate(row, act[i][r], act[j])
-        _accumulate(row, act[j][r], act[i], negate=True)
-        _accumulate(row, bracket[i][j], act_at[r], negate=True)
-        return (row,)
-
+    act_x, act_first, act_second = _entries(act), _by_first(act), _by_second(act, m)
+    terms = [(0, 1, act_x, act_second, "pzq"), (0, -1, act_x, act_second, "zpq"),
+             (0, -1, _entries(bracket), act_first, "pqz")]
     return Report("lie-representation", tuple(
-        _matrix_violations(residual_rows, ("lie-action",), n, m, nonzero, scalar)
+        _support_walk(terms, ("lie-action",), (), nonzero, scalar, (n, n, m), m, True)
     ))
 
 
@@ -274,14 +244,10 @@ def special_condition_report(alg: AlgebraLike, rep: Representation) -> tuple:
     cond2 = is_representation(table, starred)
 
     (prod, _, _, mu), nonzero, scalar = _pair_views(table, rep)
-    mu_at = _by_row(mu, rep.dim_v)
-
-    def symmetric_mu(i, j, r):
-        row = {}
-        _accumulate(row, prod[i][j], mu_at[r])
-        _accumulate(row, prod[j][i], mu_at[r])
-        return (row,)
-
-    cond3 = next(_matrix_violations(symmetric_mu, ("mu-symmetric",), table.dim, rep.dim_v,
-                                    nonzero, scalar), None) is None
+    prods, mu_first = _entries(prod), _by_first(mu)
+    # mu(e_i . e_j) + mu(e_j . e_i)
+    terms = [(0, 1, prods, mu_first, "pqz"), (0, 1, prods, mu_first, "qpz")]
+    n, m = table.dim, rep.dim_v
+    cond3 = next(_support_walk(terms, ("mu-symmetric",), (), nonzero, scalar, (n, n, m), m, True),
+                 None) is None
     return (cond1, cond2, cond3)

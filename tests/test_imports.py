@@ -19,6 +19,7 @@ import pytest
 import antiprelie
 from antiprelie import documents as docs
 from antiprelie.algebra import AntiPreLieAlgebra, MultTable
+from antiprelie.deformation import TruncatedDeformation
 from antiprelie.fields import QQ
 from antiprelie.representation import regular_representation
 
@@ -78,18 +79,29 @@ def _cohomology_argv(tmp_path) -> list:
     return ["cohomology", *paths]
 
 
+def _deform_check_argv(tmp_path) -> list:
+    alg = AntiPreLieAlgebra.verify(MultTable.from_dict(QQ, 2, {(0, 1, 1): 1}))
+    path = tmp_path / "deformation.json"
+    path.write_text(docs.dumps(docs.encode_deformation(TruncatedDeformation.trivial(alg, 2))),
+                    encoding="utf-8")
+    return ["deform-check", str(path)]
+
+
 @pytest.mark.parametrize("case, absent", [
     ("import", None),
     ("search", ("representation", "dendriform", "cohomology", "deformation", "extension")),
     ("cohomology", ("dendriform", "deformation", "extension", "search")),
+    ("deform-check", ("representation", "cohomology", "dendriform", "extension", "search")),
 ])
 def test_command_loads_only_its_modules(tmp_path, case, absent):
-    """`import antiprelie` loads no submodule; `search --kind algebra` and
-    `cohomology` load none of the modules their work does not use."""
+    """`import antiprelie` loads no submodule; `search --kind algebra`,
+    `cohomology` and `deform-check` load none of the modules their work does
+    not use."""
     argv = {
         "import": None,
         "search": ["search", "--kind", "algebra", "--dim", "2", "--prime", "3"],
         "cohomology": _cohomology_argv(tmp_path),
+        "deform-check": _deform_check_argv(tmp_path),
     }[case]
     chains = _loaded(argv)
     if absent is None:

@@ -3,8 +3,10 @@
 Over Q and F_3, generated by hypothesis: a verified base of dimension 1 to 3,
 deformation terms that are arbitrary sparse tables (the pullback formula
 needs no verification), deformation orders 0 to 3 and isomorphism orders 0
-to 4, so that the isomorphism is padded with zeros as well as truncated.
-The two routes must give exactly the same terms.
+to 4, so that the isomorphism is padded with zeros as well as truncated;
+and the shape trivialize_step pulls back, where only phi_n is nonzero and
+the deformation terms vanish below order n.  The two routes must give
+exactly the same terms.
 """
 
 from fractions import Fraction
@@ -62,3 +64,34 @@ def test_apply_isomorphism_matches_naive_pullback(case):
     want = naive_pullback(d, iso)
     assert got.base == d.base
     assert [t.tensor for t in got.terms] == [t.tensor for t in want.terms]
+
+
+@st.composite
+def trivialize_steps(draw):
+    """The shape trivialize_step pulls back: deformation terms zero below
+    order n and a dense w_n (and above), along Id + phi_n t^n with a dense
+    phi_n and every other phi_k zero."""
+    field = draw(st.sampled_from([QQ, PrimeField(3)]))
+    dim, nonzero = draw(st.sampled_from(BASES))
+    base = AntiPreLieAlgebra.verify(MultTable.from_dict(field, dim, nonzero))
+    order = draw(st.integers(1, 3))
+    n = draw(st.integers(1, order))
+
+    def dense(shape):
+        return [draw(scalars(field)) for _ in range(shape)]
+
+    zero = MultTable.zero(field, dim)
+    terms = tuple(zero if k < n - 1 else MultTable.from_entries(
+        field, [[dense(dim) for _ in range(dim)] for _ in range(dim)]) for k in range(order))
+    phi = Matrix.from_rows(field, [dense(dim) for _ in range(dim)])
+    zero_phi = Matrix.zero(field, dim, dim)
+    return (TruncatedDeformation(base, terms),
+            TruncatedIsomorphism(tuple(phi if k == n - 1 else zero_phi for k in range(order))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(trivialize_steps())
+def test_trivialize_shaped_pullback_matches_naive_pullback(case):
+    d, iso = case
+    got = apply_isomorphism(d, iso)
+    assert [t.tensor for t in got.terms] == [t.tensor for t in naive_pullback(d, iso).terms]

@@ -323,14 +323,14 @@ def test_representation_walk_with_coprime_denominators_equals_oracle(pair):
 
     table, rep = pair
     coefficients = []
-    inner = representation._accumulate
+    inner = representation._support_walk
 
-    def spy(acc, coeffs, fibers, negate=False):
-        coefficients.extend(coeffs.values())
-        return inner(acc, coeffs, fibers, negate)
+    def spy(terms, *args, **kwargs):
+        coefficients.extend(_term_values(terms))
+        return inner(terms, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(representation, "_accumulate", spy)
+        mp.setattr(representation, "_support_walk", spy)
         report = check_representation(table, rep)
     assert all(type(x) is int for x in coefficients)
     assert walk(report, QQ) == list(naive_rep_residuals(table, rep).items())
@@ -401,9 +401,21 @@ def test_lie_walks_equal_oracles(pair):
     )
 
 
+def _term_values(terms):
+    """Every value the terms of a support walk hand it: the coefficients of
+    their X fibers and the entries of their Y fibers."""
+    for _, _, xs, ys, _ in terms:
+        for _, _, fiber in xs:
+            yield from fiber.values()
+        for line in ys:
+            for _, fiber in line:
+                yield from fiber.values()
+
+
 def test_law_walks_over_q_run_on_ints(monkeypatch):
-    """Over Q the anti-pre-Lie and deformation walks hand _law_residuals
-    views scaled to ints; the Fractions are only made for the report."""
+    """Over Q the anti-pre-Lie and deformation walks hand the support walk
+    terms scaled to ints, one walk per deformation degree; the Fractions are
+    only made for the report."""
     import antiprelie.algebra as algebra
     import antiprelie.deformation as deformation
 
@@ -416,30 +428,27 @@ def test_law_walks_over_q_run_on_ints(monkeypatch):
     ))
     seen = []
 
-    def spy(pairs, i, j, k):
-        if not seen or seen[-1] is not pairs:
-            seen.append(pairs)
-        return algebra_residuals(pairs, i, j, k)
+    def spy(terms, *args, **kwargs):
+        seen.append(terms)
+        return support_walk(terms, *args, **kwargs)
 
-    algebra_residuals = algebra._law_residuals
-    monkeypatch.setattr(algebra, "_law_residuals", spy)
-    monkeypatch.setattr(deformation, "_law_residuals", spy)
+    support_walk = algebra._support_walk
+    monkeypatch.setattr(algebra, "_support_walk", spy)
+    monkeypatch.setattr(deformation, "_support_walk", spy)
     assert not check_anti_pre_lie(halves).ok
     assert not check_deformation(coprime).ok
     assert len(seen) == 1 + coprime.order
-    for pairs in seen:
-        for views in pairs:
-            for rows, cols, comm in views:
-                for grid in (rows, cols, comm):
-                    assert all(type(x) is int for line in grid for fiber in line
-                               for x in fiber.values())
+    for terms in seen:
+        values = list(_term_values(terms))
+        assert values and all(type(x) is int for x in values)
 
 
 def test_law_walks_over_f3_run_on_ints(monkeypatch):
-    """Over F_3 the algebra, representation and dendriform walks hand their
-    sparse products residues as ints, not Fp values; only a violation's
-    residual is made of Fp values, for the report."""
+    """Over F_3 the algebra, deformation, representation and dendriform walks
+    hand the support walk residues as ints, not Fp values; only a
+    violation's residual is made of Fp values, for the report."""
     import antiprelie.algebra as algebra
+    import antiprelie.deformation as deformation
     import antiprelie.dendriform as dendriform
     import antiprelie.representation as representation
     from antiprelie.representation import special_condition_report
@@ -454,14 +463,13 @@ def test_law_walks_over_f3_run_on_ints(monkeypatch):
     lie = LieTable(commutator_table(bumped).tensor)
     seen = set()
 
-    def spy(acc, coeffs, fibers, negate=False):
-        seen.update(type(x) for x in coeffs.values())
-        seen.update(type(y) for a in coeffs for y in fibers[a].values())
-        accumulate(acc, coeffs, fibers, negate)
+    def spy(terms, *args, **kwargs):
+        seen.update(type(x) for x in _term_values(terms))
+        return support_walk(terms, *args, **kwargs)
 
-    accumulate = algebra._accumulate
-    for module in (algebra, representation, dendriform):
-        monkeypatch.setattr(module, "_accumulate", spy)
+    support_walk = algebra._support_walk
+    for module in (algebra, deformation, representation, dendriform):
+        monkeypatch.setattr(module, "_support_walk", spy)
     reports = [
         check_anti_pre_lie(bumped),
         check_deformation(TruncatedDeformation(base, (bumped,))),
@@ -477,3 +485,109 @@ def test_law_walks_over_f3_run_on_ints(monkeypatch):
         for v in report.violations:
             flat = [x for row in v.residual for x in (row if isinstance(row, tuple) else (row,))]
             assert all(type(x) is Fp and x.p == 3 for x in flat), v
+
+
+# Orderings a support walk could get wrong: keys that no term reaches, the
+# last key, residuals reached only through the rotated placements of the
+# cyclic law, and the dim-8 extension tables that classify re-verifies.  Each
+# check gives its oracle's report, and each is_* agrees with its check_*.
+
+
+def _apl_equals_oracle(table):
+    report = check_anti_pre_lie(table)
+    assert walk(report, table.field) == list(naive_apl_residuals(table).items())
+    assert is_anti_pre_lie(table) == report.ok
+    return report
+
+
+def test_walks_with_empty_rows_and_columns_equal_oracles():
+    """Only e_1 and e_3 of a dim-5 table take part in its products, and only
+    e_1 and e_3 act on V, so no key with an index 0, 2 or 4 is reached."""
+    table = MultTable.from_dict(QQ, 5, {(1, 3, 3): 1, (3, 3, 1): 2, (3, 1, 3): Fraction(-1, 2)})
+    assert not _apl_equals_oracle(table).ok
+    assert walk(check_lie_table(table), QQ) == list(naive_lie_residuals(table).items())
+    base = AntiPreLieAlgebra.verify(MultTable.from_dict(QQ, 5, {(1, 3, 3): 1}))
+    zero = MultTable.zero(QQ, 5)
+    d = TruncatedDeformation(base, (zero, table))
+    report = check_deformation(d)
+    assert walk(report, QQ) == list(naive_deformation_residuals(d).items())
+    assert is_deformation(d) == report.ok
+    dend = AntiLDendriform(table, MultTable.from_dict(QQ, 5, {(3, 1, 1): 1}))
+    report = check_anti_L_dendriform(dend)
+    assert walk(report, QQ) == list(naive_dendriform_residuals(dend).items())
+    assert is_anti_L_dendriform(dend) == report.ok
+    z = Matrix.zero(QQ, 3, 3)
+    rho1 = Matrix.from_rows(QQ, [[0, 0, 0], [0, 1, 0], [0, 0, 0]])
+    mu1 = Matrix.from_rows(QQ, [[0, 0, 0], [Fraction(1, 2), 0, 0], [0, 0, 0]])
+    rep = Representation(5, 3, (z, rho1, z, z, z), (z, mu1, z, mu1, z))
+    report = check_representation(base, rep)
+    assert not report.ok
+    assert walk(report, QQ) == list(naive_rep_residuals(base.table, rep).items())
+    assert is_representation(base, rep) == report.ok
+
+
+def test_walks_reach_the_last_key():
+    """The exchange residual is antisymmetric in (x, y) and vanishes at
+    (x, x, z), so the last triple an anti-pre-Lie table can fail at is
+    (n-1, n-2, n-1), with its partner (n-2, n-1, n-1).  e_2 < e_2 = e_2 fails
+    dendriform-2 at (2, 2, 2) alone, mu(e_2) = I on a zero table fails
+    rep-mixed at (2, 2) alone, and e_2 e_2 = e_2 fails Jacobi at (2, 2, 2)
+    alone."""
+    table = MultTable.from_dict(QQ, 3, {(1, 2, 1): 1})
+    report = _apl_equals_oracle(table)
+    assert [v.at for v in report.violations] == [(1, 2, 2), (2, 1, 2)]
+    dend = AntiLDendriform(MultTable.zero(QQ, 3), MultTable.from_dict(QQ, 3, {(2, 2, 2): 1}))
+    report = check_anti_L_dendriform(dend)
+    assert [(v.law, v.at) for v in report.violations] == [("dendriform-2", (2, 2, 2))]
+    assert walk(report, QQ) == list(naive_dendriform_residuals(dend).items())
+    assert not is_anti_L_dendriform(dend)
+    z = Matrix.zero(QQ, 2, 2)
+    rep = Representation(3, 2, (z,) * 3, (z, z, Matrix.identity(QQ, 2)))
+    zero = MultTable.zero(QQ, 3)
+    report = check_representation(zero, rep)
+    assert [(v.law, v.at) for v in report.violations] == [("rep-mixed", (2, 2))]
+    assert walk(report, QQ) == list(naive_rep_residuals(zero, rep).items())
+    assert not is_representation(zero, rep)
+    square = MultTable.from_dict(QQ, 3, {(2, 2, 2): 1})
+    report = check_lie_table(square)
+    assert [(v.law, v.at) for v in report.violations][-1] == ("jacobi", (2, 2, 2))
+    assert walk(report, QQ) == list(naive_lie_residuals(square).items())
+
+
+# e_0 . e_1 = -e_1, e_0 . e_2 = e_2, e_1 . e_3 = e_2: x -> -L_x preserves the
+# commutator, so the exchange law holds everywhere, but the commutator fails
+# Jacobi and the cyclic law fails at the six orderings of (0, 1, 3).
+CYCLIC_ONLY = {(0, 1, 1): -1, (0, 2, 2): 1, (1, 3, 2): 1}
+DENSE_CHANGE = ((1, 2, -1, 1), (0, 1, 2, -2), (0, 0, 1, 1), (0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)])
+def test_cyclic_only_violations_equal_oracle(field):
+    """A table, and a dense conjugate of it, that fail the anti-pre-Lie laws
+    only through the cyclic law, whose terms place their keys rotated."""
+    table = MultTable.from_dict(field, 4, CYCLIC_ONLY)
+    upper = Matrix.from_rows(field, [[field.of_int(x) for x in row] for row in DENSE_CHANGE])
+    for t in (table, table.conjugate(upper @ upper.transpose())):
+        report = _apl_equals_oracle(t)
+        assert report.violations and {v.law for v in report.violations} == {"cyclic"}
+
+
+def test_classify_extension_tables_walk_equals_oracle():
+    """The extension tables classify builds over the dim-4 tower (a2 and its
+    semidirect product with the regular representation) and over a dense
+    conjugate of it: all 22 pass check_anti_pre_lie and is_anti_pre_lie, and
+    a one-entry bump of the last table of each gives the oracle's violations
+    (the oracle takes over a second on a dim-8 table, so it runs on these)."""
+    from antiprelie.extension import classify_extensions
+    from antiprelie.representation import semidirect_product
+
+    a2 = AntiPreLieAlgebra.verify(MultTable.from_dict(QQ, 2, {(0, 1, 1): 1}))
+    a4 = semidirect_product(a2, regular_representation(a2))
+    upper = Matrix.from_rows(QQ, [[QQ.of_int(x) for x in row] for row in DENSE_CHANGE])
+    dense = AntiPreLieAlgebra.verify(a4.table.conjugate(upper @ upper.transpose()))
+    for alg in (a4, dense):
+        tables = [ext.total.table for _, ext in classify_extensions(alg, regular_representation(alg))]
+        assert len(tables) == 11
+        for t in tables:
+            assert check_anti_pre_lie(t).ok and is_anti_pre_lie(t)
+        assert not _apl_equals_oracle(bump_table(tables[-1], 7, 2, 5)).ok
