@@ -26,16 +26,16 @@ denominator D, each residual is homogeneous of degree 2 in the structure
 constants and so is D^2 times the rational one; over F_p the views hold the
 residues, and a residual is reduced mod p only where it is tested.  Only a
 violation's residual is turned back into field scalars, written out densely.
-A check_* collects the violations; an is_* builds every residual and stops
-at the first violation.  A naive nested-loop oracle is kept in the test
-suite.
+Each law family has one implementation, its check_*, which returns the
+Report; its is_* is check_*(...).ok.  A naive nested-loop oracle is kept in
+the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .fields import Field
 from .linalg import (Matrix, Tensor3, Vec, _integral_views, _sparse_rows, _subtract, invert,
@@ -73,9 +73,6 @@ class Report:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def describe(self) -> list[str]:
-        return [v.describe() for v in self.violations]
 
     def require(self, message: str) -> None:
         """Raise StructureError carrying this report unless it passed;
@@ -209,8 +206,9 @@ def _by_second(grid, width: int) -> list:
 
 
 def _support_walk(terms: list, laws: tuple, prefix: tuple, nonzero: Callable, scalar: Callable,
-                  dims: tuple, width: int, matrix: bool = False) -> Iterator[Violation]:
-    """The violations of laws, built from the nonzero terms of their residuals.
+                  dims: tuple, width: int, matrix: bool = False) -> tuple:
+    """The violations of laws, as a tuple, built from the nonzero terms of
+    their residuals.
 
     A term (law, sign, xs, ys, place) is sign * X[p][q] . Y[.][w]: xs lists
     the nonzero fibers X[p][q] = {w: x} as (p, q, fiber), ys[w] the nonzero
@@ -244,12 +242,14 @@ def _support_walk(terms: list, laws: tuple, prefix: tuple, nonzero: Callable, sc
     rows = d2 if matrix else 1
     failing = [{key // rows for key, res in acc.items() if any(map(nonzero, res))}
                for acc in per_law]
+    out = []
     for g in sorted(set().union(*failing)):
         at = divmod(g, d1) if matrix else (g // (d1 * d2), g // d2 % d1, g % d2)
         for law, acc, bad in zip(laws, per_law, failing):
             if g in bad:
                 res = tuple(tuple(map(scalar, acc.get(g * rows + r, zero))) for r in range(rows))
-                yield Violation(law, (*prefix, *at), res if matrix else res[0])
+                out.append(Violation(law, (*prefix, *at), res if matrix else res[0]))
+    return tuple(out)
 
 
 def _law_views(tables: Sequence[MultTable]) -> tuple:
@@ -283,20 +283,17 @@ def _apl_terms(outer: tuple, inner: tuple) -> list:
             (1, 1, comms, right, "pqz"), (1, 1, comms, right, "zpq"), (1, 1, comms, right, "qzp")]
 
 
-def _apl_violations(table: MultTable) -> Iterator[Violation]:
-    (view,), nonzero, scalar = _law_views([table])
-    return _support_walk(_apl_terms(view, view), (LAW_EXCHANGE, LAW_CYCLIC), (), nonzero, scalar,
-                         (table.dim,) * 3, table.dim)
-
-
 def check_anti_pre_lie(table: MultTable) -> Report:
     """Verify both anti-pre-Lie laws on all basis triples, with exact residuals."""
-    return Report("anti-pre-lie", tuple(_apl_violations(table)))
+    (view,), nonzero, scalar = _law_views([table])
+    return Report("anti-pre-lie", _support_walk(
+        _apl_terms(view, view), (LAW_EXCHANGE, LAW_CYCLIC), (), nonzero, scalar,
+        (table.dim,) * 3, table.dim))
 
 
 def is_anti_pre_lie(table: MultTable) -> bool:
-    """Boolean form of check_anti_pre_lie, stopping at the first violation (used by the search)."""
-    return next(_apl_violations(table), None) is None
+    """Boolean form of check_anti_pre_lie."""
+    return check_anti_pre_lie(table).ok
 
 
 @dataclass(frozen=True)

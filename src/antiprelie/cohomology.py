@@ -291,7 +291,7 @@ def cohomology_spaces(alg: AntiPreLieAlgebra, rep: Representation) -> Cohomology
 
 
 def _spaces(table: MultTable, rep: Representation, rows: Iterable[dict]) -> CohomologySpaces:
-    """cohomology_spaces from the rows of _cocycle_rows (consumed over F_p)."""
+    """cohomology_spaces from the rows of _cocycle_rows."""
     n, m = table.dim, rep.dim_v
     field, size = table.field, n * n * m
     z2 = _kernel(field, rows, size)
@@ -318,8 +318,7 @@ def _transpose(vecs: list, size: int) -> list:
 def _cocycle_rows(table: MultTable, rep: Representation) -> Iterator[dict]:
     """The nonzero rows of d2, lazily, without the entries that cancelled;
     over Q on ints (D times the rational rows, see _d2_rows), which leaves
-    their kernel unchanged.  A caller that keeps them must copy a row before
-    elimination over F_p, which consumes its rows."""
+    their kernel unchanged."""
     for r in _d2_rows(table, rep, isinstance(table.field, Rationals)):
         r = {j: x for j, x in r.items() if x}
         if r:

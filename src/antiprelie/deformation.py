@@ -30,14 +30,13 @@ that use them, so checking a deformation loads neither.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .algebra import (
     AntiPreLieAlgebra,
     MultTable,
     Report,
     StructureError,
-    Violation,
     _apl_terms,
     _law_views,
     _support_walk,
@@ -121,8 +120,9 @@ class TruncatedIsomorphism:
         return out
 
 
-def _deformation_violations(d: TruncatedDeformation) -> Iterator[Violation]:
-    """Both equation families per degree n and triple (a, b, c).
+def check_deformation(d: TruncatedDeformation) -> Report:
+    """Verify both deformation equation families for every degree n = 1..order
+    and triple (a, b, c).
 
     The degree-n residuals are the anti-pre-Lie law residuals with w_i as the
     outer and w_j as the inner product, summed over i + j = n, on the views
@@ -130,18 +130,15 @@ def _deformation_violations(d: TruncatedDeformation) -> Iterator[Violation]:
     """
     views, nonzero, scalar = _law_views(d.tables())
     laws = (LAW_DEF_EXCHANGE, LAW_DEF_CYCLIC)
+    violations = ()
     for deg in range(1, d.order + 1):
         terms = [t for i in range(deg + 1) for t in _apl_terms(views[i], views[deg - i])]
-        yield from _support_walk(terms, laws, (deg,), nonzero, scalar, (d.dim,) * 3, d.dim)
-
-
-def check_deformation(d: TruncatedDeformation) -> Report:
-    """Verify both deformation equation families for every degree 1..order."""
-    return Report("deformation", tuple(_deformation_violations(d)))
+        violations += _support_walk(terms, laws, (deg,), nonzero, scalar, (d.dim,) * 3, d.dim)
+    return Report("deformation", violations)
 
 
 def is_deformation(d: TruncatedDeformation) -> bool:
-    return next(_deformation_violations(d), None) is None
+    return check_deformation(d).ok
 
 
 def verify_deformation(d: TruncatedDeformation) -> TruncatedDeformation:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
 
 from .algebra import (
     AntiPreLieAlgebra,
@@ -79,9 +78,9 @@ class AntiLDendriform:
         return AntiLDendriform(MultTable.zero(field, n), MultTable.zero(field, n))
 
 
-def _dendriform_violations(d: AntiLDendriform) -> Iterator[Violation]:
-    """The three identities at each basis triple (e_i, e_j, e_k), with
-    x o y = x > y - y < x the associated product:
+def check_anti_L_dendriform(d: AntiLDendriform) -> Report:
+    """Verify the three identities on all basis triples (e_i, e_j, e_k), with
+    exact residuals, where x o y = x > y - y < x is the associated product:
 
         D1 = e_i>(e_j>e_k) - e_j>(e_i>e_k) + [e_i,e_j]o > e_k
         D2 = e_i>(e_j<e_k) - (e_i o e_j)<e_k + e_j<(e_i>e_k) + e_j<(e_i<e_k)
@@ -99,17 +98,12 @@ def _dendriform_violations(d: AntiLDendriform) -> Iterator[Violation]:
         (2, 1, o_comms, r_right, "pqz"), (2, -1, r_prods, l_left, "zpq"),
         (2, -1, l_prods, l_left, "zpq"),
     ]
-    return _support_walk(terms, (LAW_D1, LAW_D2, LAW_D3), (), nonzero, scalar,
-                         (d.dim,) * 3, d.dim)
-
-
-def check_anti_L_dendriform(d: AntiLDendriform) -> Report:
-    """Verify the three identities on all basis triples, with exact residuals."""
-    return Report("anti-L-dendriform", tuple(_dendriform_violations(d)))
+    return Report("anti-L-dendriform", _support_walk(
+        terms, (LAW_D1, LAW_D2, LAW_D3), (), nonzero, scalar, (d.dim,) * 3, d.dim))
 
 
 def is_anti_L_dendriform(d: AntiLDendriform) -> bool:
-    return next(_dendriform_violations(d), None) is None
+    return check_anti_L_dendriform(d).ok
 
 
 def verify_anti_L_dendriform(d: AntiLDendriform) -> AntiLDendriform:
@@ -178,25 +172,23 @@ def _induced(table: MultTable, rep: Representation, t: Matrix) -> AntiLDendrifor
     return AntiLDendriform(*tables)
 
 
-def _o_operator_violations(table: MultTable, rep: Representation, t: Matrix) -> Iterator[Violation]:
-    """T(v_a) . T(v_b) - T(v_a o v_b) on basis pairs of V, with o the
-    associated product of the induced structure: v_a o v_b is
-    rho(T v_a) v_b + mu(T v_b) v_a."""
+def check_O_operator(alg: AlgebraLike, rep: Representation, t: Matrix) -> Report:
+    """T(u) . T(v) = T(rho(T(u)) v + mu(T(v)) u) on all basis pairs of V: the
+    residual T(v_a) . T(v_b) - T(v_a o v_b) at (a, b), with o the associated
+    product of the induced structure, v_a o v_b = rho(T v_a) v_b + mu(T v_b) v_a."""
+    table = as_table(alg)
     assoc = associated_table(_induced(table, rep, t))
     tcols = [t.col(a) for a in range(rep.dim_v)]
+    violations = []
     for a, b in product(range(rep.dim_v), repeat=2):
         res = vec_sub(table.multiply(tcols[a], tcols[b]), t.apply(assoc.basis_product(a, b)))
         if not vec_is_zero(res):
-            yield Violation(LAW_O, (a, b), res)
-
-
-def check_O_operator(alg: AlgebraLike, rep: Representation, t: Matrix) -> Report:
-    """T(u) . T(v) = T(rho(T(u)) v + mu(T(v)) u) on all basis pairs of V."""
-    return Report("o-operator", tuple(_o_operator_violations(as_table(alg), rep, t)))
+            violations.append(Violation(LAW_O, (a, b), res))
+    return Report("o-operator", tuple(violations))
 
 
 def is_O_operator(alg: AlgebraLike, rep: Representation, t: Matrix) -> bool:
-    return next(_o_operator_violations(as_table(alg), rep, t), None) is None
+    return check_O_operator(alg, rep, t).ok
 
 
 def induced_dendriform(alg: AlgebraLike, rep: Representation, t: Matrix) -> AntiLDendriform:

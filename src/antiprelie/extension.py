@@ -270,7 +270,6 @@ def classify_extensions(alg: AntiPreLieAlgebra, rep: Representation) -> tuple:
     the zero class not listed here.
     """
     rows = list(_cocycle_rows(alg.table, rep))
-    # Elimination over F_p consumes its rows, and the gate reads them again.
-    spaces = _spaces(alg.table, rep, map(dict, rows))
+    spaces = _spaces(alg.table, rep, rows)
     return tuple((theta, _extension(alg, rep, theta, _in_kernel(rows, theta)))
                  for theta in spaces.h2_representatives)

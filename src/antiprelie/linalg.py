@@ -101,9 +101,6 @@ class Matrix:
         z, o = field.zero(), field.one()
         return Matrix(field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
 
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
-
     def col(self, j: int) -> Vec:
         return tuple(r[j] for r in self.entries)
 
@@ -188,18 +185,18 @@ _PRIMES = (2**31 - 1, 2**61 - 1)
 def _rref(field: Field, rows_in: Iterable[dict]):
     """Reduced row echelon form of sparse rows; returns (rows, pivot columns).
 
-    `rows_in` holds {column: value} dicts of nonzero entries (they may be
-    consumed); the result lists the nonzero reduced rows, as such dicts, in
-    pivot-column order.  Over a prime field this is `_rref_field`.  Over Q
-    the empty rows are dropped, every other row is replaced by its
-    `_primitive` multiple and only the first copy of each distinct one is
-    kept: the row space, and so the form, is unchanged.  `_rref_modular`
-    tries each of `_PRIMES` in turn on those rows; only when every prime
-    fails are they eliminated by `_rref_field` in `Fraction` arithmetic.
-    Both routes give the one reduced row echelon form.
+    `rows_in` holds {column: value} dicts of nonzero entries, which are left
+    unchanged; the result lists the nonzero reduced rows, as such dicts, in
+    pivot-column order.  Over a prime field this is `_rref_field` on copies
+    of the rows.  Over Q the empty rows are dropped, every other row is
+    replaced by its `_primitive` multiple and only the first copy of each
+    distinct one is kept: the row space, and so the form, is unchanged.
+    `_rref_modular` tries each of `_PRIMES` in turn on those rows; only when
+    every prime fails are they eliminated by `_rref_field` in `Fraction`
+    arithmetic.  Both routes give the one reduced row echelon form.
     """
     if not isinstance(field, Rationals):
-        return _rref_field(field, rows_in)
+        return _rref_field(field, map(dict, rows_in))
     primitive = (_primitive(row) for row in rows_in if row)
     rows = list({frozenset(row.items()): row for row in primitive}.values())
     for p in _PRIMES:
@@ -432,7 +429,8 @@ def solve(m: Matrix, b: Vec) -> Optional[Vec]:
 
 
 def _solve(field: Field, rows: list, ncols: int, b: Vec) -> Optional[Vec]:
-    """solve on sparse rows (consumed) over ncols columns, one per entry of b."""
+    """solve on sparse rows over ncols columns, one per entry of b, which is
+    written into the rows as column ncols."""
     for row, bb in zip(rows, b):
         if bb:
             row[ncols] = bb

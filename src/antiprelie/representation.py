@@ -27,14 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .algebra import (
     AntiPreLieAlgebra,
     LieTable,
     MultTable,
     Report,
-    Violation,
     _by_first,
     _by_second,
     _commutators,
@@ -109,9 +108,10 @@ def _pair_views(table: MultTable, rep: Representation, integral: bool = True) ->
     return (prod, _commutators(prod, 1), rho, mu), nonzero, scalar
 
 
-def _representation_violations(table: MultTable, rep: Representation) -> Iterator[Violation]:
-    """The three axioms at each ordered basis pair (i, j), as residual
-    matrices, on the ints of _pair_views."""
+def check_representation(alg: AlgebraLike, rep: Representation) -> Report:
+    """Verify the three representation axioms on all basis pairs, each
+    violation a residual matrix at (i, j), on the ints of _pair_views."""
+    table = as_table(alg)
     n, m = table.dim, rep.dim_v
     if rep.dim_a != n:
         raise ValueError(f"representation is over a dim-{rep.dim_a} algebra, table has dim {n}")
@@ -133,17 +133,12 @@ def _representation_violations(table: MultTable, rep: Representation) -> Iterato
         (2, 1, comms, rho_first, "pqz"), (2, -1, mu_x, rho_second, "zpq"),
         (2, 1, mu_x, rho_second, "pzq"),
     ]
-    return _support_walk(terms, (LAW_RHO, LAW_MIXED, LAW_MU), (), nonzero, scalar, (n, n, m), m,
-                         True)
-
-
-def check_representation(alg: AlgebraLike, rep: Representation) -> Report:
-    """Verify the three representation axioms on all basis pairs."""
-    return Report("representation", tuple(_representation_violations(as_table(alg), rep)))
+    return Report("representation", _support_walk(
+        terms, (LAW_RHO, LAW_MIXED, LAW_MU), (), nonzero, scalar, (n, n, m), m, True))
 
 
 def is_representation(alg: AlgebraLike, rep: Representation) -> bool:
-    return next(_representation_violations(as_table(alg), rep), None) is None
+    return check_representation(alg, rep).ok
 
 
 def verify_representation(alg: AlgebraLike, rep: Representation) -> Representation:
@@ -194,9 +189,8 @@ def check_lie_representation(lie: LieTable, rep: LieRepresentation) -> Report:
     act_x, act_first, act_second = _entries(act), _by_first(act), _by_second(act, m)
     terms = [(0, 1, act_x, act_second, "pzq"), (0, -1, act_x, act_second, "zpq"),
              (0, -1, _entries(bracket), act_first, "pqz")]
-    return Report("lie-representation", tuple(
-        _support_walk(terms, ("lie-action",), (), nonzero, scalar, (n, n, m), m, True)
-    ))
+    return Report("lie-representation", _support_walk(
+        terms, ("lie-action",), (), nonzero, scalar, (n, n, m), m, True))
 
 
 def sub_adjacent_representation(alg: AntiPreLieAlgebra, rep: Representation) -> LieRepresentation:
@@ -248,6 +242,5 @@ def special_condition_report(alg: AlgebraLike, rep: Representation) -> tuple:
     # mu(e_i . e_j) + mu(e_j . e_i)
     terms = [(0, 1, prods, mu_first, "pqz"), (0, 1, prods, mu_first, "qpz")]
     n, m = table.dim, rep.dim_v
-    cond3 = next(_support_walk(terms, ("mu-symmetric",), (), nonzero, scalar, (n, n, m), m, True),
-                 None) is None
+    cond3 = not _support_walk(terms, ("mu-symmetric",), (), nonzero, scalar, (n, n, m), m, True)
     return (cond1, cond2, cond3)

@@ -271,11 +271,10 @@ def _draws(spec: SearchSpec, n_cells: int, size: int) -> Iterator[tuple]:
         yield tuple(reversed(digits))
 
 
-def _scan(spec: SearchSpec, n_cells: int, build: Callable, check: Callable,
-          confirm: Callable) -> list:
-    """The candidates build(cells) that pass confirm, in candidate order and at
-    most spec.max_results of them.  check(obj) is the kind's full Report, from
-    which polarize derives the exhaustive backtracker's constraints."""
+def _scan(spec: SearchSpec, n_cells: int, build: Callable, check: Callable) -> list:
+    """The candidates build(cells) whose Report check(obj) is ok, in candidate
+    order and at most spec.max_results of them; polarize derives the
+    exhaustive backtracker's constraints from the same Report."""
     size = _size(spec, n_cells)
     if spec.max_results == 0:
         return []
@@ -288,7 +287,7 @@ def _scan(spec: SearchSpec, n_cells: int, build: Callable, check: Callable,
     out = []
     for cells in candidates:
         obj = build(cells)
-        if confirm(obj):
+        if check(obj).ok:
             out.append(obj)
             if len(out) == spec.max_results:
                 break
@@ -318,12 +317,12 @@ def search_algebras(spec: SearchSpec) -> list:
             field, [[[x[next(it)] for _ in range(n)] for _ in range(n)] for _ in range(n)]
         ))
 
-    return _scan(spec, n**3, build, check_anti_pre_lie, is_anti_pre_lie)
+    return _scan(spec, n**3, build, check_anti_pre_lie)
 
 
 def search_representations(spec: SearchSpec, table: MultTable) -> list:
     """Action pairs (rho, mu) on F_p^m passing the representation axioms."""
-    from .representation import Representation, check_representation, is_representation
+    from .representation import Representation, check_representation
 
     field, x = _residues(spec.p)
     n, m = spec.dim, spec.dim_v
@@ -336,20 +335,19 @@ def search_representations(spec: SearchSpec, table: MultTable) -> list:
                      for t in range(2 * n))
         return Representation(n, m, mats[:n], mats[n:], field)
 
-    return _scan(spec, 2 * n * per_mat, build, lambda rep: check_representation(table, rep),
-                 lambda rep: is_representation(table, rep))
+    return _scan(spec, 2 * n * per_mat, build, lambda rep: check_representation(table, rep))
 
 
 def search_o_operators(spec: SearchSpec, table: MultTable, rep: Representation) -> list:
     """Matrices V -> A over F_p satisfying the operator relation."""
-    from .dendriform import check_O_operator, is_O_operator
+    from .dendriform import check_O_operator
 
     field, x = _residues(spec.p)
     n, m = spec.dim, spec.dim_v
     if table.dim != n or rep.dim_v != m:
         raise ValueError("context dimensions do not match the spec")
     return _scan(spec, n * m, lambda cells: _matrix(field, x, n, m, cells),
-                 lambda t: check_O_operator(table, rep, t), lambda t: is_O_operator(table, rep, t))
+                 lambda t: check_O_operator(table, rep, t))
 
 
 def search_bilinear_forms(spec: SearchSpec, table: MultTable, strict_skew: bool = False) -> list:
@@ -361,12 +359,8 @@ def search_bilinear_forms(spec: SearchSpec, table: MultTable, strict_skew: bool 
     n = spec.dim
     if table.dim != n:
         raise ValueError("table dimension does not match the spec")
-
-    def check(b):
-        return check_form_invariance(table, b, strict_skew=strict_skew)
-
-    return _scan(spec, n * n, lambda cells: _matrix(field, x, n, n, cells), check,
-                 lambda b: check(b).ok)
+    return _scan(spec, n * n, lambda cells: _matrix(field, x, n, n, cells),
+                 lambda b: check_form_invariance(table, b, strict_skew=strict_skew))
 
 
 def _lift_scalar(x: Fp) -> Fraction:

@@ -193,6 +193,19 @@ def test_kernel_basis_equals_dense_reference(m):
     check_kernel(m)
 
 
+@pytest.mark.parametrize("field", (QQ, PrimeField(2), PrimeField(3), PrimeField(5)))
+def test_elimination_leaves_its_rows_unchanged(field):
+    """_rref and _kernel read the rows they are handed and never write them,
+    so a caller can eliminate rows it keeps (as classify keeps the d2 rows)."""
+    m = Matrix.from_rows(field, [[field.of_int(x) for x in r]
+                                 for r in [[1, 1, 0], [1, 2, 1], [2, 0, 1], [0, 1, 1]]])
+    for eliminate in (lambda rows: _rref(field, rows), lambda rows: linalg._kernel(field, rows, 3)):
+        rows = _sparse_rows(m.entries)
+        before = [dict(r) for r in rows]
+        eliminate(rows)
+        assert rows == before
+
+
 # Over F_5 every residue lifts to -1, 0 or 1 or to nothing: the lifts of 6 and
 # of 2/3 are wrong, 7 does not lift, and [[1, 1], [1, 6]] loses its rank.
 TINY_PRIME_CASES = [

@@ -100,18 +100,21 @@ def test_backtracker_equals_brute_force(kind, p, f3_algebras, monkeypatch):
     the backtracker reaches passes the exact check, up to the nondegeneracy
     of a form, which only the leaf check decides."""
     rejected = []
-    scan = search._scan
+    current = {}
+    scan, backtrack = search._scan, search._backtrack
 
-    def counting_scan(spec, n_cells, build, check, confirm):
-        def counted(obj):
-            ok = confirm(obj)
-            if not ok:
-                rejected.extend(v.law for v in check(obj).violations)
-            return ok
+    def recording_scan(spec, n_cells, build, check):
+        current.update(build=build, check=check)
+        return scan(spec, n_cells, build, check)
 
-        return scan(spec, n_cells, build, check, counted)
+    def checked_backtrack(p, n_cells, groups):
+        for cells in backtrack(p, n_cells, groups):
+            report = current["check"](current["build"](cells))
+            rejected.extend(v.law for v in report.violations)
+            yield cells
 
-    monkeypatch.setattr(search, "_scan", counting_scan)
+    monkeypatch.setattr(search, "_scan", recording_scan)
+    monkeypatch.setattr(search, "_backtrack", checked_backtrack)
     checked = 0
     for label, spec, table, rep, skew in _specs(kind, p, f3_algebras):
         if spec.p ** search_kind(spec, table, rep, skew)[0] > LIMIT:
