@@ -240,15 +240,14 @@ def _support_walk(terms: list, laws: tuple, prefix: tuple, nonzero: Callable, sc
                     for l, y in y_fiber.items():
                         res[l] += x * y
     rows = d2 if matrix else 1
-    failing = [{key // rows for key, res in acc.items() if any(map(nonzero, res))}
-               for acc in per_law]
+    failing = sorted({(key // rows, law) for law, acc in enumerate(per_law)
+                      for key, res in acc.items() if any(map(nonzero, res))})
     out = []
-    for g in sorted(set().union(*failing)):
+    for g, law in failing:
         at = divmod(g, d1) if matrix else (g // (d1 * d2), g // d2 % d1, g % d2)
-        for law, acc, bad in zip(laws, per_law, failing):
-            if g in bad:
-                res = tuple(tuple(map(scalar, acc.get(g * rows + r, zero))) for r in range(rows))
-                out.append(Violation(law, (*prefix, *at), res if matrix else res[0]))
+        acc = per_law[law]
+        res = [tuple(map(scalar, acc.get(g * rows + r, zero))) for r in range(rows)]
+        out.append(Violation(laws[law], (*prefix, *at), tuple(res) if matrix else res[0]))
     return tuple(out)
 
 

