@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Optional
 
 from .algebra import AntiPreLieAlgebra, MultTable, StructureError
 from .fields import Field, Rationals, _require_field
-from .linalg import Matrix, Tensor3, Vec, _integral, _kernel, _rref, _solve
+from .linalg import Matrix, Tensor3, Vec, _apply_rows, _integral, _kernel, _rref, _solve
 from .representation import AlgebraLike, Representation, _pair_views, as_table
 
 
@@ -179,17 +179,6 @@ def _add_at(row: dict, base: int, stride: int, coeffs: dict, negate: bool = Fals
             x = -x
         v = row.get(idx)
         row[idx] = x if v is None else v + x
-
-
-def _apply_rows(rows, v: Vec, zero) -> Iterator:
-    """Each sparse {coordinate: value} row applied to the vector v, lazily."""
-    for r in rows:
-        acc = zero
-        for idx, x in r.items():
-            y = v[idx]
-            if y:
-                acc = acc + x * y
-        yield acc
 
 
 def _d2_rows(table: MultTable, rep: Representation, integral: bool = False) -> Iterator[dict]:

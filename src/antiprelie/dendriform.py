@@ -42,7 +42,7 @@ from .algebra import (
     _support_walk,
 )
 from .fields import Field, Rationals, _require_field
-from .linalg import Matrix, _integral_views, invert, rank, vec_sub
+from .linalg import Matrix, _apply_rows, _integral_views, invert, rank, vec_sub
 from .representation import (
     AlgebraLike,
     Representation,
@@ -266,12 +266,6 @@ LAW_SKEW = "form-skew"
 LAW_DEGENERATE = "form-degenerate"
 
 
-def _pair(fiber: dict, row, zero):
-    """B(x, e_r) for the sparse fiber x and row r of B^T, or B(e_r, x) for
-    row r of B: the sum of fiber[w] * row[w] over the nonzero coefficients."""
-    return sum((c * row[w] for w, c in fiber.items()), zero)
-
-
 def check_form_invariance(alg: AlgebraLike, b: Matrix, strict_skew: bool = False) -> Report:
     """Nondegeneracy plus the two pairing identities the construction needs:
 
@@ -337,9 +331,10 @@ def dendriform_from_bilinear_form(
     rows, comm = table.sparse
     zero = field.zero()
     # Row j of B against e_k . e_i and [e_k, e_i]: B(y, z . x) and -B(y, [z, x]).
-    right = [[bt_inv.apply(tuple(-_pair(comm[k][i], b.entries[j], zero) for k in range(n)))
+    right = [[bt_inv.apply(tuple(-x for x in _apply_rows([comm[k][i] for k in range(n)],
+                                                         b.entries[j], zero)))
               for j in range(n)] for i in range(n)]
-    left = [[bt_inv.apply(tuple(_pair(rows[k][i], b.entries[j], zero) for k in range(n)))
+    left = [[bt_inv.apply(tuple(_apply_rows([rows[k][i] for k in range(n)], b.entries[j], zero)))
              for j in range(n)] for i in range(n)]
     d = AntiLDendriform(
         MultTable.from_entries(field, right), MultTable.from_entries(field, left)

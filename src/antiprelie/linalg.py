@@ -25,7 +25,10 @@ is the reduced form over Q entry for entry (see `_rref_modular`).  When the
 lift or the check fails at every prime of `_PRIMES`, the rows are eliminated
 in `Fraction` arithmetic instead, so no result rests on trusting a prime.
 Everything is pure Python ints and fractions; the package has no
-dependencies.  Over a prime field the elimination runs on `Fp` values.
+dependencies.  One loop, `_eliminate`, does every elimination: on residues
+mod p for the modular route over Q and over a prime field, where `Fp` values
+are made only for the reduced rows returned, and on `Fraction` values for the
+fallback.
 
 `Tensor3.contract` evaluates a product of two arbitrary coordinate vectors.
 The law residuals on basis triples and pairs are not evaluated here: they
@@ -40,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .fields import Field, Rationals, Scalar
 
@@ -162,6 +165,17 @@ def _sparse_rows(rows: Iterable[Sequence[Scalar]]) -> list:
     return [{j: x for j, x in enumerate(r) if x} for r in rows]
 
 
+def _apply_rows(rows: Iterable[dict], v: Sequence[Scalar], zero) -> Iterator:
+    """Each sparse {column: value} row applied to the vector v, lazily."""
+    for r in rows:
+        acc = zero
+        for idx, x in r.items():
+            y = v[idx]
+            if y:
+                acc = acc + x * y
+        yield acc
+
+
 def _subtract(row: dict, f: Scalar, other: dict) -> None:
     """row -= f * other in place, dropping entries that cancel."""
     for j, y in other.items():
@@ -187,54 +201,67 @@ def _rref(field: Field, rows_in: Iterable[dict]):
 
     `rows_in` holds {column: value} dicts of nonzero entries, which are left
     unchanged; the result lists the nonzero reduced rows, as such dicts, in
-    pivot-column order.  Over a prime field this is `_rref_field` on copies
-    of the rows.  Over Q the empty rows are dropped, every other row is
-    replaced by its `_primitive` multiple and only the first copy of each
-    distinct one is kept: the row space, and so the form, is unchanged.
-    `_rref_modular` tries each of `_PRIMES` in turn on those rows; only when
-    every prime fails are they eliminated by `_rref_field` in `Fraction`
-    arithmetic.  Both routes give the one reduced row echelon form.
+    pivot-column order.  Every route runs the one loop `_eliminate`.  Over a
+    prime field it runs on the residues of the entries, and `Fp` values are
+    made only for the reduced rows returned.  Over Q the empty rows are
+    dropped, every other row is replaced by its `_primitive` multiple and only
+    the first copy of each distinct one is kept: the row space, and so the
+    form, is unchanged.  `_rref_modular` tries each of `_PRIMES` in turn on
+    those rows; only when every prime fails are they eliminated in `Fraction`
+    arithmetic.  Every route gives the one reduced row echelon form.
     """
     if not isinstance(field, Rationals):
-        return _rref_field(field, map(dict, rows_in))
+        pivot_rows = _eliminate(({j: x.value for j, x in row.items()} for row in rows_in), field.p)
+        pivots = sorted(pivot_rows)
+        return [{j: field.of_int(x) for j, x in pivot_rows[c].items()} for c in pivots], pivots
     primitive = (_primitive(row) for row in rows_in if row)
     rows = list({frozenset(row.items()): row for row in primitive}.values())
     for p in _PRIMES:
         result = _rref_modular(rows, p)
         if result is not None:
             return result
-    return _rref_field(field, [{j: Fraction(x) for j, x in row.items()} for row in rows])
+    pivot_rows = _eliminate(rows)
+    pivots = sorted(pivot_rows)
+    return [pivot_rows[c] for c in pivots], pivots
 
 
-def _rref_field(field: Field, rows_in: Iterable[dict]):
-    """`_rref` by arithmetic in the field itself.
+def _eliminate(rows: Iterable[dict], p: Optional[int] = None) -> dict:
+    """{pivot column: fully reduced row} of sparse rows of ints, eliminated
+    on residues mod p, or on `Fraction` values when p is None.
 
-    Each incoming row is reduced against the pivot rows found so far, which
-    are kept fully reduced (zero in every other pivot column), so only nonzero
-    entries are touched.  A row left nonzero gets its first column as pivot
+    Each incoming row is copied (the rows handed in are never written) and
+    reduced against the pivot rows found so far, which are kept fully reduced
+    (zero in every other pivot column), so only nonzero entries are touched.
+    A row left nonzero gets its first column as pivot, is scaled to 1 there
     and is cleared from the earlier pivot rows.  The reduced row echelon form
     of a matrix is unique, so pivots and rows equal those of column-by-column
     Gauss-Jordan elimination exactly.
     """
-    one = field.one()
+    if p is None:
+        entry, subtract = Fraction, _subtract
+    else:
+        entry = p.__rmod__  # entry(x) is x % p
+
+        def subtract(row, f, other):
+            _subtract_mod(row, f, other, p)
     pivot_rows: dict = {}
-    for row in rows_in:
+    for source in rows:
+        row = {j: y for j, x in source.items() if (y := entry(x))}
         for c, f in [(c, f) for c, f in row.items() if c in pivot_rows]:
-            _subtract(row, f, pivot_rows[c])
+            subtract(row, f, pivot_rows[c])
         if not row:
             continue
-        p = min(row)
-        lead = row[p]
-        if lead != one:
-            inv = one / lead
-            row = {j: inv * x for j, x in row.items()}
+        c = min(row)
+        lead = row[c]
+        if lead != 1:
+            inv = pow(lead, -1, p)
+            row = {j: entry(inv * x) for j, x in row.items()}
         for other in pivot_rows.values():
-            f = other.get(p)
+            f = other.get(c)
             if f is not None:
-                _subtract(other, f, row)
-        pivot_rows[p] = row
-    pivots = sorted(pivot_rows)
-    return [pivot_rows[c] for c in pivots], pivots
+                subtract(other, f, row)
+        pivot_rows[c] = row
+    return pivot_rows
 
 
 def _integral(row: dict, scale: Optional[int] = None) -> dict:
@@ -316,9 +343,9 @@ def _rref_modular(rows: list, p: int):
     """`_rref` of integer rows, eliminated modulo p and certified over Q, or
     None when the lift or its certificate fails.
 
-    The elimination is `_rref_field`'s, step for step, on residues, so a pivot
-    row has its 1 at its pivot column, nothing at other pivot columns and
-    nothing before its pivot.  Every entry is lifted by `_reconstruct` and the
+    `_eliminate` runs on the residues of the rows mod p, so a pivot row has
+    its 1 at its pivot column, nothing at other pivot columns and nothing
+    before its pivot.  Every entry is lifted by `_reconstruct` and the
     lift is checked by `_certify`.  A lift that passes has n - r kernel
     vectors, one per non-pivot column, so rank over Q is at most the rank r
     mod p, which for an integer matrix is at most the rank over Q.  The ranks
@@ -326,27 +353,7 @@ def _rref_modular(rows: list, p: int):
     columns, the r pivot columns are independent over Q, and the pivots and
     lifted rows are the reduced row echelon form over Q, entry for entry.
     """
-    pivot_rows: dict = {}
-    for source in rows:
-        row = {}
-        for j, x in source.items():
-            x %= p
-            if x:
-                row[j] = x
-        for c, f in [(c, f) for c, f in row.items() if c in pivot_rows]:
-            _subtract_mod(row, f, pivot_rows[c], p)
-        if not row:
-            continue
-        c = min(row)
-        lead = row[c]
-        if lead != 1:
-            inv = pow(lead, -1, p)
-            row = {j: inv * x % p for j, x in row.items()}
-        for other in pivot_rows.values():
-            f = other.get(c)
-            if f is not None:
-                _subtract_mod(other, f, row, p)
-        pivot_rows[c] = row
+    pivot_rows = _eliminate(rows, p)
     lifts = {}
     for row in pivot_rows.values():
         for x in row.values():
@@ -430,10 +437,8 @@ def solve(m: Matrix, b: Vec) -> Optional[Vec]:
 
 def _solve(field: Field, rows: list, ncols: int, b: Vec) -> Optional[Vec]:
     """solve on sparse rows over ncols columns, one per entry of b, which is
-    written into the rows as column ncols."""
-    for row, bb in zip(rows, b):
-        if bb:
-            row[ncols] = bb
+    appended to copies of the rows as column ncols."""
+    rows = [{**row, ncols: bb} if bb else row for row, bb in zip(rows, b)]
     reduced, pivots = _rref(field, rows)
     if pivots and pivots[-1] == ncols:
         return None
@@ -527,10 +532,6 @@ class Tensor3:
                        tuple(tuple(tuple(a - b for a, b in zip(fa, fb))
                                    for fa, fb in zip(pa, pb))
                              for pa, pb in zip(self.entries, other.entries)))
-
-    def scale(self, c: Scalar) -> "Tensor3":
-        return Tensor3(self.field, self.dims,
-                       tuple(tuple(tuple(c * a for a in f) for f in p) for p in self.entries))
 
     def is_zero(self) -> bool:
         return not any(any(any(f) for f in p) for p in self.entries)

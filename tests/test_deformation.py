@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -201,7 +200,7 @@ def test_trivial_deformation_of_coboundary_round_trip(named_algebras):
     reg = regular_representation(a2)
     for n in (1, 2, 3):
         phi = rand_matrix(rng, 2, 2)
-        w_n = MultTable(d1(a2, reg, phi).tensor.scale(Fraction(-1)))
+        w_n = MultTable(d1(a2, reg, -phi).tensor)
         terms = [MultTable.zero(QQ, 2)] * n
         terms[n - 1] = w_n
         d = TruncatedDeformation(a2, tuple(terms))

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antiprelie.algebra import StructureError
+from antiprelie.algebra import AntiPreLieAlgebra, MultTable, StructureError
 from antiprelie.cohomology import cochain2_to_vec, cohomology_spaces, d1_matrix, d2_matrix
 from antiprelie import linalg
 from antiprelie.fields import QQ, PrimeField
@@ -99,14 +99,14 @@ def fraction_eliminations(**patches):
     """Count the eliminations over Q that run in `Fraction` arithmetic (the
     fallback of the modular path), with the given linalg names patched."""
     count = [0]
-    inner = linalg._rref_field
+    inner = linalg._eliminate
 
-    def counted(field, rows):
-        count[0] += field == QQ
-        return inner(field, rows)
+    def counted(rows, p=None):
+        count[0] += p is None
+        return inner(rows, p)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_rref_field", counted)
+        mp.setattr(linalg, "_eliminate", counted)
         for name, value in patches.items():
             mp.setattr(linalg, name, value)
         yield count
@@ -195,15 +195,44 @@ def test_kernel_basis_equals_dense_reference(m):
 
 @pytest.mark.parametrize("field", (QQ, PrimeField(2), PrimeField(3), PrimeField(5)))
 def test_elimination_leaves_its_rows_unchanged(field):
-    """_rref and _kernel read the rows they are handed and never write them,
-    so a caller can eliminate rows it keeps (as classify keeps the d2 rows)."""
+    """_rref, _kernel and _solve read the rows they are handed and never
+    write them, so a caller can eliminate rows it keeps (as classify keeps the
+    d2 rows)."""
     m = Matrix.from_rows(field, [[field.of_int(x) for x in r]
                                  for r in [[1, 1, 0], [1, 2, 1], [2, 0, 1], [0, 1, 1]]])
-    for eliminate in (lambda rows: _rref(field, rows), lambda rows: linalg._kernel(field, rows, 3)):
+    b = tuple(field.of_int(x) for x in (1, 0, 2, 1))
+    for eliminate in (lambda rows: _rref(field, rows), lambda rows: linalg._kernel(field, rows, 3),
+                      lambda rows: linalg._solve(field, rows, 3, b)):
         rows = _sparse_rows(m.entries)
         before = [dict(r) for r in rows]
         eliminate(rows)
         assert rows == before
+
+
+def test_prime_field_elimination_makes_fp_only_for_the_rows_it_returns(monkeypatch):
+    """Over F_3 the d2 rows of the dim-4 tower are eliminated on residues:
+    the only `Fp` values constructed are the entries of the reduced rows."""
+    from antiprelie.cohomology import _cocycle_rows
+    from antiprelie.fields import Fp
+    from antiprelie.representation import semidirect_product
+
+    f3 = PrimeField(3)
+    a2 = AntiPreLieAlgebra.verify(MultTable.from_dict(f3, 2, {(0, 1, 1): 1}))
+    a4 = semidirect_product(a2, regular_representation(a2))
+    d2_rows = list(_cocycle_rows(a4.table, regular_representation(a4)))
+    made = [0]
+    init = Fp.__init__
+
+    def counted(self, value, p):
+        made[0] += 1
+        init(self, value, p)
+
+    monkeypatch.setattr(Fp, "__init__", counted)
+    rows, pivots = _rref(f3, d2_rows)
+    monkeypatch.undo()
+    assert pivots and made[0] <= sum(map(len, rows))
+    m = Matrix.from_rows(f3, [[r.get(j, f3.zero()) for j in range(16)] for r in d2_rows])
+    assert [_dense(r, 16, f3.zero()) for r in rows] == dense_rref(f3, m.entries, 16)[0][: len(pivots)]
 
 
 # Over F_5 every residue lifts to -1, 0 or 1 or to nothing: the lifts of 6 and
