@@ -25,21 +25,25 @@ are assembled on ints, from views scaled by one common denominator.  Nothing
 on the way to H2 is dense: Z2 is eliminated from the sparse d2 rows, B2 and
 cohomologous read the sparse d1 rows, Z2 and B2 stay sparse vectors, the
 [B2 | Z2] block is their transpose, and each cochain is sliced from one flat
-list.  d1_matrix and d2_matrix are the dense views of the same rows.  A
-caller testing many cochains builds the d2 rows once and applies them with
-_in_kernel.  The pointwise evaluations of d1 and d2 on basis pairs and
-triples live in the test suite, as the independent oracles.
+list.  The complex of one (table, representation) pair is one private value,
+_Complex, which refuses a representation of another algebra and assembles
+its d1 and d2 rows once each, for H2, the cocycle gate, d1 and cohomologous.
+d1_matrix and d2_matrix are the dense views of the same rows.  The pointwise
+evaluations of d1 and d2 on basis pairs and triples live in the test suite,
+as the independent oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from functools import cached_property
+from itertools import product
+from typing import Iterator, Optional
 
 from .algebra import AntiPreLieAlgebra, MultTable, StructureError
 from .fields import Field, Rationals, _require_field
-from .linalg import Matrix, Tensor3, Vec, _apply_rows, _integral, _kernel, _rref, _solve
-from .representation import AlgebraLike, Representation, _pair_views, as_table
+from .linalg import Matrix, Tensor3, Vec, _apply_rows, _integral, _kernel, _rref, _solve, vec_sub
+from .representation import AlgebraLike, Representation, _pair_views, _require_pair, as_table
 
 
 @dataclass(frozen=True)
@@ -90,13 +94,12 @@ class Cochain2:
 def d1(alg: AlgebraLike, rep: Representation, f: Matrix) -> Cochain2:
     """The coboundary of a 1-cochain f (an m x n matrix): the rows of the d1
     linearization applied to the C1 vector of f, read back as a 2-cochain."""
-    table = as_table(alg)
-    n, m = table.dim, rep.dim_v
+    cx = _Complex(as_table(alg), rep)
+    field, n, m = cx.table.field, cx.table.dim, rep.dim_v
     if (f.rows, f.cols) != (m, n):
         raise ValueError(f"1-cochain must be {m}x{n}, got {f.rows}x{f.cols}")
-    _require_field("cochain", f.field, table.field)
-    values = tuple(_apply_rows(_d1_rows(table, rep), cochain1_to_vec(f), table.field.zero()))
-    return cochain2_from_vec(table.field, n, m, values)
+    _require_field("cochain", f.field, field)
+    return cochain2_from_vec(field, n, m, tuple(_apply_rows(cx.d1, cochain1_to_vec(f), field.zero())))
 
 
 def cochain1_to_vec(f: Matrix) -> Vec:
@@ -138,26 +141,76 @@ def _dense(field: Field, rows, ncols: int) -> Matrix:
     return Matrix.from_rows(field, out, ncols)
 
 
-def _d1_rows(table: MultTable, rep: Representation) -> Iterator[dict]:
-    """The rows of the d1 linearization in order, as {C1 coordinate: nonzero value}.
+@dataclass(frozen=True)
+class _Complex:
+    """The cochain complex C*(A; V) of a (table, rep) pair that fits
+    (_require_pair); its d1 and d2 rows are each assembled once, on first use."""
 
-    Row (i n + j) m + l, the C2 coordinate of t[i][j][l], is component l of
-    (d1 F)(e_i, e_j): row l of rho(e_i) placed at the C1 coordinates of
-    F(e_j) (base j, stride n, as F[l'][j] sits at l' n + j), row l of mu(e_j)
-    at those of F(e_i), and minus e_i . e_j at those of component l of F
-    (base l n, stride 1).
-    """
-    n, m = table.dim, rep.dim_v
-    prod = table.sparse_rows
-    rho, mu = rep.sparse
-    for i in range(n):
-        for j in range(n):
-            for l in range(m):
-                r = {}
-                _add_at(r, j, n, rho[i][l])
-                _add_at(r, i, n, mu[j][l])
-                _add_at(r, l * n, 1, prod[i][j], negate=True)
-                yield {c: x for c, x in r.items() if x}
+    table: MultTable
+    rep: Representation
+
+    def __post_init__(self):
+        _require_pair(self.table, self.rep)
+
+    @cached_property
+    def d1(self) -> list:
+        """The rows of the d1 linearization in order, as {C1 coordinate: nonzero value}.
+
+        Row (i n + j) m + l, the C2 coordinate of t[i][j][l], is component l of
+        (d1 F)(e_i, e_j): row l of rho(e_i) placed at the C1 coordinates of
+        F(e_j) (base j, stride n, as F[l'][j] sits at l' n + j), row l of mu(e_j)
+        at those of F(e_i), and minus e_i . e_j at those of component l of F
+        (base l n, stride 1).
+        """
+        n, m = self.table.dim, self.rep.dim_v
+        prod = self.table.sparse_rows
+        rho, mu = self.rep.sparse
+        rows = []
+        for i, j, l in product(range(n), range(n), range(m)):
+            r = {}
+            _add_at(r, j, n, rho[i][l])
+            _add_at(r, i, n, mu[j][l])
+            _add_at(r, l * n, 1, prod[i][j], negate=True)
+            rows.append({c: x for c, x in r.items() if x})
+        return rows
+
+    @cached_property
+    def d2(self) -> list:
+        """The nonzero rows of d2, without the entries that cancelled; over Q on
+        ints (D times the rational rows, see _d2_rows), with the same kernel."""
+        integral = isinstance(self.table.field, Rationals)
+        rows = ({j: x for j, x in r.items() if x} for r in _d2_rows(self.table, self.rep, integral))
+        return [r for r in rows if r]
+
+    def vec(self, f: Cochain2) -> Vec:
+        """The C2 vector of f, refused unless f is a 2-cochain of this pair."""
+        n, m = self.table.dim, self.rep.dim_v
+        if (f.dim_a, f.dim_v) != (n, m):
+            raise ValueError(f"2-cochain dims {(f.dim_a, f.dim_v)} do not match ({n}, {m})")
+        _require_field("cochain", f.field, self.table.field)
+        return cochain2_to_vec(f)
+
+    def is_cocycle(self, f: Cochain2) -> bool:
+        """Whether the d2 rows vanish on f, stopping at the first that does
+        not; over Q f is scaled to ints by the lcm of its own denominators."""
+        v = self.vec(f)
+        if isinstance(self.table.field, Rationals):
+            return not any(_apply_rows(self.d2, _integral(dict(enumerate(v))), 0))
+        return not any(_apply_rows(self.d2, v, self.table.field.zero()))
+
+    def spaces(self) -> "CohomologySpaces":
+        """cohomology_spaces of the pair, from its d2 and d1 rows."""
+        n, m = self.table.dim, self.rep.dim_v
+        field, size = self.table.field, n * n * m
+        z2 = _kernel(field, self.d2, size)
+        d1_cols = _transpose(self.d1, n * m)
+        b2 = [d1_cols[c] for c in _rref(field, self.d1)[1]]
+        pivots = _rref(field, _transpose(b2 + z2, size))[1]
+        if len(pivots) != len(z2):
+            raise StructureError("a coboundary fell outside Z2; (alg, rep) was not verified")
+        reps = [z2[c - len(b2)] for c in pivots[len(b2):]]
+        mk = lambda vecs: tuple(_cochain2(field, n, m, v) for v in vecs)
+        return CohomologySpaces(mk(z2), mk(b2), len(reps), mk(reps))
 
 
 def d1_matrix(alg: AlgebraLike, rep: Representation) -> Matrix:
@@ -167,8 +220,8 @@ def d1_matrix(alg: AlgebraLike, rep: Representation) -> Matrix:
     evaluating d1 on basis cochains, so it can serve as the second route in
     the oracle-equivalence tests.
     """
-    table = as_table(alg)
-    return _dense(table.field, _d1_rows(table, rep), table.dim * rep.dim_v)
+    cx = _Complex(as_table(alg), rep)
+    return _dense(cx.table.field, cx.d1, cx.table.dim * rep.dim_v)
 
 
 def _add_at(row: dict, base: int, stride: int, coeffs: dict, negate: bool = False) -> None:
@@ -191,7 +244,7 @@ def _d2_rows(table: MultTable, rep: Representation, integral: bool = False) -> I
     matrix, with k the V index of f(e_p, e_q) (stride 1), or a product or
     bracket, with k the basis index w of f(e_p, e_w) (stride m) or of
     f(e_w, e_q) (stride n m).  Only nonzero fibers are visited; an entry that
-    cancels stays as a zero, which cohomology_spaces drops before elimination.
+    cancels stays as a zero, which _Complex.d2 drops.
     With integral (over Q) the views are first scaled to ints by one common
     denominator D (_pair_views); d2 is linear in them, so each row is D times
     the rational one.
@@ -219,20 +272,17 @@ def _d2_rows(table: MultTable, rep: Representation, integral: bool = False) -> I
              (comm[c][a], b * m, nm, False)),
         )
 
-    for component in (first, second):
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    actions, products = component(a, b, c)
-                    products = [t for t in products if t[0]]
-                    for l in range(m):
-                        r = {}
-                        for rows, base, negate in actions:
-                            if rows[l]:
-                                _add_at(r, base, 1, rows[l], negate)
-                        for fiber, base, stride, negate in products:
-                            _add_at(r, base + l, stride, fiber, negate)
-                        yield r
+    for component, a, b, c in product((first, second), range(n), range(n), range(n)):
+        actions, products = component(a, b, c)
+        products = [t for t in products if t[0]]
+        for l in range(m):
+            r = {}
+            for rows, base, negate in actions:
+                if rows[l]:
+                    _add_at(r, base, 1, rows[l], negate)
+            for fiber, base, stride, negate in products:
+                _add_at(r, base + l, stride, fiber, negate)
+            yield r
 
 
 def d2_matrix(alg: AlgebraLike, rep: Representation) -> Matrix:
@@ -275,24 +325,7 @@ def cohomology_spaces(alg: AntiPreLieAlgebra, rep: Representation) -> Cohomology
     independent too, so the block has exactly len(Z2) pivots if and only if
     B2 lies inside Z2.
     """
-    table = as_table(alg)
-    return _spaces(table, rep, _cocycle_rows(table, rep))
-
-
-def _spaces(table: MultTable, rep: Representation, rows: Iterable[dict]) -> CohomologySpaces:
-    """cohomology_spaces from the rows of _cocycle_rows."""
-    n, m = table.dim, rep.dim_v
-    field, size = table.field, n * n * m
-    z2 = _kernel(field, rows, size)
-    d1_rows = list(_d1_rows(table, rep))
-    d1_cols = _transpose(d1_rows, n * m)
-    b2 = [d1_cols[c] for c in _rref(field, d1_rows)[1]]
-    pivots = _rref(field, _transpose(b2 + z2, size))[1]
-    if len(pivots) != len(z2):
-        raise StructureError("a coboundary fell outside Z2; (alg, rep) was not verified")
-    reps = [z2[c - len(b2)] for c in pivots[len(b2):]]
-    mk = lambda vecs: tuple(_cochain2(field, n, m, v) for v in vecs)
-    return CohomologySpaces(mk(z2), mk(b2), len(reps), mk(reps))
+    return _Complex(as_table(alg), rep).spaces()
 
 
 def _transpose(vecs: list, size: int) -> list:
@@ -304,49 +337,17 @@ def _transpose(vecs: list, size: int) -> list:
     return rows
 
 
-def _cocycle_rows(table: MultTable, rep: Representation) -> Iterator[dict]:
-    """The nonzero rows of d2, lazily, without the entries that cancelled;
-    over Q on ints (D times the rational rows, see _d2_rows), which leaves
-    their kernel unchanged."""
-    for r in _d2_rows(table, rep, isinstance(table.field, Rationals)):
-        r = {j: x for j, x in r.items() if x}
-        if r:
-            yield r
-
-
-def _in_kernel(rows: Iterable[dict], f: Cochain2) -> bool:
-    """Whether rows from _cocycle_rows vanish on f, stopping at the first
-    that does not; over Q f is scaled to ints by the lcm of its own
-    denominators."""
-    v = cochain2_to_vec(f)
-    if isinstance(f.field, Rationals):
-        return not any(_apply_rows(rows, _integral(dict(enumerate(v))), 0))
-    return not any(_apply_rows(rows, v, f.field.zero()))
-
-
 def is_cocycle(alg: AlgebraLike, rep: Representation, f: Cochain2) -> bool:
     """Whether d2 f = 0: the nonzero rows of d2 applied to f, stopping at the
     first nonzero component."""
-    table = as_table(alg)
-    n, m = table.dim, rep.dim_v
-    if (f.dim_a, f.dim_v) != (n, m):
-        raise ValueError(f"2-cochain dims {(f.dim_a, f.dim_v)} do not match ({n}, {m})")
-    _require_field("cochain", f.field, table.field)
-    return _in_kernel(_cocycle_rows(table, rep), f)
+    return _Complex(as_table(alg), rep).is_cocycle(f)
 
 
 def cohomologous(
     alg: AlgebraLike, rep: Representation, f: Cochain2, g: Cochain2
 ) -> Optional[Matrix]:
     """A 1-cochain phi with f - g = d1(phi), or None when none exists."""
-    table = as_table(alg)
-    n, m = table.dim, rep.dim_v
-    for c in (f, g):
-        _require_field("cochain", c.field, table.field)
-    diff = f - g
-    if (diff.dim_a, diff.dim_v) != (n, m):
-        raise ValueError(f"2-cochain dims {(diff.dim_a, diff.dim_v)} do not match ({n}, {m})")
-    x = _solve(table.field, list(_d1_rows(table, rep)), n * m, cochain2_to_vec(diff))
-    if x is None:
-        return None
-    return cochain1_from_vec(table.field, n, m, x)
+    cx = _Complex(as_table(alg), rep)
+    field, n, m = cx.table.field, cx.table.dim, rep.dim_v
+    x = _solve(field, cx.d1, n * m, vec_sub(cx.vec(f), cx.vec(g)))
+    return None if x is None else cochain1_from_vec(field, n, m, x)

@@ -43,11 +43,7 @@ from .algebra import (
 )
 from .fields import Field, Rationals, _require_field
 from .linalg import Matrix, _apply_rows, _integral_views, invert, rank, vec_sub
-from .representation import (
-    AlgebraLike,
-    Representation,
-    as_table,
-)
+from .representation import AlgebraLike, Representation, _require_pair, as_table
 
 LAW_D1 = "dendriform-1"
 LAW_D2 = "dendriform-2"
@@ -182,11 +178,9 @@ def check_O_operator(alg: AlgebraLike, rep: Representation, t: Matrix) -> Report
     Fractions over Q and on unreduced ints over F_p."""
     table = as_table(alg)
     n, m = table.dim, rep.dim_v
-    if rep.dim_a != n:
-        raise ValueError(f"representation is over a dim-{rep.dim_a} algebra, table has dim {n}")
+    _require_pair(table, rep)
     if (t.rows, t.cols) != (n, m):
         raise ValueError(f"operator matrix must be {n}x{m}, got {t.rows}x{t.cols}")
-    _require_field("representation", rep.field, table.field)
     _require_field("operator", t.field, table.field)
     num, nonzero, scalar = _numbers(table.field)
     tm = [[num(x) for x in row] for row in t.entries]

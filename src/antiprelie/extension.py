@@ -18,9 +18,10 @@ theta(x, y) = s(x) . s(y) - s(x.y) together with the actions rho(x)(u) =
 s(x) . u and mu(x)(u) = u . s(x).  Two extensions over a fixed (algebra,
 representation) are isomorphic exactly when their cocycles are cohomologous,
 with the isomorphism zeta(x + u) = x + u + phi(x); classification is by the
-second cohomology group.  classify_extensions passes each H2 representative
-through the same cocycle gate as build_extension, against the int d2 rows
-Z2 was eliminated from, and re-verifies every extension table.
+second cohomology group.  Both build an extension through one cocycle gate,
+the cochain complex of the pair (cohomology._Complex): classify_extensions
+asks one complex for H2 and then gates each representative against the d2
+rows Z2 was eliminated from, and every extension table is re-verified.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from .algebra import (
     StructureError,
     check_morphism,
 )
-from .cohomology import Cochain2, _cocycle_rows, _in_kernel, _spaces, cohomologous, is_cocycle
+from .cohomology import Cochain2, _Complex, cohomologous
 from .fields import Field
 from .linalg import Matrix, Tensor3, kernel_basis, rank, solve, vec_is_zero, vec_sub
-from .representation import Representation, check_representation, semidirect_product
+from .representation import Representation, _require_pair, check_representation, semidirect_product
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,7 @@ def extension_table(alg_table: MultTable, rep: Representation, theta: Cochain2) 
     No verification happens here; build_extension adds the cocycle gate.
     """
     n, m = alg_table.dim, rep.dim_v
+    _require_pair(alg_table, rep)
     if (theta.dim_a, theta.dim_v) != (n, m):
         raise ValueError(f"cocycle dims {(theta.dim_a, theta.dim_v)} do not match ({n}, {m})")
     z = alg_table.field.zero()
@@ -113,16 +115,15 @@ def build_extension(
     A non-cocycle is refused: its table would fail the anti-pre-Lie check.
     Extracting along the canonical section returns theta exactly.
     """
-    return _extension(alg, rep, theta, is_cocycle(alg, rep, theta))
+    return _extension(alg, _Complex(alg.table, rep), theta)
 
 
-def _extension(alg: AntiPreLieAlgebra, rep: Representation, theta: Cochain2,
-               cocycle: bool) -> AbelianExtension:
-    """build_extension, given whether theta passed the cocycle gate."""
-    if not cocycle:
+def _extension(alg: AntiPreLieAlgebra, cx: _Complex, theta: Cochain2) -> AbelianExtension:
+    """build_extension, gated by the complex cx of alg and the representation."""
+    if not cx.is_cocycle(theta):
         raise StructureError("theta is not a 2-cocycle; the extension product would not verify")
-    table = extension_table(alg.table, rep, theta)
-    return AbelianExtension(AntiPreLieAlgebra.verify(table), alg.dim, rep.dim_v)
+    table = extension_table(alg.table, cx.rep, theta)
+    return AbelianExtension(AntiPreLieAlgebra.verify(table), alg.dim, cx.rep.dim_v)
 
 
 def semidirect_extension(alg: AntiPreLieAlgebra, rep: Representation) -> AbelianExtension:
@@ -269,7 +270,5 @@ def classify_extensions(alg: AntiPreLieAlgebra, rep: Representation) -> tuple:
     non-isomorphic, and the class of the semidirect product (theta = 0) is
     the zero class not listed here.
     """
-    rows = list(_cocycle_rows(alg.table, rep))
-    spaces = _spaces(alg.table, rep, rows)
-    return tuple((theta, _extension(alg, rep, theta, _in_kernel(rows, theta)))
-                 for theta in spaces.h2_representatives)
+    cx = _Complex(alg.table, rep)
+    return tuple((theta, _extension(alg, cx, theta)) for theta in cx.spaces().h2_representatives)

@@ -16,11 +16,12 @@ ints (_pair_views, linalg._integral_views): over Q table and representation
 are scaled by one common denominator D, each residual term is a product of
 two of their entries, so an int residual is D^2 times the rational one; over
 F_p they hold their residues, and a residual is reduced mod p only where it
-is tested.  A representation over another field than the table's is refused
-before any arithmetic.  The module also builds the regular representation
-(L, R), semidirect products, the induced sub-adjacent Lie action rho - mu,
-dual representations on V*, and the three-way equivalence report for
-(mu - rho, mu) / (rho*, mu*) / mu(x.y) + mu(y.x) = 0.
+is tested.  A representation over an algebra of another dimension, or over
+another field, than the table's is refused before any arithmetic.  The module
+also builds the regular representation (L, R), semidirect products, the
+induced sub-adjacent Lie action rho - mu, dual representations on V*, and the
+three-way equivalence report for (mu - rho, mu) / (rho*, mu*) /
+mu(x.y) + mu(y.x) = 0.
 """
 
 from __future__ import annotations
@@ -91,6 +92,13 @@ LAW_MIXED = "rep-mixed"
 LAW_MU = "rep-mu"
 
 
+def _require_pair(table: MultTable, rep: Representation) -> None:
+    """Refuse a representation of an algebra of another dimension or field."""
+    if rep.dim_a != table.dim:
+        raise ValueError(f"representation is over a dim-{rep.dim_a} algebra, table has dim {table.dim}")
+    _require_field("representation", rep.field, table.field)
+
+
 def _pair_views(table: MultTable, rep: Representation, integral: bool = True) -> tuple:
     """((prod, comm, rho, mu), nonzero, scalar): the product and commutator
     fibers of the table's sparse view and the representation's sparse rows.
@@ -98,8 +106,8 @@ def _pair_views(table: MultTable, rep: Representation, integral: bool = True) ->
     all four scaled by one common denominator D, the lcm over table and
     representation; over F_p the residues), read by its nonzero and scalar;
     otherwise they hold field scalars, and nonzero and scalar are None.  A
-    representation over another field than the table's is refused."""
-    _require_field("representation", rep.field, table.field)
+    representation of another algebra is refused (_require_pair)."""
+    _require_pair(table, rep)
     rho, mu = rep.sparse
     if not integral:
         prod, comm = table.sparse
@@ -113,8 +121,6 @@ def check_representation(alg: AlgebraLike, rep: Representation) -> Report:
     violation a residual matrix at (i, j), on the ints of _pair_views."""
     table = as_table(alg)
     n, m = table.dim, rep.dim_v
-    if rep.dim_a != n:
-        raise ValueError(f"representation is over a dim-{rep.dim_a} algebra, table has dim {n}")
     (prod, comm, rho, mu), nonzero, scalar = _pair_views(table, rep)
     prods, comms = _entries(prod), _entries(comm)
     rho_x, rho_first, rho_second = _entries(rho), _by_first(rho), _by_second(rho, m)

@@ -17,9 +17,10 @@ from antiprelie.cohomology import (
     d2_matrix,
     is_cocycle,
 )
+from antiprelie.extension import build_extension, classify_extensions, extension_table
 from antiprelie.fields import QQ
 from antiprelie.linalg import Matrix, Tensor3, vec_is_zero
-from antiprelie.representation import Representation, regular_representation
+from antiprelie.representation import Representation, regular_representation, semidirect_product
 
 from conftest import rand_fraction, rand_matrix, rand_table
 from oracles import (
@@ -262,6 +263,35 @@ def test_cohomologous_refuses_mismatched_dims(named_algebras):
             with pytest.raises(ValueError, match="dims"):
                 cohomologous(a2, reg, f, g)
     assert cohomologous(a2, reg, good, good) == Matrix.zero(QQ, 2, 2)
+
+
+# Every entry point that takes a (table, representation) pair, given zero
+# cochains of the dims the table and the representation ask for.
+PAIR_CALLS = {
+    "cohomology_spaces": lambda alg, rep, z: cohomology_spaces(alg, rep),
+    "is_cocycle": lambda alg, rep, z: is_cocycle(alg, rep, z),
+    "cohomologous": lambda alg, rep, z: cohomologous(alg, rep, z, z),
+    "d1": lambda alg, rep, z: d1(alg, rep, Matrix.zero(QQ, rep.dim_v, alg.dim)),
+    "d1_matrix": lambda alg, rep, z: d1_matrix(alg, rep),
+    "d2_matrix": lambda alg, rep, z: d2_matrix(alg, rep),
+    "build_extension": lambda alg, rep, z: build_extension(alg, rep, z),
+    "classify_extensions": lambda alg, rep, z: classify_extensions(alg, rep),
+    "extension_table": lambda alg, rep, z: extension_table(alg.table, rep, z),
+}
+
+
+@pytest.mark.parametrize("call", PAIR_CALLS)
+@pytest.mark.parametrize("swap", [False, True], ids=["dim4-rep-on-dim2", "dim2-rep-on-dim4"])
+def test_representation_of_another_dimension_is_refused(named_algebras, call, swap):
+    """A representation over an algebra of another dimension than the table
+    is refused wherever the pair is used: a larger one is not read silently
+    and a smaller one does not end in an IndexError."""
+    a2 = named_algebras["a2"]
+    a4 = semidirect_product(a2, regular_representation(a2))
+    alg, over = (a4, a2) if swap else (a2, a4)
+    rep = regular_representation(over)
+    with pytest.raises(ValueError, match=f"over a dim-{over.dim} algebra, table has dim {alg.dim}"):
+        PAIR_CALLS[call](alg, rep, Cochain2.zero(QQ, alg.dim, rep.dim_v))
 
 
 def test_is_cocycle_matches_d2(corpus_pairs):

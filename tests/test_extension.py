@@ -6,7 +6,7 @@ import pytest
 from antiprelie.algebra import AntiPreLieAlgebra, MultTable, StructureError, check_anti_pre_lie
 from antiprelie.cohomology import (
     Cochain2,
-    _cocycle_rows,
+    _Complex,
     cochain2_to_vec,
     cohomologous,
     cohomology_spaces,
@@ -302,23 +302,28 @@ def test_classify_builds_d2_once(named_algebras, monkeypatch):
 
 
 def test_classify_over_f3_gates_against_intact_rows(monkeypatch):
-    """Over F_p elimination consumes its rows; classify_extensions hands it a
-    copy, so the gate still reads the d2 rows Z2 came from."""
-    import antiprelie.extension as extension
-
+    """classify_extensions gates every representative with the complex that
+    gave H2, and over F_p elimination leaves the rows it is handed alone, so
+    the gate reads exactly the d2 rows Z2 came from."""
     a2 = AntiPreLieAlgebra.verify(fp_table(3, 2, {(0, 1, 1): 1}))
     a4 = semidirect_product(a2, regular_representation(a2))
     rep = regular_representation(a4)
-    gated = []
-    in_kernel = extension._in_kernel
+    solved, gated = [], []
+    spaces, gate = _Complex.spaces, _Complex.is_cocycle
 
-    def recording(rows, theta):
-        gated.append([dict(r) for r in rows])
-        return in_kernel(rows, theta)
+    def solving(cx):
+        solved.append((cx, [dict(r) for r in cx.d2]))
+        return spaces(cx)
 
-    monkeypatch.setattr(extension, "_in_kernel", recording)
+    def recording(cx, theta):
+        gated.append((cx, [dict(r) for r in cx.d2]))
+        return gate(cx, theta)
+
+    monkeypatch.setattr(_Complex, "spaces", solving)
+    monkeypatch.setattr(_Complex, "is_cocycle", recording)
     classes = classify_extensions(a4, rep)
-    assert gated and all(rows == list(_cocycle_rows(a4.table, rep)) for rows in gated)
+    [(solver, z2_rows)] = solved
+    assert gated and all(cx is solver and rows == z2_rows for cx, rows in gated)
     assert [theta for theta, _ in classes] == list(cohomology_spaces(a4, rep).h2_representatives)
     assert len(classes) == 11
     assert [ext for _, ext in classes] == [build_extension(a4, rep, theta) for theta, _ in classes]

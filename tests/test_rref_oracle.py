@@ -212,14 +212,14 @@ def test_elimination_leaves_its_rows_unchanged(field):
 def test_prime_field_elimination_makes_fp_only_for_the_rows_it_returns(monkeypatch):
     """Over F_3 the d2 rows of the dim-4 tower are eliminated on residues:
     the only `Fp` values constructed are the entries of the reduced rows."""
-    from antiprelie.cohomology import _cocycle_rows
+    from antiprelie.cohomology import _Complex
     from antiprelie.fields import Fp
     from antiprelie.representation import semidirect_product
 
     f3 = PrimeField(3)
     a2 = AntiPreLieAlgebra.verify(MultTable.from_dict(f3, 2, {(0, 1, 1): 1}))
     a4 = semidirect_product(a2, regular_representation(a2))
-    d2_rows = list(_cocycle_rows(a4.table, regular_representation(a4)))
+    d2_rows = _Complex(a4.table, regular_representation(a4)).d2
     made = [0]
     init = Fp.__init__
 
