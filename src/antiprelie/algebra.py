@@ -37,9 +37,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .fields import Field
-from .linalg import (Matrix, Tensor3, Vec, _integral_views, _sparse_rows, _subtract, invert,
-                     vec_is_zero, vec_sub)
+from .fields import Field, _require_field
+from .linalg import (Matrix, Tensor3, Vec, _columns, _dense, _integral_views, _sparse_rows, _subtract,
+                     _transport, _units, invert, vec_is_zero, vec_sub)
 
 LAW_EXCHANGE = "exchange"
 LAW_CYCLIC = "cyclic"
@@ -139,22 +139,14 @@ class MultTable:
     @cached_property
     def left_matrices(self) -> tuple:
         """L(e_i): y -> e_i . y, one matrix per basis vector."""
-        n = self.dim
-        return tuple(
-            Matrix(self.field, n, n,
-                   tuple(tuple(self.tensor.entries[i][j][k] for j in range(n)) for k in range(n)))
-            for i in range(n)
-        )
+        return tuple(Matrix(self.field, self.dim, self.dim, plane).transpose()
+                     for plane in self.tensor.entries)
 
     @cached_property
     def right_matrices(self) -> tuple:
         """R(e_i): y -> y . e_i."""
-        n = self.dim
-        return tuple(
-            Matrix(self.field, n, n,
-                   tuple(tuple(self.tensor.entries[j][i][k] for j in range(n)) for k in range(n)))
-            for i in range(n)
-        )
+        return tuple(Matrix(self.field, self.dim, self.dim, column).transpose()
+                     for column in zip(*self.tensor.entries))
 
     @cached_property
     def sparse_rows(self) -> tuple:
@@ -172,13 +164,17 @@ class MultTable:
         """Basis change: the table of x *' y = P^{-1}(P(x) . P(y))."""
         if not p.is_square() or p.rows != self.dim:
             raise ValueError("change of basis must be a square matrix of the table's dimension")
+        _require_field("change of basis", p.field, self.field)
         p_inv = invert(p)
         if p_inv is None:
             raise ValueError("change of basis must be invertible")
-        n = self.dim
-        cols = [p.col(j) for j in range(n)]
-        ent = [[p_inv.apply(self.multiply(cols[i], cols[j])) for j in range(n)] for i in range(n)]
-        return MultTable.from_entries(self.field, ent)
+        cols = _columns(p)
+        return _fiber_table(self.field, _transport(self.sparse_rows, cols, cols, _columns(p_inv)))
+
+
+def _fiber_table(field: Field, grid: list) -> MultTable:
+    """The table of an n x n grid of {k: c} fibers over n coordinates."""
+    return MultTable.from_entries(field, [_dense(field, line, len(grid)).entries for line in grid])
 
 
 def _commutators(rows: tuple, one) -> tuple:
@@ -350,9 +346,7 @@ def check_lie_table(table: MultTable) -> Report:
 
 
 def commutator_table(table: MultTable) -> MultTable:
-    n = table.dim
-    ent = [[table.commutator_basis(i, j) for j in range(n)] for i in range(n)]
-    return MultTable.from_entries(table.field, ent)
+    return _fiber_table(table.field, table.sparse[1])
 
 
 def sub_adjacent_lie(alg: AntiPreLieAlgebra) -> LieTable:
@@ -369,14 +363,11 @@ def sub_adjacent_lie(alg: AntiPreLieAlgebra) -> LieTable:
 def check_morphism(f: Matrix, src: MultTable, dst: MultTable) -> Report:
     """f(x . y) = f(x) .' f(y) on all basis pairs of the source."""
     if f.cols != src.dim or f.rows != dst.dim:
-        raise ValueError(
-            f"morphism matrix must be {dst.dim}x{src.dim}, got {f.rows}x{f.cols}"
-        )
-    violations = []
-    fcols = [f.col(j) for j in range(src.dim)]
-    for i in range(src.dim):
-        for j in range(src.dim):
-            res = vec_sub(f.apply(src.basis_product(i, j)), dst.multiply(fcols[i], fcols[j]))
-            if not vec_is_zero(res):
-                violations.append(Violation("morphism", (i, j), res))
-    return Report("morphism", tuple(violations))
+        raise ValueError(f"morphism matrix must be {dst.dim}x{src.dim}, got {f.rows}x{f.cols}")
+    _require_field("morphism", f.field, src.field)
+    _require_field("target table", dst.field, src.field)
+    res = _transport(src.sparse_rows, _units(src.dim), _units(src.dim), _columns(f))
+    _transport(dst.sparse_rows, _columns(f), _columns(-f), _units(dst.dim), res)
+    return Report("morphism", tuple(
+        Violation("morphism", (i, j), v) for i, line in enumerate(res)
+        for j, v in enumerate(_dense(src.field, line, dst.dim).entries) if any(v)))

@@ -42,7 +42,8 @@ from typing import Iterator, Optional
 
 from .algebra import AntiPreLieAlgebra, MultTable, StructureError
 from .fields import Field, Rationals, _require_field
-from .linalg import Matrix, Tensor3, Vec, _apply_rows, _integral, _kernel, _rref, _solve, vec_sub
+from .linalg import (Matrix, Tensor3, Vec, _apply_rows, _dense, _integral, _kernel, _rref, _solve,
+                     vec_sub)
 from .representation import AlgebraLike, Representation, _pair_views, _require_pair, as_table
 
 
@@ -127,18 +128,6 @@ def _cochain2(field: Field, n: int, m: int, v: dict) -> Cochain2:
         flat[j] = x
     return Cochain2(Tensor3(field, (n, n, m), tuple(
         tuple(tuple(flat[(i * n + j) * m:(i * n + j + 1) * m]) for j in range(n)) for i in range(n))))
-
-
-def _dense(field: Field, rows, ncols: int) -> Matrix:
-    """The matrix of sparse {column: value} rows, with the field zero elsewhere."""
-    z = field.zero()
-    out = []
-    for r in rows:
-        dense = [z] * ncols
-        for idx, x in r.items():
-            dense[idx] = x
-        out.append(tuple(dense))
-    return Matrix.from_rows(field, out, ncols)
 
 
 @dataclass(frozen=True)

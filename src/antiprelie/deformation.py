@@ -16,7 +16,8 @@ of products w_i w_j, is D^2 times the rational one (algebra._law_views).
 Series are truncated at the chosen order everywhere: products and inverses
 of truncated series simply discard higher terms, matching the
 degree-by-degree way the equations are indexed; they sum only their nonzero
-terms.
+terms.  The pull-back moves each w_r along the degree parts with
+linalg._transport, which never multiplies by phi_0 = psi_0 = Id.
 
 The degree-1 part of a verified deformation is a 2-cocycle for the regular
 representation; pulling a deformation back along a truncated isomorphism
@@ -30,6 +31,7 @@ that use them, so checking a deformation loads neither.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .algebra import (
@@ -38,11 +40,12 @@ from .algebra import (
     Report,
     StructureError,
     _apl_terms,
+    _fiber_table,
     _law_views,
     _support_walk,
 )
-from .fields import Field
-from .linalg import Matrix
+from .fields import Field, _require_field
+from .linalg import Matrix, _columns, _transport, _units
 
 if TYPE_CHECKING:
     from .cohomology import Cochain2
@@ -113,11 +116,13 @@ class TruncatedIsomorphism:
         return TruncatedIsomorphism((Matrix.zero(field, n, n),) * order)
 
     def padded(self, field: Field, n: int, order: int) -> list:
-        """[phi_0 .. phi_order] with phi_0 = Id, padding or truncating with zeros."""
-        out = [Matrix.identity(field, n)]
-        for k in range(order):
-            out.append(self.phis[k] if k < len(self.phis) else Matrix.zero(field, n, n))
-        return out
+        """[Id, phi_1 .. phi_order], zero-padded or truncated; a part not n x n over field is refused."""
+        for p in self.phis:
+            if (p.rows, p.cols) != (n, n):
+                raise ValueError(f"isomorphism degree parts are {p.rows}x{p.cols}, need {n}x{n}")
+            _require_field("isomorphism", p.field, field)
+        padding = [Matrix.zero(field, n, n)] * (order - len(self.phis))
+        return [Matrix.identity(field, n), *self.phis[:order], *padding]
 
 
 def check_deformation(d: TruncatedDeformation) -> Report:
@@ -163,14 +168,11 @@ def infinitesimal(d: TruncatedDeformation) -> Cochain2:
 
 def inverse_series(phis: Sequence[Matrix]) -> list:
     """[psi_0 .. psi_N] of the truncated inverse of sum phi_k t^k, given [phi_0 = Id .. phi_N]."""
-    ident = phis[0]
-    psis = [ident]
+    zero = Matrix.zero(phis[0].field, phis[0].rows, phis[0].cols)
+    psis = [phis[0]]
     for k in range(1, len(phis)):
-        acc = Matrix.zero(ident.field, ident.rows, ident.cols)
-        for i in range(1, k + 1):
-            if not (phis[i].is_zero() or psis[k - i].is_zero()):
-                acc = acc + phis[i] @ psis[k - i]
-        psis.append(-acc)
+        psis.append(-sum((phis[i] @ psis[k - i] for i in range(1, k + 1)
+                          if not (phis[i].is_zero() or psis[k - i].is_zero())), zero))
     return psis
 
 
@@ -187,15 +189,10 @@ def compose_isomorphisms(
     Pulling a deformation back along inner and then along outer equals one
     pullback along this composite.
     """
-    phis_o = outer.padded(field, n, order)
-    phis_i = inner.padded(field, n, order)
-    out = []
-    for k in range(1, order + 1):
-        acc = Matrix.zero(field, n, n)
-        for i in range(0, k + 1):
-            acc = acc + phis_o[i] @ phis_i[k - i]
-        out.append(acc)
-    return TruncatedIsomorphism(tuple(out))
+    phis_o, phis_i = outer.padded(field, n, order), inner.padded(field, n, order)
+    return TruncatedIsomorphism(tuple(
+        sum((phis_o[i] @ phis_i[k - i] for i in range(k + 1)), Matrix.zero(field, n, n))
+        for k in range(1, order + 1)))
 
 
 def apply_isomorphism(d: TruncatedDeformation, iso: TruncatedIsomorphism) -> TruncatedDeformation:
@@ -203,43 +200,31 @@ def apply_isomorphism(d: TruncatedDeformation, iso: TruncatedIsomorphism) -> Tru
 
         w'_t = Phi_t^{-1} o w_t o (Phi_t (x) Phi_t),   truncated at d.order.
 
-    Each total degree k of the pushed-forward product, pushed[k](e_a, e_b) =
-    sum_{r+s+t=k} w_r(phi_s e_a, phi_t e_b), is computed once; then w'_deg =
-    sum_q psi_q pushed[deg - q] with psi the inverse series.  Only the
-    nonzero w_r, phi_s and psi_q are summed: along Id + phi_n t^n, as in
-    trivialize_step, that is phi_0 and phi_n.  For a verified input the
-    result verifies as well, and its degree-1 term differs from the input's
-    by the coboundary of phi_1.
+    Each total degree k of the pushed-forward product, pushed[k] =
+    sum_{r+s+t=k} w_r(phi_s ., phi_t .), then w'_deg = sum_q psi_q pushed[deg - q]
+    with psi the inverse series, one linalg._transport per term over the nonzero
+    phi_s and psi_q (along Id + phi_n t^n, as in trivialize_step, phi_0 and phi_n);
+    phi_0 = psi_0 = Id cost no multiplication.  For a verified input the result
+    verifies as well, and its degree-1 term differs by the coboundary of phi_1.
     """
-    n = d.dim
-    field = d.field
-    order = d.order
+    n, field, order = d.dim, d.field, d.order
     phis = iso.padded(field, n, order)
-    psis = inverse_series(phis)
-    tables = d.tables()
-    images = [[p.col(a) for a in range(n)] for p in phis]
-    live_w = [r for r, t in enumerate(tables) if not t.tensor.is_zero()]
-    live_phi = [s for s, p in enumerate(phis) if not p.is_zero()]
-    live_psi = [q for q, p in enumerate(psis) if not p.is_zero()]
-
-    zero = (field.zero(),) * n
-
-    def summed(vectors) -> tuple:
-        acc = zero
-        for v in vectors:
-            acc = v if acc is zero else tuple(x + y for x, y in zip(acc, v))
-        return acc
-
-    pushed = [[[summed(tables[r].multiply(images[s][a], images[k - r - s][b])
-                       for r in live_w for s in live_phi if k - r - s in live_phi)
-                for b in range(n)] for a in range(n)] for k in range(order + 1)]
-    new_terms = [MultTable.from_entries(field, [
-        [summed(psis[q].apply(pushed[deg - q][a][b]) for q in live_psi if q <= deg)
-         for b in range(n)] for a in range(n)
-    ]) for deg in range(order + 1)]
-    if new_terms[0].tensor != d.base.table.tensor:
-        raise RuntimeError("degree-0 part changed under an isomorphism with phi_0 = Id")
-    return TruncatedDeformation(d.base, tuple(new_terms[1:]))
+    rows = [t.sparse_rows for t in d.tables()]
+    phi_cols = {s: _columns(p) for s, p in enumerate(phis[1:], 1) if not p.is_zero()}
+    psi_cols = {q: _columns(p) for q, p in enumerate(inverse_series(phis)[1:], 1) if not p.is_zero()}
+    phi_cols[0] = psi_cols[0] = _units(n)
+    pushed = [None] * (order + 1)  # every degree gets at least its term w_k(e_a, e_b)
+    for (r, w), s, t in product(enumerate(rows), phi_cols, phi_cols):
+        if r + s + t <= order:
+            pushed[r + s + t] = _transport(w, phi_cols[s], phi_cols[t], _units(n), pushed[r + s + t])
+    terms = []
+    for deg in range(1, order + 1):
+        acc = None  # psi_0 = Id always contributes
+        for q, out in psi_cols.items():
+            if q <= deg:
+                acc = _transport(pushed[deg - q], _units(n), _units(n), out, acc)
+        terms.append(_fiber_table(field, acc))
+    return TruncatedDeformation(d.base, tuple(terms))
 
 
 def trivialize_step(d: TruncatedDeformation, n: int) -> Optional[tuple]:
@@ -265,8 +250,7 @@ def trivialize_step(d: TruncatedDeformation, n: int) -> Optional[tuple]:
                        Cochain2.zero(field, dim, dim), Cochain2.from_table(w_n))
     if phi is None:
         return None
-    zero = Matrix.zero(field, dim, dim)
-    iso = TruncatedIsomorphism(tuple(zero if k != n - 1 else phi for k in range(n)))
+    iso = TruncatedIsomorphism((Matrix.zero(field, dim, dim),) * (n - 1) + (phi,))
     transformed = apply_isomorphism(d, iso)
     for k in range(n):
         if not transformed.terms[k].tensor.is_zero():

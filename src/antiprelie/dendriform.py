@@ -38,11 +38,13 @@ from .algebra import (
     _by_second,
     _commutators,
     _entries,
+    _fiber_table,
     _law_views,
     _support_walk,
 )
 from .fields import Field, Rationals, _require_field
-from .linalg import Matrix, _apply_rows, _integral_views, invert, rank, vec_sub
+from .linalg import (Matrix, _apply_rows, _columns, _integral_views, _transport, _units, invert, rank,
+                     vec_sub)
 from .representation import AlgebraLike, Representation, _require_pair, as_table
 
 LAW_D1 = "dendriform-1"
@@ -236,18 +238,10 @@ def compatible_from_invertible_O(
     if t_inv is None:
         raise StructureError("operator matrix is singular")
     check_O_operator(table, rep, t).require("matrix is not an O-operator")
-    n = table.dim
-    field = table.field
-    right = [
-        [t.apply(rep.rho[i].apply(t_inv.col(j))) for j in range(n)] for i in range(n)
-    ]
-    left = [
-        [tuple(-x for x in t.apply(rep.mu[i].apply(t_inv.col(j)))) for j in range(n)]
-        for i in range(n)
-    ]
-    d = AntiLDendriform(
-        MultTable.from_entries(field, right), MultTable.from_entries(field, left)
-    )
+    # Each action, read as the bilinear map (x, v) -> rho(x) v, moved along (Id, T^{-1}, +-T).
+    d = AntiLDendriform(*(_fiber_table(table.field, _transport(
+        [_columns(a) for a in mats], _units(table.dim), _columns(t_inv), _columns(out)))
+        for mats, out in ((rep.rho, t), (rep.mu, -t))))
     verify_anti_L_dendriform(d)
     if associated_table(d).tensor != table.tensor:
         raise StructureError("transported structure is not compatible with the algebra product")

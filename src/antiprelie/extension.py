@@ -15,7 +15,8 @@ Given a 2-cocycle theta, the product
 
 defines an extension; conversely a section s recovers a cocycle via
 theta(x, y) = s(x) . s(y) - s(x.y) together with the actions rho(x)(u) =
-s(x) . u and mu(x)(u) = u . s(x).  Two extensions over a fixed (algebra,
+s(x) . u and mu(x)(u) = u . s(x), each a linalg._transport of the total
+product along s and iota.  Two extensions over a fixed (algebra,
 representation) are isomorphic exactly when their cocycles are cohomologous,
 with the isomorphism zeta(x + u) = x + u + phi(x); classification is by the
 second cohomology group.  Both build an extension through one cocycle gate,
@@ -33,11 +34,12 @@ from .algebra import (
     AntiPreLieAlgebra,
     MultTable,
     StructureError,
+    _fiber_table,
     check_morphism,
 )
 from .cohomology import Cochain2, _Complex, cohomologous
-from .fields import Field
-from .linalg import Matrix, Tensor3, kernel_basis, rank, solve, vec_is_zero, vec_sub
+from .fields import Field, _require_field
+from .linalg import Matrix, Tensor3, _columns, _dense, _transport, _units, kernel_basis, rank, solve
 from .representation import Representation, _require_pair, check_representation, semidirect_product
 
 
@@ -78,13 +80,10 @@ class AbelianExtension:
         return self.proj.transpose()
 
     def base_table(self) -> MultTable:
-        """The induced product on A: the first-n block of the total product."""
+        """The induced product on A: proj(s(x) . s(y)) along the canonical section s."""
         n = self.dim_a
-        ent = [
-            [tuple(self.total.table.basis_product(i, j)[:n]) for j in range(n)]
-            for i in range(n)
-        ]
-        return MultTable.from_entries(self.field, ent)
+        return _fiber_table(self.field, _transport(
+            self.total.table.sparse_rows, _units(n), _units(n), _units(n) + [{}] * self.dim_v))
 
 
 def extension_table(alg_table: MultTable, rep: Representation, theta: Cochain2) -> MultTable:
@@ -140,43 +139,34 @@ def extract_cocycle(ext: AbelianExtension, section: Optional[Matrix] = None) -> 
     the embedded V from the left and right.  The recovered pair always
     passes check_representation against the base algebra.
     """
-    n, m = ext.dim_a, ext.dim_v
-    field = ext.field
+    n, m, field = ext.dim_a, ext.dim_v, ext.field
     s = ext.section if section is None else section
+    _require_field("section", s.field, field)
     if (s.rows, s.cols) != (n + m, n):
         raise ValueError(f"section must be {n + m}x{n}, got {s.rows}x{s.cols}")
     if ext.proj @ s != Matrix.identity(field, n):
         raise ValueError("not a section: proj o s is not the identity")
-    base = ext.base_table()
-    total = ext.total.table
-    scols = [s.col(i) for i in range(n)]
-    vcols = [ext.iota.col(b) for b in range(m)]
-    theta_ent = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            diff = vec_sub(total.multiply(scols[i], scols[j]), s.apply(base.basis_product(i, j)))
-            if not vec_is_zero(diff[:n]):
-                raise StructureError("cocycle escaped V; extension coordinates are inconsistent")
-            row.append(diff[n:])
-        theta_ent.append(row)
-    theta = Cochain2(Tensor3.from_entries(field, theta_ent))
-    rho = []
-    mu = []
-    for i in range(n):
-        rho_cols = []
-        mu_cols = []
-        for b in range(m):
-            left = total.multiply(scols[i], vcols[b])
-            right = total.multiply(vcols[b], scols[i])
-            if not (vec_is_zero(left[:n]) and vec_is_zero(right[:n])):
-                raise StructureError("action of A does not preserve V; not an abelian extension")
-            rho_cols.append(left[n:])
-            mu_cols.append(right[n:])
-        rho.append(Matrix.from_cols(field, rho_cols, rows=m))
-        mu.append(Matrix.from_cols(field, mu_cols, rows=m))
-    rep = Representation(n, m, tuple(rho), tuple(mu), field)
-    check_representation(base, rep).require("extracted action pair fails the representation axioms")
+    rows = ext.total.table.sparse_rows
+    cols, iota, units = _columns(s), _units(m, n), _units(n + m)
+    # s(x.y), with x.y = proj(e_x . e_y), is the product read out through -s o proj.
+    values = _transport(rows, cols, cols, units)
+    _transport(rows, _units(n), _units(n), _columns(-s) + [{}] * m, values)
+
+    def v_part(grid: list, message: str) -> list:
+        dense = [_dense(field, line, n + m).entries for line in grid]
+        if any(any(v[:n]) for line in dense for v in line):
+            raise StructureError(message)
+        return [[v[n:] for v in line] for line in dense]
+
+    theta = Cochain2(Tensor3.from_entries(field, v_part(
+        values, "cocycle escaped V; extension coordinates are inconsistent")))
+    # rho(e_i) e_b = s(e_i) . e_(n+b); mu(e_i) e_b is the same with the factors swapped.
+    rho, mu = (tuple(Matrix.from_cols(field, line, rows=m) for line in v_part(
+        _transport(w, cols, iota, units), "action of A does not preserve V; not an abelian extension"))
+        for w in (rows, tuple(zip(*rows))))
+    rep = Representation(n, m, rho, mu, field)
+    check_representation(ext.base_table(), rep).require(
+        "extracted action pair fails the representation axioms")
     return theta, rep
 
 
@@ -193,10 +183,7 @@ def normalize_extension(
     that proj is a morphism onto the induced base product.  The change of
     basis (section columns, then iota columns) transports the product.
     """
-    nm = total.dim
-    m = iota.cols
-    n = proj.rows
-    field = total.field
+    nm, m, n, field = total.dim, iota.cols, proj.rows, total.field
     if iota.rows != nm or proj.cols != nm or n + m != nm:
         raise ValueError("iota/proj shapes do not assemble a short exact sequence")
     if not (proj @ iota).is_zero():
@@ -205,29 +192,20 @@ def normalize_extension(
         raise StructureError("iota is not injective")
     if rank(proj) != n:
         raise StructureError("proj is not surjective")
-    ker = kernel_basis(proj)
-    joint = Matrix.from_cols(field, list(ker) + [iota.col(b) for b in range(m)], rows=nm)
-    if rank(joint) != m:
+    v_cols = iota.transpose().entries
+    if rank(Matrix.from_cols(field, kernel_basis(proj) + list(v_cols), rows=nm)) != m:
         raise StructureError("image(iota) differs from kernel(proj)")
     if section is None:
-        cols = []
-        for i in range(n):
-            x = solve(proj, Matrix.identity(field, n).col(i))
-            cols.append(x)
-        section = Matrix.from_cols(field, cols, rows=nm)
+        ident = Matrix.identity(field, n)
+        section = Matrix.from_cols(field, [solve(proj, e) for e in ident.entries], rows=nm)
     if (section.rows, section.cols) != (nm, n) or proj @ section != Matrix.identity(field, n):
         raise StructureError("supplied section does not split proj")
-    for a in range(m):
-        for b in range(m):
-            if not vec_is_zero(total.table.multiply(iota.col(a), iota.col(b))):
-                raise StructureError("embedded V does not square to zero; extension is not abelian")
-    change = Matrix.from_cols(
-        field, [section.col(i) for i in range(n)] + [iota.col(b) for b in range(m)], rows=nm
-    )
-    std_table = total.table.conjugate(change)
-    ext = AbelianExtension(AntiPreLieAlgebra.verify(std_table), n, m)
-    base = ext.base_table()
-    check_morphism(proj, total.table, base).require("projection is not an algebra morphism")
+    squares = _transport(total.table.sparse_rows, _columns(iota), _columns(iota), _units(nm))
+    if any(any(f.values()) for line in squares for f in line):
+        raise StructureError("embedded V does not square to zero; extension is not abelian")
+    change = Matrix.from_cols(field, section.transpose().entries + v_cols, rows=nm)
+    ext = AbelianExtension(AntiPreLieAlgebra.verify(total.table.conjugate(change)), n, m)
+    check_morphism(proj, total.table, ext.base_table()).require("projection is not an algebra morphism")
     return ext
 
 

@@ -30,12 +30,15 @@ mod p for the modular route over Q and over a prime field, where `Fp` values
 are made only for the reduced rows returned, and on `Fraction` values for the
 fallback.
 
-`Tensor3.contract` evaluates a product of two arbitrary coordinate vectors.
-The law residuals on basis triples and pairs are not evaluated here: they
-are summed from their nonzero terms by `algebra._support_walk`, on the ints
-of `_integral_views` (the residuals are homogeneous of degree 2: over Q an
-int residual is the rational one times the views' common denominator
-squared, over F_p it is reduced mod p only where it is tested and reported).
+One kernel, `_transport`, moves a bilinear map w along linear maps,
+out(w(left., right.)), over the nonzero entries of w and the maps only,
+never multiplying a unit entry: basis changes, morphism checks, deformation
+pull-backs, extension read-backs and `Tensor3.contract` call it.  The law
+residuals on basis triples and pairs are summed by `algebra._support_walk`
+instead, on the ints of `_integral_views` (the residuals are homogeneous of
+degree 2: over Q an int residual is the rational one times the views' common
+denominator squared, over F_p it is reduced mod p only where it is tested
+and reported).
 """
 
 from __future__ import annotations
@@ -163,6 +166,60 @@ def _dot(a: Sequence[Scalar], b: Sequence[Scalar], field: Field) -> Scalar:
 def _sparse_rows(rows: Iterable[Sequence[Scalar]]) -> list:
     """Each row as {column: value} over its nonzero entries."""
     return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
+def _columns(m: Matrix) -> list:
+    """The sparse columns of m, {row: value} for the image of each basis vector."""
+    return _sparse_rows(m.transpose().entries)
+
+
+def _units(n: int, start: int = 0) -> list:
+    """The columns e_start, .., e_(start+n-1), their units as None (see _transport)."""
+    return [{start + a: None} for a in range(n)]
+
+
+def _dense(field: Field, rows, ncols: int) -> Matrix:
+    """The matrix of sparse {column: value} rows, with the field zero elsewhere."""
+    z = field.zero()
+    out = []
+    for r in rows:
+        dense = [z] * ncols
+        for idx, x in r.items():
+            dense[idx] = x
+        out.append(tuple(dense))
+    return Matrix.from_rows(field, out, ncols)
+
+
+def _add_scaled(acc: dict, c, fiber: dict) -> None:
+    """acc += c * fiber in place; c None, or a value None in the fiber, is 1."""
+    for k, x in fiber.items():
+        t = x if c is None else c if x is None else c * x
+        old = acc.get(k)
+        acc[k] = t if old is None else old + t
+
+
+def _transport(rows, left: Sequence[dict], right: Sequence[dict], out: Sequence[dict],
+               acc: Optional[list] = None) -> list:
+    """[a][b] = out(w(left e_a, right e_b)) as {k: value} fibers (a cancelled
+    entry stays, as a zero), added into acc when given; w(e_p, e_q) is the
+    fiber rows[p][q], as in MultTable.sparse_rows.  A map is a list of sparse
+    columns, left[a] = {p: x}, where x None is 1 and never multiplied (see
+    _units).  Only nonzero fibers and entries are visited (the co-iteration of
+    Kjolstad et al., OOPSLA 2017), and x * y is formed outside the fiber loop."""
+    if acc is None:
+        acc = [[{} for _ in right] for _ in left]
+    for col_a, line in zip(left, acc):
+        for col_b, fiber_ab in zip(right, line):
+            inner = {}
+            for p, x in col_a.items():
+                row = rows[p]
+                for q, y in col_b.items():
+                    if row[q]:
+                        _add_scaled(inner, y if x is None else x if y is None else x * y, row[q])
+            for k, v in inner.items():
+                if v:
+                    _add_scaled(fiber_ab, v, out[k])
+    return acc
 
 
 def _apply_rows(rows: Iterable[dict], v: Sequence[Scalar], zero) -> Iterator:
@@ -504,18 +561,10 @@ class Tensor3:
         d1, d2, d3 = self.dims
         if len(x) != d1 or len(y) != d2:
             raise ValueError(f"operands must have lengths {d1} and {d2}")
-        out = [self.field.zero()] * d3
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, t in enumerate(self.entries[i][j]):
-                    if t:
-                        out[k] = out[k] + c * t
-        return tuple(out)
+        xs, ys = _sparse_rows([x, y])
+        rows = {i: dict(zip(ys, _sparse_rows(self.entries[i][j] for j in ys))) for i in xs}
+        line = _transport(rows, [xs], [ys], _units(d3))[0]
+        return _dense(self.field, line, d3).entries[0]
 
     def __add__(self, other: "Tensor3") -> "Tensor3":
         if self.dims != other.dims:

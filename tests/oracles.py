@@ -1,6 +1,6 @@
-"""Naive nested-loop evaluators, pointwise coboundaries, the triple-sum
-pullback of a deformation, a second nullspace solver, dense elimination and
-the brute-force prime-field search.
+"""Naive nested-loop evaluators, pointwise coboundaries, the explicit-sum
+basis change of a table, the triple-sum pullback of a deformation, a second
+nullspace solver, dense elimination and the brute-force prime-field search.
 
 Everything here is written straight off the defining identities with explicit
 index sums over structure constants, or (the pointwise d2) by evaluating the
@@ -202,6 +202,22 @@ def naive_morphism_residuals(f, src, dst):
             if any(res):
                 out[(i, j)] = tuple(res)
     return out
+
+
+def naive_conjugate(table, p):
+    """The table of x *' y = P^{-1}(P(x) . P(y)) by explicit index sums,
+
+        [a][b][l] = sum_{i, j, k} Pinv[l][k] c[i][j][k] P[i][a] P[j][b],
+
+    with P^{-1} from dense_invert."""
+    c = _c(table)
+    n = table.dim
+    pe, qe = p.entries, dense_invert(p).entries
+    z = table.field.zero()
+    ent = [[[z] * n for _ in range(n)] for _ in range(n)]
+    for a, b, i, j, k, l in product(range(n), repeat=6):
+        ent[a][b][l] = ent[a][b][l] + qe[l][k] * c[i][j][k] * pe[i][a] * pe[j][b]
+    return MultTable.from_entries(table.field, ent)
 
 
 def naive_form_residuals(table, b):

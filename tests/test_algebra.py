@@ -16,11 +16,13 @@ from antiprelie.algebra import (
     is_anti_pre_lie,
     sub_adjacent_lie,
 )
-from antiprelie.fields import QQ
+from antiprelie.extension import extract_cocycle, semidirect_extension
+from antiprelie.fields import QQ, PrimeField
 from antiprelie.linalg import Matrix, basis_vec, invert, vec_is_zero
+from antiprelie.representation import regular_representation
 
-from conftest import q_table, rand_fraction, rand_matrix, rand_table
-from oracles import naive_apl_residuals, naive_morphism_residuals
+from conftest import fp_table, q_table, rand_fraction, rand_matrix, rand_table
+from oracles import dense_invert, naive_apl_residuals, naive_conjugate, naive_morphism_residuals
 
 E0 = basis_vec(QQ, 2, 0)
 E1 = basis_vec(QQ, 2, 1)
@@ -150,14 +152,29 @@ def test_matrix_route_matches_naive_oracle(seed):
     assert is_anti_pre_lie(t) == (not oracle)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10**6))
-def test_morphism_matches_naive_oracle(seed):
+def scalar(rng, field):
+    return rand_fraction(rng) if field == QQ else field.of_int(rng.randrange(field.p))
+
+
+def field_table(rng, field, n):
+    return MultTable.from_entries(field, [[[scalar(rng, field) for _ in range(n)] for _ in range(n)]
+                                          for _ in range(n)])
+
+
+def field_matrix(rng, field, rows, cols):
+    return Matrix.from_rows(field, [[scalar(rng, field) for _ in range(cols)] for _ in range(rows)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([QQ, PrimeField(3)]), st.booleans())
+def test_morphism_matches_naive_oracle(seed, field, square):
+    """Square and rectangular (dst dim != src dim) morphisms, over Q and F_3."""
     rng = random.Random(seed)
     n = rng.choice([1, 2])
-    src = rand_table(rng, n)
-    dst = rand_table(rng, n)
-    f = rand_matrix(rng, n, n)
+    m = n if square else rng.choice([k for k in (1, 2, 3) if k != n])
+    src = field_table(rng, field, n)
+    dst = field_table(rng, field, m)
+    f = field_matrix(rng, field, m, n)
     report = check_morphism(f, src, dst)
     oracle = naive_morphism_residuals(f, src, dst)
     assert {v.at: v.residual for v in report.violations} == oracle
@@ -174,6 +191,32 @@ def test_check_is_basis_equivariant(seed):
     t = rand_table(rng, n) if rng.random() < 0.5 else MultTable.zero(QQ, n)
     conj = t.conjugate(p)
     assert is_anti_pre_lie(t) == is_anti_pre_lie(conj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([QQ, PrimeField(3)]), st.integers(1, 3))
+def test_conjugate_matches_naive_oracle(seed, field, n):
+    rng = random.Random(seed)
+    t = field_table(rng, field, n)
+    p = field_matrix(rng, field, n, n)
+    while dense_invert(p) is None:
+        p = field_matrix(rng, field, n, n)
+    assert t.conjugate(p).tensor == naive_conjugate(t, p).tensor
+
+
+F3 = PrimeField(3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda a2: a2.table.conjugate(Matrix.identity(F3, 2)),
+    lambda a2: check_morphism(Matrix.identity(F3, 2), a2.table, a2.table),
+    lambda a2: check_morphism(Matrix.identity(QQ, 2), a2.table, fp_table(3, 2, {(0, 1, 1): 1})),
+    lambda a2: extract_cocycle(semidirect_extension(a2, regular_representation(a2)),
+                               Matrix.from_cols(F3, Matrix.identity(F3, 4).entries[:2])),
+], ids=["conjugate", "morphism-map", "morphism-target", "extract-section"])
+def test_matrix_or_table_over_another_field_is_refused(named_algebras, call):
+    with pytest.raises(ValueError, match=r"is over PrimeField\(p=3\), the table over Rationals"):
+        call(named_algebras["a2"])
 
 
 def test_equivariance_on_verified_instance(named_algebras):

@@ -473,6 +473,17 @@ def test_apply_iso_field_mismatch_is_input_error(write_doc, capsys, named_algebr
     assert err == "input error: documents live over different fields\n"
 
 
+@pytest.mark.parametrize("entry", [0, 1], ids=["zero-part", "unit-part"])
+def test_apply_iso_of_the_wrong_size_is_input_error(write_doc, capsys, named_algebras, entry):
+    """A dim-2 deformation and a 3x3 degree part: exit 2 naming the size, nothing on stdout."""
+    d = write_doc(docs.encode_deformation(TruncatedDeformation.trivial(named_algebras["a2"], 1)))
+    part = Matrix.from_rows(QQ, [[QQ.of_int(entry if i == j else 0) for j in range(3)] for i in range(3)])
+    iso = write_doc(docs.encode_isomorphism(TruncatedIsomorphism((part,)), QQ))
+    code, out, err = run_cli(capsys, "apply-iso", d, iso)
+    assert (code, out) == (2, "")
+    assert err == "input error: isomorphism degree parts are 3x3, need 2x2\n"
+
+
 def test_search_rep_field_mismatch_is_input_error(write_doc, capsys, named_algebras, f3_algebras):
     ctx = write_doc(docs.encode_algebra(f3_algebras["a2@3"]))
     rep = write_doc(docs.encode_representation(regular_representation(named_algebras["a2"])))

@@ -22,7 +22,8 @@ from antiprelie.deformation import (
     rigidity_certificate,
     trivialize_step,
 )
-from antiprelie.fields import QQ
+from antiprelie.fields import QQ, PrimeField
+from antiprelie.linalg import Matrix
 from antiprelie.representation import regular_representation
 
 from conftest import rand_matrix, rand_table
@@ -179,6 +180,23 @@ def test_sequential_pullback_equals_composite(q_deformations):
         sequential = apply_isomorphism(apply_isomorphism(d, a), b)
         composite = apply_isomorphism(d, compose_isomorphisms(a, b, QQ, d.dim, d.order))
         assert all(x.tensor == y.tensor for x, y in zip(sequential.terms, composite.terms)), name
+
+
+@pytest.mark.parametrize("use", [
+    lambda d, iso: apply_isomorphism(d, iso),
+    lambda d, iso: inverse_isomorphism(iso, d.field, d.dim, d.order),
+    lambda d, iso: compose_isomorphisms(iso, iso, d.field, d.dim, d.order),
+    lambda d, iso: compose_isomorphisms(TruncatedIsomorphism(()), iso, d.field, d.dim, d.order),
+], ids=["apply", "inverse", "compose-outer", "compose-inner"])
+@pytest.mark.parametrize("part, message", [
+    (Matrix.zero(QQ, 3, 3), "isomorphism degree parts are 3x3, need 2x2"),
+    (Matrix.identity(QQ, 3), "isomorphism degree parts are 3x3, need 2x2"),
+    (Matrix.identity(PrimeField(3), 2), "isomorphism is over PrimeField"),
+], ids=["zero-3x3", "unit-3x3", "f3"])
+def test_isomorphism_that_does_not_fit_the_deformation_is_refused(named_algebras, use, part, message):
+    d = TruncatedDeformation.trivial(named_algebras["a2"], 2)
+    with pytest.raises(ValueError, match=message):
+        use(d, TruncatedIsomorphism((part,)))
 
 
 def test_apply_iso_pads_and_truncates_orders(named_algebras):

@@ -148,3 +148,19 @@ def test_tensor3_shape_validation():
     t = Tensor3.zero(QQ, 2, 3, 4)
     assert t.dims == (2, 3, 4)
     assert len(t.fiber(1, 2)) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.data())
+def test_contract_of_a_non_cubic_tensor_is_the_explicit_sum(n, m, data):
+    """An (n, n, m) tensor, m != n allowed, against sum_{i,j} x_i y_j [i][j][k]."""
+    entries = data.draw(st.lists(st.lists(st.lists(fracs, min_size=m, max_size=m),
+                                          min_size=n, max_size=n), min_size=n, max_size=n))
+    x = data.draw(st.lists(fracs, min_size=n, max_size=n))
+    y = data.draw(st.lists(fracs, min_size=n, max_size=n))
+    t = Tensor3.from_entries(QQ, entries)
+    want = tuple(sum((x[i] * y[j] * entries[i][j][k] for i in range(n) for j in range(n)), Fraction(0))
+                 for k in range(m))
+    assert t.contract(tuple(x), tuple(y)) == want
+    with pytest.raises(ValueError):
+        t.contract(tuple(x) + (Fraction(1),), tuple(y))
