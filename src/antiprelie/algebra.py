@@ -27,8 +27,10 @@ constants and so is D^2 times the rational one; over F_p the views hold the
 residues, and a residual is reduced mod p only where it is tested.  Only a
 violation's residual is turned back into field scalars, written out densely.
 Each law family has one implementation, its check_*, which returns the
-Report; its is_* is check_*(...).ok.  A naive nested-loop oracle is kept in
-the test suite.
+Report; its is_* is check_*(...).ok.  One fiber difference, _commutators,
+rows[a][b] - c * other[b][a] over the sparse fibers, gives the commutator,
+the associated product of a dendriform pair and the antisymmetry residuals
+of a Lie table.  A naive nested-loop oracle is kept in the test suite.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Callable, Optional, Sequence
 
 from .fields import Field, _require_field
 from .linalg import (Matrix, Tensor3, Vec, _columns, _dense, _integral_views, _sparse_rows, _subtract,
-                     _transport, _units, invert, vec_is_zero, vec_sub)
+                     _transport, _units, invert, vec_sub)
 
 LAW_EXCHANGE = "exchange"
 LAW_CYCLIC = "cyclic"
@@ -158,7 +160,7 @@ class MultTable:
     def sparse(self) -> tuple:
         """(rows, comm), each [a][b] a fiber as in sparse_rows: rows[a][b] is
         e_a . e_b and comm[a][b] the commutator [e_a, e_b]."""
-        return self.sparse_rows, _commutators(self.sparse_rows, self.field.one())
+        return self.sparse_rows, _commutators(self.sparse_rows, self.sparse_rows, self.field.one())
 
     def conjugate(self, p: Matrix) -> "MultTable":
         """Basis change: the table of x *' y = P^{-1}(P(x) . P(y))."""
@@ -177,12 +179,13 @@ def _fiber_table(field: Field, grid: list) -> MultTable:
     return MultTable.from_entries(field, [_dense(field, line, len(grid)).entries for line in grid])
 
 
-def _commutators(rows: tuple, one) -> tuple:
-    """comm[a][b], the commutator [e_a, e_b] as a fiber, from the product fibers rows[a][b]."""
+def _commutators(rows: tuple, other: tuple, one) -> tuple:
+    """[a][b], the fiber rows[a][b] - one * other[b][a] without the entries that
+    cancel: with other = rows and one the field's 1, the commutator [e_a, e_b]."""
     comm = tuple(tuple(dict(fiber) for fiber in line) for line in rows)
     for a, line in enumerate(comm):
         for b, fiber in enumerate(line):
-            _subtract(fiber, one, rows[b][a])
+            _subtract(fiber, one, other[b][a])
     return comm
 
 
@@ -257,7 +260,7 @@ def _law_views(tables: Sequence[MultTable]) -> tuple:
     """
     planes, nonzero, scalar = _integral_views(tables[0].field, *(t.sparse_rows for t in tables))
     n = tables[0].dim
-    views = [(_entries(rows), _entries(_commutators(rows, 1)), _by_second(rows, n), _by_first(rows))
+    views = [(_entries(rows), _entries(_commutators(rows, rows, 1)), _by_second(rows, n), _by_first(rows))
              for rows in planes]
     return views, nonzero, scalar
 
@@ -332,12 +335,10 @@ class LieTable:
 def check_lie_table(table: MultTable) -> Report:
     """Antisymmetry and the Jacobi identity on all basis pairs/triples."""
     n = table.dim
-    violations = []
-    for i in range(n):
-        for j in range(n):
-            s = tuple(a + b for a, b in zip(table.basis_product(i, j), table.basis_product(j, i)))
-            if not vec_is_zero(s):
-                violations.append(Violation("antisymmetry", (i, j), s))
+    # e_i e_j + e_j e_i, written out densely where it is nonzero
+    sym = _commutators(table.sparse_rows, table.sparse_rows, -table.field.one())
+    violations = [Violation("antisymmetry", (i, j), v) for i, line in enumerate(sym)
+                  for j, v in enumerate(_dense(table.field, line, n).entries) if any(v)]
     # (e_i e_j) e_k + (e_j e_k) e_i + (e_k e_i) e_j
     ((prods, _, _, right),), nonzero, scalar = _law_views([table])
     terms = [(0, 1, prods, right, place) for place in ("pqz", "zpq", "qzp")]

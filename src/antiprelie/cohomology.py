@@ -19,15 +19,18 @@ and a 2-cochain f has a pair of degree-3 coboundary components
 
 Z2 is the joint kernel, B2 the image of d1, and H2 = Z2/B2.  The spaces are
 computed from a direct matrix linearization of the operators over the n^2 m
-coordinates of C1 and C2, whose rows are each assembled by one routine from
-the nonzero structure constants and action entries only.  Over Q the d2 rows
-are assembled on ints, from views scaled by one common denominator.  Nothing
-on the way to H2 is dense: Z2 is eliminated from the sparse d2 rows, B2 and
-cohomologous read the sparse d1 rows, Z2 and B2 stay sparse vectors, the
-[B2 | Z2] block is their transpose, and each cochain is sliced from one flat
-list.  The complex of one (table, representation) pair is one private value,
-_Complex, which refuses a representation of another algebra and assembles
-its d1 and d2 rows once each, for H2, the cocycle gate, d1 and cohomologous.
+coordinates of C1 and C2.  The rows of both are assembled by one placement
+loop, _placed, from the nonzero structure constants and action entries only:
+each term of a formula puts one sparse fiber at its coordinates.  Over Q the
+d2 rows are assembled on ints, from views scaled by one common denominator.
+Nothing on the way to H2 is dense: Z2 is eliminated from the sparse d2 rows,
+B2 and cohomologous read the sparse d1 rows, Z2 and B2 stay sparse vectors,
+the [B2 | Z2] block is their transpose, and each cochain is sliced from one
+flat list.  The complex of one (table, representation) pair is one private
+value, _Complex, which refuses a representation of another algebra and
+assembles its d1 and d2 rows once each, for H2, the cocycle gate, d1 and
+cohomologous.  One check, _require_cochain, refuses a 2-cochain of other dims
+or of another field than the pair, for the complex and for extension_table.
 d1_matrix and d2_matrix are the dense views of the same rows.  The pointwise
 evaluations of d1 and d2 on basis pairs and triples live in the test suite,
 as the independent oracles.
@@ -130,6 +133,13 @@ def _cochain2(field: Field, n: int, m: int, v: dict) -> Cochain2:
         tuple(tuple(flat[(i * n + j) * m:(i * n + j + 1) * m]) for j in range(n)) for i in range(n))))
 
 
+def _require_cochain(table: MultTable, rep: Representation, f: Cochain2) -> None:
+    """Refuse a 2-cochain of other dims, then of another field, than the pair."""
+    if (f.dim_a, f.dim_v) != (table.dim, rep.dim_v):
+        raise ValueError(f"2-cochain dims {(f.dim_a, f.dim_v)} do not match ({table.dim}, {rep.dim_v})")
+    _require_field("cochain", f.field, table.field)
+
+
 @dataclass(frozen=True)
 class _Complex:
     """The cochain complex C*(A; V) of a (table, rep) pair that fits
@@ -146,22 +156,17 @@ class _Complex:
         """The rows of the d1 linearization in order, as {C1 coordinate: nonzero value}.
 
         Row (i n + j) m + l, the C2 coordinate of t[i][j][l], is component l of
-        (d1 F)(e_i, e_j): row l of rho(e_i) placed at the C1 coordinates of
-        F(e_j) (base j, stride n, as F[l'][j] sits at l' n + j), row l of mu(e_j)
-        at those of F(e_i), and minus e_i . e_j at those of component l of F
-        (base l n, stride 1).
+        (d1 F)(e_i, e_j) (_placed): row l of rho(e_i) placed at the C1
+        coordinates of F(e_j) (base j, stride n, as F[l'][j] sits at l' n + j),
+        row l of mu(e_j) at those of F(e_i), and minus e_i . e_j at those of
+        component l of F (base l n, stride 1).
         """
         n, m = self.table.dim, self.rep.dim_v
         prod = self.table.sparse_rows
         rho, mu = self.rep.sparse
-        rows = []
-        for i, j, l in product(range(n), range(n), range(m)):
-            r = {}
-            _add_at(r, j, n, rho[i][l])
-            _add_at(r, i, n, mu[j][l])
-            _add_at(r, l * n, 1, prod[i][j], negate=True)
-            rows.append({c: x for c, x in r.items() if x})
-        return rows
+        return [{c: x for c, x in r.items() if x} for i, j in product(range(n), range(n))
+                for r in _placed(((rho[i], j, 0, n, False), (mu[j], i, 0, n, False),
+                                  ((prod[i][j],) * m, 0, n, 1, True)), m)]
 
     @cached_property
     def d2(self) -> list:
@@ -173,10 +178,7 @@ class _Complex:
 
     def vec(self, f: Cochain2) -> Vec:
         """The C2 vector of f, refused unless f is a 2-cochain of this pair."""
-        n, m = self.table.dim, self.rep.dim_v
-        if (f.dim_a, f.dim_v) != (n, m):
-            raise ValueError(f"2-cochain dims {(f.dim_a, f.dim_v)} do not match ({n}, {m})")
-        _require_field("cochain", f.field, self.table.field)
+        _require_cochain(self.table, self.rep, f)
         return cochain2_to_vec(f)
 
     def is_cocycle(self, f: Cochain2) -> bool:
@@ -213,14 +215,25 @@ def d1_matrix(alg: AlgebraLike, rep: Representation) -> Matrix:
     return _dense(cx.table.field, cx.d1, cx.table.dim * rep.dim_v)
 
 
-def _add_at(row: dict, base: int, stride: int, coeffs: dict, negate: bool = False) -> None:
-    """row[base + stride * k] += coeffs[k] for every k (-= with negate), in place."""
-    for k, x in coeffs.items():
-        idx = base + stride * k
-        if negate:
-            x = -x
-        v = row.get(idx)
-        row[idx] = x if v is None else v + x
+def _placed(terms: tuple, m: int) -> Iterator[dict]:
+    """The m rows l < m of a coboundary, each as {coordinate: value}: a term
+    (fibers, base, step, stride, negate) adds each entry x of the sparse
+    fiber fibers[l] = {k: x} at base + step * l + stride * k (-x with
+    negate).  Only nonzero fibers are visited; an entry that cancels stays
+    as a zero."""
+    terms = [t for t in terms if any(t[0])]
+    for l in range(m):
+        row = {}
+        for fibers, base, step, stride, negate in terms:
+            if fibers[l]:
+                at = base + step * l
+                for k, x in fibers[l].items():
+                    idx = at + stride * k
+                    if negate:
+                        x = -x
+                    v = row.get(idx)
+                    row[idx] = x if v is None else v + x
+        yield row
 
 
 def _d2_rows(table: MultTable, rep: Representation, integral: bool = False) -> Iterator[dict]:
@@ -228,12 +241,12 @@ def _d2_rows(table: MultTable, rep: Representation, integral: bool = False) -> I
 
     Row ((a n + b) n + c) m + l of the first n^3 m is component l of
     (d2_1 f)(e_a, e_b, e_c), the next n^3 m rows are d2_2 in the same order.
-    Each term of the formulas in the module docstring adds one sparse fiber
-    {k: x} at the C2 coordinates base + stride * k: row l of an action
-    matrix, with k the V index of f(e_p, e_q) (stride 1), or a product or
-    bracket, with k the basis index w of f(e_p, e_w) (stride m) or of
-    f(e_w, e_q) (stride n m).  Only nonzero fibers are visited; an entry that
-    cancels stays as a zero, which _Complex.d2 drops.
+    Each term of the formulas in the module docstring places one sparse
+    fiber {k: x} (_placed): row l of an action matrix, with k the V index of
+    f(e_p, e_q) (stride 1), or a product or bracket, the same for every l,
+    with k the basis index w of f(e_p, e_w) (stride m) or of f(e_w, e_q)
+    (stride n m), moved by l (step 1).  Only nonzero entries are visited; an
+    entry that cancels stays as a zero, which _Complex.d2 drops.
     With integral (over Q) the views are first scaled to ints by one common
     denominator D (_pair_views); d2 is linear in them, so each row is D times
     the rational one.
@@ -242,36 +255,21 @@ def _d2_rows(table: MultTable, rep: Representation, integral: bool = False) -> I
     (prod, comm, rho, mu), _, _ = _pair_views(table, rep, integral)
     nm = n * m
 
-    # Terms at (a, b, c): (action matrix rows, base, negate) for rows[l], and
-    # (product or bracket fiber, base, stride, negate), placed at base + l.
     def first(a, b, c):
-        return (
-            ((rho[a], (b * n + c) * m, False), (rho[b], (a * n + c) * m, True),
-             (mu[c], (b * n + a) * m, True), (mu[c], (a * n + b) * m, False)),
-            ((prod[a][c], b * nm, m, True), (prod[b][c], a * nm, m, False),
-             (comm[a][b], c * m, nm, False)),
-        )
+        return ((rho[a], (b * n + c) * m, 0, 1, False), (rho[b], (a * n + c) * m, 0, 1, True),
+                (mu[c], (b * n + a) * m, 0, 1, True), (mu[c], (a * n + b) * m, 0, 1, False),
+                ((prod[a][c],) * m, b * nm, 1, m, True), ((prod[b][c],) * m, a * nm, 1, m, False),
+                ((comm[a][b],) * m, c * m, 1, nm, False))
 
     def second(a, b, c):
-        return (
-            ((mu[a], (b * n + c) * m, False), (mu[a], (c * n + b) * m, True),
-             (mu[b], (c * n + a) * m, False), (mu[b], (a * n + c) * m, True),
-             (mu[c], (a * n + b) * m, False), (mu[c], (b * n + a) * m, True)),
-            ((comm[a][b], c * m, nm, False), (comm[b][c], a * m, nm, False),
-             (comm[c][a], b * m, nm, False)),
-        )
+        return ((mu[a], (b * n + c) * m, 0, 1, False), (mu[a], (c * n + b) * m, 0, 1, True),
+                (mu[b], (c * n + a) * m, 0, 1, False), (mu[b], (a * n + c) * m, 0, 1, True),
+                (mu[c], (a * n + b) * m, 0, 1, False), (mu[c], (b * n + a) * m, 0, 1, True),
+                ((comm[a][b],) * m, c * m, 1, nm, False), ((comm[b][c],) * m, a * m, 1, nm, False),
+                ((comm[c][a],) * m, b * m, 1, nm, False))
 
     for component, a, b, c in product((first, second), range(n), range(n), range(n)):
-        actions, products = component(a, b, c)
-        products = [t for t in products if t[0]]
-        for l in range(m):
-            r = {}
-            for rows, base, negate in actions:
-                if rows[l]:
-                    _add_at(r, base, 1, rows[l], negate)
-            for fiber, base, stride, negate in products:
-                _add_at(r, base + l, stride, fiber, negate)
-            yield r
+        yield from _placed(component(a, b, c), m)
 
 
 def d2_matrix(alg: AlgebraLike, rep: Representation) -> Matrix:

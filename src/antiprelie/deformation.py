@@ -277,12 +277,15 @@ def rigidity_certificate(
     """Compute dim H2(A;A); when it is zero, flatten every sample through the
     given order by repeated trivialize_step and record each eliminating map.
     A nonzero dimension is reported as-is with no trivialization attempted.
-    A negative order, or one above the order of any sample, is refused."""
+    A negative order, one above the order of any sample, or a sample over
+    another base algebra is refused before H2 is computed."""
     if order < 0:
         raise ValueError(f"rigidity order must be non-negative, got {order}")
     for d in sample_defs:
         if d.order < order:
             raise ValueError(f"rigidity order {order} exceeds a sample's order {d.order}")
+        if d.base.table.tensor != alg.table.tensor:
+            raise ValueError("sample deformation has a different base algebra")
     from .cohomology import cohomology_spaces
     from .representation import regular_representation
 
@@ -291,8 +294,6 @@ def rigidity_certificate(
         return RigidityCertificate(spaces.h2_dim, order, None)
     runs = []
     for d in sample_defs:
-        if d.base.table.tensor != alg.table.tensor:
-            raise ValueError("sample deformation has a different base algebra")
         current = d
         phis = []
         for n in range(1, order + 1):

@@ -9,7 +9,9 @@ also implements relation-solving operators T: V -> A with
 
 the induced dendriform structure on V, the compatible structure on A obtained
 from an invertible such operator, and the construction from a nondegenerate
-invariant bilinear form.
+invariant bilinear form.  Both constructions on A are linalg._transport
+calls (an action along (Id, T^{-1}, +-T), the form along (Id, B^T,
+-+(B^T)^{-1})), and x > y - y < x is one algebra._commutators difference.
 
 The three identities are residuals at basis triples, stated as terms for
 the kernel algebra._support_walk over the nonzero structure constants of the
@@ -43,8 +45,7 @@ from .algebra import (
     _support_walk,
 )
 from .fields import Field, Rationals, _require_field
-from .linalg import (Matrix, _apply_rows, _columns, _integral_views, _transport, _units, invert, rank,
-                     vec_sub)
+from .linalg import Matrix, _columns, _integral_views, _transport, _units, invert, rank
 from .representation import AlgebraLike, Representation, _require_pair, as_table
 
 LAW_D1 = "dendriform-1"
@@ -115,12 +116,7 @@ def verify_anti_L_dendriform(d: AntiLDendriform) -> AntiLDendriform:
 
 def associated_table(d: AntiLDendriform) -> MultTable:
     """The table of x . y = x > y - y < x, with no verification."""
-    n = d.dim
-    ent = [
-        [vec_sub(d.right.basis_product(i, j), d.left.basis_product(j, i)) for j in range(n)]
-        for i in range(n)
-    ]
-    return MultTable.from_entries(d.field, ent)
+    return _fiber_table(d.field, _commutators(d.right.sparse_rows, d.left.sparse_rows, d.field.one()))
 
 
 def associated_anti_pre_lie(d: AntiLDendriform) -> AntiPreLieAlgebra:
@@ -286,7 +282,7 @@ def check_form_invariance(alg: AlgebraLike, b: Matrix, strict_skew: bool = False
     # B(e_i.e_j, e_k) + B(e_j, [e_k, e_i]) + B(e_i, e_k.e_j).
     form = tuple(tuple({0: x} if x else {} for x in row) for row in b.entries)
     (prod, form), nonzero, scalar = _integral_views(table.field, table.sparse_rows, form)
-    prods, comms = _entries(prod), _entries(_commutators(prod, 1))
+    prods, comms = _entries(prod), _entries(_commutators(prod, prod, 1))
     left, right = _by_second(form, n), _by_first(form)
     for law, terms in (
         (LAW_FORM, [(0, 1, prods, left, "zpq"), (0, -1, prods, left, "pzq"),
@@ -313,20 +309,14 @@ def dendriform_from_bilinear_form(
     check_form_invariance(table, b, strict_skew=strict_skew).require(
         "bilinear form fails nondegeneracy or invariance"
     )
-    n = table.dim
-    field = table.field
-    bt_inv = invert(b.transpose())
-    rows, comm = table.sparse
-    zero = field.zero()
-    # Row j of B against e_k . e_i and [e_k, e_i]: B(y, z . x) and -B(y, [z, x]).
-    right = [[bt_inv.apply(tuple(-x for x in _apply_rows([comm[k][i] for k in range(n)],
-                                                         b.entries[j], zero)))
-              for j in range(n)] for i in range(n)]
-    left = [[bt_inv.apply(tuple(_apply_rows([rows[k][i] for k in range(n)], b.entries[j], zero)))
-             for j in range(n)] for i in range(n)]
-    d = AntiLDendriform(
-        MultTable.from_entries(field, right), MultTable.from_entries(field, left)
-    )
+    n, bt, (rows, comm) = table.dim, b.transpose(), table.sparse
+    bt_inv = invert(bt)
+    # B(e_j, w(e_z, e_i)) over z is R[i][k] = {z: w(e_z, e_i)_k} moved along (Id, B^T),
+    # with w the bracket for > and the product for <; then out is -(B^T)^{-1} or (B^T)^{-1}.
+    d = AntiLDendriform(*(_fiber_table(table.field, _transport(
+        [[{z: w[z][i][k] for z in range(n) if k in w[z][i]} for k in range(n)] for i in range(n)],
+        _units(n), _columns(bt), _columns(out)))
+        for w, out in ((comm, -bt_inv), (rows, bt_inv))))
     verify_anti_L_dendriform(d)
     if associated_table(d).tensor != table.tensor:
         raise StructureError("form-derived structure is not compatible with the algebra product")

@@ -37,7 +37,7 @@ from .algebra import (
     _fiber_table,
     check_morphism,
 )
-from .cohomology import Cochain2, _Complex, cohomologous
+from .cohomology import Cochain2, _Complex, _require_cochain, cohomologous
 from .fields import Field, _require_field
 from .linalg import Matrix, Tensor3, _columns, _dense, _transport, _units, kernel_basis, rank, solve
 from .representation import Representation, _require_pair, check_representation, semidirect_product
@@ -93,8 +93,7 @@ def extension_table(alg_table: MultTable, rep: Representation, theta: Cochain2) 
     """
     n, m = alg_table.dim, rep.dim_v
     _require_pair(alg_table, rep)
-    if (theta.dim_a, theta.dim_v) != (n, m):
-        raise ValueError(f"cocycle dims {(theta.dim_a, theta.dim_v)} do not match ({n}, {m})")
+    _require_cochain(alg_table, rep, theta)
     z = alg_table.field.zero()
     total = [[[z] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
     for i in range(n):

@@ -113,7 +113,7 @@ def _pair_views(table: MultTable, rep: Representation, integral: bool = True) ->
         prod, comm = table.sparse
         return (prod, comm, rho, mu), None, None
     (prod, rho, mu), nonzero, scalar = _integral_views(table.field, table.sparse_rows, rho, mu)
-    return (prod, _commutators(prod, 1), rho, mu), nonzero, scalar
+    return (prod, _commutators(prod, prod, 1), rho, mu), nonzero, scalar
 
 
 def check_representation(alg: AlgebraLike, rep: Representation) -> Report:

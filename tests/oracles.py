@@ -1,6 +1,8 @@
 """Naive nested-loop evaluators, pointwise coboundaries, the explicit-sum
-basis change of a table, the triple-sum pullback of a deformation, a second
-nullspace solver, dense elimination and the brute-force prime-field search.
+basis change of a table and associated product of a dendriform pair, the
+products of an invariant form solved pair by pair, the triple-sum pullback of
+a deformation, a second nullspace solver, dense elimination and the
+brute-force prime-field search.
 
 Everything here is written straight off the defining identities with explicit
 index sums over structure constants, or (the pointwise d2) by evaluating the
@@ -150,6 +152,41 @@ def naive_dendriform_residuals(d):
                     if any(v):
                         out[(law, i, j, k)] = tuple(v)
     return out
+
+
+def naive_associated_table(d):
+    """The table of x . y = x > y - y < x entry by entry:
+    [i][j][k] = right[i][j][k] - left[j][i][k]."""
+    r, le = _c(d.right), _c(d.left)
+    n = d.dim
+    return MultTable.from_entries(d.field, [[[r[i][j][k] - le[j][i][k] for k in range(n)]
+                                             for j in range(n)] for i in range(n)])
+
+
+def solved_form_products(table, b):
+    """(right, left), the tables of x > y and x < y that a nondegenerate form
+    B defines, one dense_solve per basis pair: over z, B(e_i > e_j, e_z) =
+    -B(e_j, [e_z, e_i]) and B(e_i < e_j, e_z) = B(e_j, e_z . e_i), a linear
+    system in the coordinates of the product with matrix B^T."""
+    c = _c(table)
+    n, be, z = table.dim, b.entries, table.field.zero()
+    bt = Matrix(table.field, n, n, tuple(tuple(be[a][k] for a in range(n)) for k in range(n)))
+
+    def product_table(bracket):
+        ent = [[None] * n for _ in range(n)]
+        for i, j in product(range(n), repeat=2):
+            rhs = []
+            for k in range(n):
+                acc = z
+                for w in range(n):
+                    acc = acc + be[j][w] * (c[k][i][w] - c[i][k][w] if bracket else c[k][i][w])
+                rhs.append(-acc if bracket else acc)
+            ent[i][j] = dense_solve(bt, rhs)
+            if ent[i][j] is None:
+                raise ValueError("the form is degenerate")
+        return MultTable.from_entries(table.field, ent)
+
+    return product_table(True), product_table(False)
 
 
 def naive_o_operator_residuals(table, rep, t):

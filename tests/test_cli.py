@@ -519,6 +519,17 @@ def test_rigidity_sample_field_mismatch_is_input_error(write_doc, capsys, named_
     assert err == "input error: documents live over different fields\n"
 
 
+def test_rigidity_sample_of_another_base_is_input_error(write_doc, capsys, named_algebras):
+    """a2 has H2 of dim 2; a sample of comm2 is refused with exit 2, not
+    answered with a2's H2 and exit 1."""
+    alg = write_doc(docs.encode_algebra(named_algebras["a2"]))
+    sample = write_doc(docs.encode_deformation(TruncatedDeformation.trivial(named_algebras["comm2"], 2)))
+    code, out, err = run_cli(capsys, "rigidity", alg, sample, "--order", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "input error: sample deformation has a different base algebra\n"
+
+
 @pytest.mark.parametrize("dim, prime", [(25, "2"), (200, "5")])
 def test_search_refuses_oversized_space_quickly(capsys, dim, prime):
     """The refusal comes before p**cells is computed or printed."""

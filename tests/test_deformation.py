@@ -274,6 +274,18 @@ def test_rigidity_reports_nonzero_h2(named_algebras):
     assert cert.eliminations is None
 
 
+@pytest.mark.parametrize("other", ["comm2", "a2@3"])
+def test_rigidity_refuses_a_sample_of_another_base_before_h2(named_algebras, f3_algebras, other):
+    """a2 has H2 of dim 2 over its regular representation: a sample of
+    another base, or of a2 over F_3, is refused, not reported with that H2."""
+    a2 = named_algebras["a2"]
+    base = named_algebras.get(other) or AntiPreLieAlgebra.verify(f3_algebras.get(other))
+    samples = [TruncatedDeformation.trivial(a2, 2), TruncatedDeformation.trivial(base, 2)]
+    with pytest.raises(ValueError, match="sample deformation has a different base algebra"):
+        rigidity_certificate(a2, samples, 2)
+    assert rigidity_certificate(a2, samples[:1], 2).h2_dim == 2
+
+
 def test_rigidity_vacuous_at_order_zero(named_algebras):
     alg = named_algebras["rigid2"]
     cert = rigidity_certificate(alg, [TruncatedDeformation.trivial(alg, 0)], 0)

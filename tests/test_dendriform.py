@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -24,7 +25,7 @@ from antiprelie.dendriform import (
     left_mult_representation,
 )
 from antiprelie.documents import encode_representation
-from antiprelie.fields import QQ
+from antiprelie.fields import QQ, PrimeField
 from antiprelie.linalg import Matrix, invert, solve
 from antiprelie.representation import (
     Representation,
@@ -35,12 +36,14 @@ from antiprelie.representation import (
 )
 from antiprelie.search import SearchSpec, search_o_operators
 
-from conftest import rand_matrix, rand_table
+from conftest import rand_fraction, rand_matrix, rand_table
 from oracles import (
     naive_action,
+    naive_associated_table,
     naive_dendriform_residuals,
     naive_form_residuals,
     naive_o_operator_residuals,
+    solved_form_products,
 )
 
 
@@ -384,6 +387,44 @@ def test_q_form_pipeline(named_algebras):
                         alg, dual_representation(regular_representation(alg)), t
                     ).ok
     assert found == 20  # frozen from the first verified scan
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_associated_table_matches_explicit_sum(field, n):
+    """Random unverified pairs, half of them sparse, give the entry-by-entry
+    difference right[i][j] - left[j][i]."""
+    rng = random.Random(71 + n)
+
+    def scalar(keep):
+        if rng.random() >= keep:
+            return field.zero()
+        return rand_fraction(rng, 3) if field == QQ else field.of_int(rng.randrange(3))
+
+    for trial in range(16):
+        keep = 0.3 if trial % 2 else 1.0
+        right, left = (MultTable.from_entries(field, [[[scalar(keep) for _ in range(n)] for _ in range(n)]
+                                                      for _ in range(n)]) for _ in range(2))
+        d = AntiLDendriform(right, left)
+        assert associated_table(d) == naive_associated_table(d)
+
+
+def test_form_products_match_dense_solve(named_algebras, f5_form_instances):
+    """Both products of the comm2 forms of test_q_form_pipeline, the form of
+    test_form_scale_invariance, the identity on zero2 and the searched F5
+    forms equal the solution of their defining identities pair by pair."""
+    comm2 = named_algebras["comm2"].table
+    vals = [Fraction(v) for v in (-2, -1, 0, 1, 2)]
+    scanned = [(f"comm2/{e}", comm2, Matrix.from_rows(QQ, [e[:2], e[2:]])) for e in product(vals, repeat=4)]
+    instances = [x for x in scanned if check_form_invariance(x[1], x[2]).ok]
+    assert len(instances) == 20
+    scaled = Matrix.from_rows(QQ, [[Fraction(-2), Fraction(-2)], [Fraction(2), Fraction(0)]])
+    instances += [("comm2/scaled", comm2, scaled.scale(Fraction(5))),
+                  ("zero2/identity", named_algebras["zero2"].table, Matrix.identity(QQ, 2)),
+                  *f5_form_instances]
+    for name, table, b in instances:
+        d = dendriform_from_bilinear_form(table, b)
+        assert (d.right, d.left) == solved_form_products(table, b), name
 
 
 def test_left_mult_representation_keeps_field_at_dim_0():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from antiprelie.extension import (
     semidirect_extension,
 )
 from antiprelie.documents import encode_representation
-from antiprelie.fields import QQ
+from antiprelie.fields import QQ, PrimeField
 from antiprelie.linalg import Matrix, Tensor3, invert
 from antiprelie.representation import (
     Representation,
@@ -327,3 +328,21 @@ def test_classify_over_f3_gates_against_intact_rows(monkeypatch):
     assert [theta for theta, _ in classes] == list(cohomology_spaces(a4, rep).h2_representatives)
     assert len(classes) == 11
     assert [ext for _, ext in classes] == [build_extension(a4, rep, theta) for theta, _ in classes]
+
+
+@pytest.mark.parametrize("call", ["extension_table", "is_cocycle"])
+@pytest.mark.parametrize("table_p, theta_p", [(None, 3), (3, None), (3, 5)], ids=["Q-F3", "F3-Q", "F3-F5"])
+def test_a_cochain_over_another_field_is_refused(call, table_p, theta_p):
+    """extension_table refuses theta over another field than the pair, as
+    the cocycle gate does, instead of returning a table that holds scalars
+    of both fields."""
+    def field(p):
+        return QQ if p is None else PrimeField(p)
+
+    table = MultTable.from_dict(field(table_p), 2, {(0, 1, 1): 1})
+    rep = regular_representation(AntiPreLieAlgebra.verify(table))
+    theta = Cochain2.zero(field(theta_p), 2, 2)
+    run = {"extension_table": extension_table, "is_cocycle": is_cocycle}[call]
+    message = f"cochain is over {field(theta_p)}, the table over {table.field}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(table, rep, theta)

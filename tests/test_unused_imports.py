@@ -1,5 +1,7 @@
-"""Every name a package module imports is used in it, and every private
-module-level name is used somewhere in the package.
+"""Every name a package module imports is used in it, every private
+module-level name is used somewhere in the package, and every defaulted
+parameter of a private function has two values in use: some call in the
+package passes it and some call leaves it at its default.
 
 The package has no linter among its dependencies, so this walks each
 module's syntax tree with the standard library's ast.
@@ -61,6 +63,57 @@ def unused_private_names(sources: dict) -> list:
             elif isinstance(node, ast.ImportFrom):
                 read |= {a.name for a in node.names}
     return [(module, name) for module, name in defined if name not in read]
+
+
+def one_way_defaults(sources: dict) -> list:
+    """(module, function, parameter, how) for every defaulted parameter of a
+    private function or method of the sources ({module: source}) that their
+    calls do not use both ways: how is "never passed" when no call passes
+    it, "never defaulted" when every call does.  A call is matched by the
+    name it calls (a name or an attribute); a call that unpacks *args or
+    **kwargs is not read.  A method's first parameter is bound, not passed."""
+    defaults, calls = [], {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+                   if "staticmethod" not in [getattr(d, "id", "") for d in getattr(f, "decorator_list", ())]}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                keywords = [k.arg for k in node.keywords]
+                if None not in keywords and not any(isinstance(a, ast.Starred) for a in node.args):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    calls.setdefault(name, []).append(node)
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name.startswith("_") and not node.name.endswith("__")):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                skip = 1 if id(node) in methods else 0
+                first = len(positional) - len(args.defaults)
+                defaults += [(module, node.name, a.arg, i - skip)
+                             for i, a in enumerate(positional) if i >= first]
+                defaults += [(module, node.name, a.arg, None)
+                             for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    out = []
+    for module, name, param, index in defaults:
+        passed = [(index is not None and len(c.args) > index) or any(k.arg == param for k in c.keywords)
+                  for c in calls.get(name, [])]
+        if not any(passed):
+            out.append((module, name, param, "never passed"))
+        elif all(passed):
+            out.append((module, name, param, "never defaulted"))
+    return out
+
+
+def test_the_scan_finds_a_one_way_default():
+    source = ("def _scale(x, factor=1, offset=0):\n    return x * factor + offset\n\n"
+              "def _twice(x, *, times=2):\n    return x * times\n\n"
+              "def run(x):\n    return _scale(x, 2) + _scale(x, factor=3) + _scale(x) + _twice(x, times=3)\n")
+    assert one_way_defaults({"a.py": source}) == [
+        ("a.py", "_scale", "offset", "never passed"), ("a.py", "_twice", "times", "never defaulted")]
+
+
+def test_every_private_default_has_two_values_in_use():
+    assert one_way_defaults({p.name: p.read_text(encoding="utf-8") for p in SOURCES}) == []
 
 
 def test_the_scan_finds_an_orphaned_private_name():
