@@ -25,8 +25,10 @@ each term of a formula puts one sparse fiber at its coordinates.  Over Q the
 d2 rows are assembled on ints, from views scaled by one common denominator.
 Nothing on the way to H2 is dense: Z2 is eliminated from the sparse d2 rows,
 B2 and cohomologous read the sparse d1 rows, Z2 and B2 stay sparse vectors,
-the [B2 | Z2] block is their transpose, and each cochain is sliced from one
-flat list.  The complex of one (table, representation) pair is one private
+the [B2 | Z2] block is their transpose, and each cochain is built from its
+nonzeros: every fiber with no nonzero is one shared zero fiber and every
+plane with none one shared zero plane, which the document encoder renders
+once.  The complex of one (table, representation) pair is one private
 value, _Complex, which refuses a representation of another algebra and
 assembles its d1 and d2 rows once each, for H2, the cocycle gate, d1 and
 cohomologous.  One check, _require_cochain, refuses a 2-cochain of other dims
@@ -125,12 +127,22 @@ def cochain2_from_vec(field: Field, n: int, m: int, v: Vec) -> Cochain2:
 
 
 def _cochain2(field: Field, n: int, m: int, v: dict) -> Cochain2:
-    """A sparse C2 vector as a 2-cochain: one flat list, sliced into n^2 fibers."""
-    flat = [field.zero()] * (n * n * m)
-    for j, x in v.items():
-        flat[j] = x
-    return Cochain2(Tensor3(field, (n, n, m), tuple(
-        tuple(tuple(flat[(i * n + j) * m:(i * n + j + 1) * m]) for j in range(n)) for i in range(n))))
+    """A sparse C2 vector as a 2-cochain, built from its nonzeros only: a
+    fiber with no nonzero is one shared zero fiber, and a plane with none is
+    one shared plane of those."""
+    z = field.zero()
+    fibers: dict = {}
+    for c, x in v.items():
+        if x:
+            ij, k = divmod(c, m)
+            fibers.setdefault(ij, [z] * m)[k] = x
+    zero_fiber = (z,) * m
+    zero_plane = (zero_fiber,) * n
+    planes = [zero_plane] * n
+    for i in {ij // n for ij in fibers}:
+        planes[i] = tuple(tuple(fibers[ij]) if ij in fibers else zero_fiber
+                          for ij in range(i * n, i * n + n))
+    return Cochain2(Tensor3(field, (n, n, m), tuple(planes)))
 
 
 def _require_cochain(table: MultTable, rep: Representation, f: Cochain2) -> None:

@@ -41,7 +41,11 @@ class DocumentError(ValueError):
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(", ", ": ")) + "\n"
+    """The canonical text of a document: sorted keys, one line.  The encoders
+    build every document afresh from immutable values, so it holds no cycle,
+    and the writer does not look for one (a cyclic dict, which no encoder
+    makes, raises RecursionError instead of ValueError)."""
+    return json.dumps(doc, sort_keys=True, separators=(", ", ": "), check_circular=False) + "\n"
 
 
 def loads(text: str) -> dict:
@@ -98,9 +102,28 @@ def decode_matrix(field: Field, doc, rows: Optional[int] = None, cols: Optional[
 
 
 def encode_tensor3(t: Tensor3) -> list:
+    """The nested lists of scalar strings.  The strings of each distinct fiber
+    and plane object are rendered once (a tensor built from sparse data
+    shares its zero fiber and zero plane), and every place gets a list of its
+    own, so editing one place of the document changes no other."""
     f = t.field
     zero = f.to_str(f.zero())
-    return [[[f.to_str(x) if x else zero for x in fiber] for fiber in plane] for plane in t.entries]
+    fibers: dict = {}
+    planes: dict = {}
+
+    def strings(fiber):
+        out = fibers.get(id(fiber))
+        if out is None:
+            out = fibers[id(fiber)] = [f.to_str(x) if x else zero for x in fiber]
+        return out
+
+    out = []
+    for plane in t.entries:
+        lines = planes.get(id(plane))
+        if lines is None:
+            lines = planes[id(plane)] = [strings(fiber) for fiber in plane]
+        out.append([line[:] for line in lines])
+    return out
 
 
 def decode_tensor3(field: Field, doc, dims: tuple) -> Tensor3:

@@ -114,10 +114,11 @@ class Rationals:
         return Fraction(k)
 
     def parse(self, s: str) -> Fraction:
-        if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+        match = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+        if match is None:
             raise ValueError(f"not a rational scalar: {s!r}")
         try:
-            return Fraction(s)
+            return Fraction(s) if match[1] else Fraction(int(s))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational scalar: {s!r}") from exc
 

@@ -25,7 +25,11 @@ is the reduced form over Q entry for entry (see `_rref_modular`).  When the
 lift or the check fails at every prime of `_PRIMES`, the rows are eliminated
 in `Fraction` arithmetic instead, so no result rests on trusting a prime.
 Everything is pure Python ints and fractions; the package has no
-dependencies.  One loop, `_eliminate`, does every elimination: on residues
+dependencies.  Before any arithmetic, on every route, `_singletons` fixes the
+pivots that single-entry rows decide and deletes their columns from the other
+rows, repeating while that leaves new singletons; on the d2 rows of the dim-8
+tower it fixes 244 of the 396 pivots and leaves 275 of the 762 distinct rows.
+One loop, `_eliminate`, does every elimination of the rows left: on residues
 mod p for the modular route over Q and over a prime field, where `Fp` values
 are made only for the reduced rows returned, and on `Fraction` values for the
 fallback.
@@ -258,28 +262,84 @@ def _rref(field: Field, rows_in: Iterable[dict]):
 
     `rows_in` holds {column: value} dicts of nonzero entries, which are left
     unchanged; the result lists the nonzero reduced rows, as such dicts, in
-    pivot-column order.  Every route runs the one loop `_eliminate`.  Over a
-    prime field it runs on the residues of the entries, and `Fp` values are
-    made only for the reduced rows returned.  Over Q the empty rows are
-    dropped, every other row is replaced by its `_primitive` multiple and only
-    the first copy of each distinct one is kept: the row space, and so the
-    form, is unchanged.  `_rref_modular` tries each of `_PRIMES` in turn on
-    those rows; only when every prime fails are they eliminated in `Fraction`
-    arithmetic.  Every route gives the one reduced row echelon form.
+    pivot-column order.  Every route takes the same steps, none of which
+    changes the row space, and so the form:
+    - empty rows and exact duplicates are dropped;
+    - each row is scaled, to its `_primitive` multiple of ints over Q and
+      to its monic residues over F_p, and duplicates are dropped again;
+    - `_singletons` fixes the pivots the rows' structure alone decides, with
+      no arithmetic, and deletes their columns from the other rows, which
+      are then scaled and deduplicated once more;
+    - the one loop `_eliminate` reduces the rows left: over F_p on
+      residues, and over Q by `_rref_modular` at each of `_PRIMES` in turn,
+      or in `Fraction` arithmetic only when every prime fails.
+    Values of the field are made only for the reduced rows returned.
     """
-    if not isinstance(field, Rationals):
-        pivot_rows = _eliminate(({j: x.value for j, x in row.items()} for row in rows_in), field.p)
-        pivots = sorted(pivot_rows)
-        return [{j: field.of_int(x) for j, x in pivot_rows[c].items()} for c in pivots], pivots
-    primitive = (_primitive(row) for row in rows_in if row)
-    rows = list({frozenset(row.items()): row for row in primitive}.values())
-    for p in _PRIMES:
-        result = _rref_modular(rows, p)
-        if result is not None:
-            return result
-    pivot_rows = _eliminate(rows)
+    rational = isinstance(field, Rationals)
+    if rational:
+        scaled = _primitive
+    else:
+        p = field.p
+        rows_in = ({j: v for j, x in row.items() if (v := x.value)} for row in rows_in)
+
+        def scaled(row):
+            inv = pow(row[min(row)], -1, p)
+            return row if inv == 1 else {j: x * inv % p for j, x in row.items()}
+
+    def distinct(rows):
+        return list({frozenset(row.items()): row for row in map(scaled, rows)}.values())
+
+    unique = {frozenset(row.items()): row for row in rows_in if row}
+    fixed, rows = _singletons(distinct(unique.values()))
+    if fixed:
+        rows = distinct(rows)
+    if rational:
+        for q in _PRIMES:
+            pivot_rows = _rref_modular(rows, q)
+            if pivot_rows is not None:
+                break
+        else:
+            pivot_rows = _eliminate(rows)
+    else:
+        pivot_rows = {c: {j: field.of_int(x) for j, x in row.items()}
+                      for c, row in _eliminate(rows, p).items()}
+    one = field.one()
+    pivot_rows.update((j, {j: one}) for j in fixed)
     pivots = sorted(pivot_rows)
     return [pivot_rows[c] for c in pivots], pivots
+
+
+def _singletons(rows: list) -> tuple:
+    """(fixed, rest): the pivot columns that singleton rows decide, and the
+    other rows without those columns, with the rows left empty dropped.
+
+    A row {j: x} puts e_j in the row space, so column j is a pivot, its
+    reduced row is e_j and every other reduced row is zero at j: the form is
+    {e_j} together with the form of the other rows with column j deleted.
+    Deleting j may leave new singletons; they are fixed in turn until none
+    is left (the first step of structured Gaussian elimination: LaMacchia
+    and Odlyzko, CRYPTO 1990).  The closure, and so the result, does not
+    depend on the order in which singletons are taken.  A row is copied only
+    when it loses a column; the rows handed in are never written.
+    """
+    cols: dict = {}
+    for r, row in enumerate(rows):
+        for j in row:
+            cols.setdefault(j, []).append(r)
+    live = [len(row) for row in rows]
+    stack = [r for r, k in enumerate(live) if k == 1]
+    fixed: set = set()
+    while stack:
+        r = stack.pop()
+        if live[r] == 1:
+            j = next(j for j in rows[r] if j not in fixed)
+            fixed.add(j)
+            for s in cols[j]:
+                live[s] -= 1
+                if live[s] == 1:
+                    stack.append(s)
+    return fixed, [row if k == len(row) else {j: x for j, x in row.items() if j not in fixed}
+                   for row, k in zip(rows, live) if k]
 
 
 def _eliminate(rows: Iterable[dict], p: Optional[int] = None) -> dict:
@@ -396,9 +456,9 @@ def _reconstruct(u: int, p: int) -> Optional[tuple]:
     return r1, t1
 
 
-def _rref_modular(rows: list, p: int):
-    """`_rref` of integer rows, eliminated modulo p and certified over Q, or
-    None when the lift or its certificate fails.
+def _rref_modular(rows: list, p: int) -> Optional[dict]:
+    """{pivot column: reduced row} of integer rows, eliminated modulo p and
+    certified over Q, or None when the lift or its certificate fails.
 
     `_eliminate` runs on the residues of the rows mod p, so a pivot row has
     its 1 at its pivot column, nothing at other pivot columns and nothing
@@ -409,6 +469,12 @@ def _rref_modular(rows: list, p: int):
     agree; each non-pivot column is then a combination of earlier pivot
     columns, the r pivot columns are independent over Q, and the pivots and
     lifted rows are the reduced row echelon form over Q, entry for entry.
+
+    `_rref` hands it the rows `_singletons` left, which are zero at every
+    fixed column.  A distinct row is the sum of its entries at the fixed
+    columns and the row handed here, and every reduced row is zero at the
+    fixed columns but e_j at j, so the certificate of the rows handed is the
+    certificate of every distinct row, singletons included.
     """
     pivot_rows = _eliminate(rows, p)
     lifts = {}
@@ -422,8 +488,7 @@ def _rref_modular(rows: list, p: int):
     if not _certify(rows, pivot_rows, lifts):
         return None
     value = {x: Fraction(a, b) for x, (a, b) in lifts.items()}
-    pivots = sorted(pivot_rows)
-    return [{j: value[x] for j, x in pivot_rows[c].items()} for c in pivots], pivots
+    return {c: {j: value[x] for j, x in row.items()} for c, row in pivot_rows.items()}
 
 
 def _certify(rows: list, pivot_rows: dict, lifts: dict) -> bool:

@@ -4,7 +4,7 @@ import pytest
 
 from antiprelie import documents as docs
 from antiprelie.algebra import AntiPreLieAlgebra, MultTable
-from antiprelie.cli import main
+from antiprelie.cli import COMMANDS, main
 from antiprelie.cohomology import Cochain2, cohomology_spaces
 from antiprelie.deformation import TruncatedDeformation, TruncatedIsomorphism, apply_isomorphism
 from antiprelie.dendriform import AntiLDendriform
@@ -123,6 +123,27 @@ def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# The top-level usage at 80 columns: argparse reports unrecognized arguments
+# against the top-level parser, whose usage lists every command.
+TOP_LEVEL_USAGE = """\
+usage: antiprelie [-h]
+                  {check,lie,rep-check,semidirect,dual,special,cohomology,dend-check,assoc,o-check,o-induce,o-compat,from-form,deform-check,infinitesimal,apply-iso,trivialize,rigidity,extend,extract,iso,classify,search}
+                  ...
+"""
+
+
+def test_unrecognized_arguments_print_the_top_level_usage(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "a", "b", "c"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == TOP_LEVEL_USAGE + "antiprelie: error: unrecognized arguments: c\n"
+    listed = TOP_LEVEL_USAGE.splitlines()[1].strip().strip("{}").split(",")
+    assert listed == [cmd.name for cmd in COMMANDS] and len(listed) == 23
 
 
 def test_lie_output(write_doc, capsys, named_algebras):

@@ -6,6 +6,7 @@ import pytest
 from antiprelie.algebra import AntiPreLieAlgebra, MultTable
 from antiprelie.cohomology import (
     Cochain2,
+    _cochain2,
     cochain1_from_vec,
     cochain1_to_vec,
     cochain2_from_vec,
@@ -18,7 +19,7 @@ from antiprelie.cohomology import (
     is_cocycle,
 )
 from antiprelie.extension import build_extension, classify_extensions, extension_table
-from antiprelie.fields import QQ
+from antiprelie.fields import QQ, PrimeField
 from antiprelie.linalg import Matrix, Tensor3, vec_is_zero
 from antiprelie.representation import Representation, regular_representation, semidirect_product
 
@@ -326,3 +327,26 @@ def test_cohomology_spaces_builds_no_dense_d2(corpus_pairs, monkeypatch):
     monkeypatch.setattr(Matrix, "from_cols", staticmethod(refuse))
     for (name, alg, rep), spaces in zip(corpus_pairs, before):
         assert cohomology_spaces(alg, rep) == spaces, name
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(3)))
+def test_sparse_cochain_equals_the_dense_build(field):
+    """_cochain2 of a sparse C2 vector, explicit zeros included (the field's
+    zero and fresh ones), equals the cochain written out entry by entry; its
+    zero fibers are one shared object."""
+    rng = random.Random(7)
+    for _ in range(200):
+        n, m = rng.randint(0, 3), rng.randint(0, 3)
+        size = n * n * m
+        v = {}
+        for c in rng.sample(range(size), rng.randint(0, size)):
+            v[c] = rng.choice((field.zero(), field.of_int(0), field.of_int(rng.randint(-4, 4))))
+        z = field.zero()
+        dense = Cochain2(Tensor3(field, (n, n, m), tuple(
+            tuple(tuple(v.get((i * n + j) * m + k, z) for k in range(m)) for j in range(n))
+            for i in range(n))))
+        built = _cochain2(field, n, m, v)
+        assert built == dense
+        assert cochain2_to_vec(built) == cochain2_to_vec(dense)
+        zero_fibers = {id(f) for plane in built.tensor.entries for f in plane if not any(f)}
+        assert len(zero_fibers) <= 1

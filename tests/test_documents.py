@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from antiprelie.fields import QQ, PrimeField
 from antiprelie.representation import regular_representation
 
 from conftest import rand_matrix, rand_table
+from test_cli_golden import _documents
 
 
 def round_trip(doc):
@@ -128,3 +130,39 @@ def test_non_object_document_rejected():
         docs.loads("[1, 2]")
     with pytest.raises(docs.DocumentError):
         docs.loads("not json")
+
+
+def test_editing_one_place_of_an_encoded_cochain_changes_no_other(named_algebras):
+    """A cochain built from sparse data shares its zero fiber and zero plane;
+    its document gives every place a list of its own."""
+    a2 = named_algebras["a2"]
+    spaces = cohomology_spaces(a2, regular_representation(a2))
+    for c in spaces.z2_basis + spaces.b2_basis + spaces.h2_representatives:
+        doc = docs.encode_cochain2(c)
+        before = docs.encode_cochain2(c)
+        values = doc["values"]
+        places = [(i, j) for i in range(c.dim_a) for j in range(c.dim_a)]
+        assert len({id(values[i][j]) for i, j in places}) == len(places)
+        assert len({id(plane) for plane in values}) == len(values)
+        for i, j in places:
+            values[i][j].append("edited")
+            expected = [[list(fiber) for fiber in plane] for plane in before["values"]]
+            expected[i][j].append("edited")
+            assert values == expected
+            values[i][j].pop()
+        assert doc == before == docs.encode_cochain2(c)
+
+
+def test_dumps_is_the_canonical_json_of_the_golden_documents(named_algebras, abar2_table, f3_algebras):
+    """dumps writes what json.dumps with sorted keys and the package's
+    separators writes, on every document the golden cases read and on the
+    cohomology output of a2 over its regular representation."""
+    documents = _documents(named_algebras, abar2_table, f3_algebras)
+    a2 = named_algebras["a2"]
+    spaces = cohomology_spaces(a2, regular_representation(a2))
+    documents["cohomology"] = {"z2_basis": [docs.encode_cochain2(c) for c in spaces.z2_basis],
+                               "h2_representatives": [docs.encode_cochain2(c)
+                                                      for c in spaces.h2_representatives]}
+    for name, doc in documents.items():
+        expected = json.dumps(doc, sort_keys=True, separators=(", ", ": ")) + "\n"
+        assert docs.dumps(doc) == expected, name

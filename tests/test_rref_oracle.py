@@ -42,6 +42,7 @@ from antiprelie.representation import Representation, regular_representation
 from conftest import bump_matrix
 
 from oracles import (
+    bareiss_kernel,
     dense_invert,
     dense_kernel_basis,
     dense_rref,
@@ -393,21 +394,26 @@ def check_repeated(m, scaled, b, scaled_b):
 @settings(max_examples=200, deadline=None)
 @given(repeated_rows())
 def test_repeated_scaled_rows_give_the_reference_of_the_original(case):
-    """Over Q each distinct row up to scale reaches the modular elimination
-    once; on every field the result is that of the original matrix."""
+    """Over Q the rows that reach the modular elimination are distinct up to
+    scale and hold no singleton (the structural pass has fixed those pivots);
+    on every field the result is that of the original matrix."""
     m, scaled, b, scaled_b = case
     handed = []
     inner = linalg._rref_modular
 
     def spy(rows, p):
-        handed.append(len(rows))
+        handed.append(rows)
         return inner(rows, p)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_rref_modular", spy)
         rows, _ = _rref(m.field, _sparse_rows(scaled.entries))
     if m.field == QQ:
-        assert handed and set(handed) == {len(_up_to_scale(m.entries))}
+        assert handed
+        for rows in handed:
+            assert all(len(row) > 1 for row in rows)
+            dense = [[Fraction(row.get(j, 0)) for j in range(m.cols)] for row in rows]
+            assert len(_up_to_scale(dense)) == len(rows)
     check_repeated(m, scaled, b, scaled_b)
 
 
@@ -416,3 +422,70 @@ def test_repeated_scaled_rows_give_the_reference_of_the_original(case):
 def test_repeated_scaled_rows_through_the_fraction_fallback(case):
     with fraction_eliminations(_PRIMES=(5,)):
         check_repeated(*case)
+
+
+# Singleton cascades.  Each case lists its rows as ints (1, -1 and 7, nonzero
+# mod 2, 3 and 5, so the structure is the same over every field) and the
+# columns the structural pass must fix before any arithmetic.
+SINGLETON_CASES = {
+    # e_2 leaves row 1 a singleton at 1, which leaves row 2 one at 0; the last
+    # two rows keep two columns each and go on to the arithmetic.
+    "cascade": ([[0, 0, 7, 0, 0, 0],
+                 [0, 1, -1, 0, 0, 0],
+                 [1, 1, 7, 0, 0, 0],
+                 [1, 0, 0, 1, -1, 1],
+                 [0, 0, 0, 1, 1, 7]], {0, 1, 2}),
+    # Rows inside the fixed columns vanish entirely, repeated singletons too.
+    "vanishing": ([[0, 1, 0, 0],
+                   [1, -1, 0, 0],
+                   [7, 1, 0, 0],
+                   [0, -1, 0, 0],
+                   [1, 0, 0, 0],
+                   [0, 0, 1, 1]], {0, 1}),
+    "all-singletons": ([[0, 7, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 0]], {0, 1}),
+    "singleton-free": ([[1, 1, 0], [0, 1, -1], [1, 0, 7], [7, 1, 1]], set()),
+}
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(2), PrimeField(3), PrimeField(5)))
+@pytest.mark.parametrize("case", list(SINGLETON_CASES))
+def test_singleton_cascades_equal_the_dense_references(case, field):
+    entries, fixed = SINGLETON_CASES[case]
+    m = Matrix.from_rows(field, [[field.of_int(x) for x in r] for r in entries])
+    assert linalg._singletons(_sparse_rows(m.entries))[0] == fixed
+    assert check_rref(m) == 0
+    check_kernel(m)
+    assert kernel_basis(m) == bareiss_kernel(m)
+    x = tuple(field.of_int(k) for k in range(1, m.cols + 1))
+    assert solve(m, m.apply(x)) == dense_solve(m, m.apply(x)) is not None
+    b = tuple(field.of_int(k % 3) for k in range(m.rows))
+    assert solve(m, b) == dense_solve(m, b)
+
+
+@st.composite
+def short_rows(draw):
+    """Matrices up to 8x6 whose rows have one to three nonzeros, so singletons
+    are common and deleting their columns often leaves new ones."""
+    field = draw(st.sampled_from((QQ, PrimeField(2), PrimeField(3), PrimeField(5))))
+    cols = draw(st.integers(1, 6))
+    nonzero = (st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 3))
+               if field == QQ else st.integers(1, field.p - 1).map(field.of_int))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        support = draw(st.sets(st.integers(0, cols - 1), min_size=1, max_size=min(3, cols)))
+        row = [field.zero()] * cols
+        for j in support:
+            row[j] = draw(nonzero)
+        rows.append(tuple(row))
+    return Matrix(field, len(rows), cols, tuple(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(short_rows(), st.data())
+def test_short_rows_equal_the_dense_references(m, data):
+    check_rref(m)
+    check_kernel(m)
+    x = tuple(data.draw(scalars(m.field)) for _ in range(m.cols))
+    assert solve(m, m.apply(x)) == dense_solve(m, m.apply(x)) is not None
+    b = tuple(data.draw(scalars(m.field)) for _ in range(m.rows))
+    assert solve(m, b) == dense_solve(m, b)
