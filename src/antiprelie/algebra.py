@@ -1,8 +1,10 @@
 """Anti-pre-Lie algebras as structure-constant tables.
 
 A product on a based vector space is stored as a rank-3 tensor c with
-c[i][j][k] = coefficient of e_k in e_i . e_j.  An anti-pre-Lie algebra is a
-table satisfying, for all x, y, z and with [x,y] = x.y - y.x,
+c[i][j][k] = coefficient of e_k in e_i . e_j, that is as its nonzero fibers
+{k: c} per basis pair (linalg.Tensor3), which every kernel here reads and
+every builder writes.  An anti-pre-Lie algebra is a table satisfying, for
+all x, y, z and with [x,y] = x.y - y.x,
 
     x.(y.z) - y.(x.z) = [y,x].z            (exchange law)
     [x,y].z + [y,z].x + [z,x].y = 0        (cyclic law)
@@ -40,8 +42,8 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .fields import Field, _require_field
-from .linalg import (Matrix, Tensor3, Vec, _columns, _dense, _integral_views, _sparse_rows, _subtract,
-                     _transport, _units, invert, vec_sub)
+from .linalg import (Matrix, Tensor3, Vec, _columns, _dense, _integral_views, _subtract, _transport, _units,
+                     invert, vec_sub)
 
 LAW_EXCHANGE = "exchange"
 LAW_CYCLIC = "cyclic"
@@ -121,11 +123,10 @@ class MultTable:
     @staticmethod
     def from_dict(field: Field, n: int, nonzero: dict) -> "MultTable":
         """Build from {(i, j, k): scalar-or-int}; unlisted entries are zero."""
-        z = field.zero()
-        ent = [[[z for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        fibers = [[{} for _ in range(n)] for _ in range(n)]
         for (i, j, k), v in nonzero.items():
-            ent[i][j][k] = field.of_int(v) if isinstance(v, int) else v
-        return MultTable.from_entries(field, ent)
+            fibers[i][j][k] = field.of_int(v) if isinstance(v, int) else v
+        return MultTable(Tensor3(field, (n, n, n), fibers))
 
     def basis_product(self, i: int, j: int) -> Vec:
         """e_i . e_j as a coordinate vector."""
@@ -140,27 +141,19 @@ class MultTable:
 
     @cached_property
     def left_matrices(self) -> tuple:
-        """L(e_i): y -> e_i . y, one matrix per basis vector."""
-        return tuple(Matrix(self.field, self.dim, self.dim, plane).transpose()
-                     for plane in self.tensor.entries)
+        """L(e_i): y -> e_i . y, one matrix per basis vector; column j is e_i . e_j."""
+        return tuple(_dense(self.field, line, self.dim).transpose() for line in self.tensor.fibers)
 
     @cached_property
     def right_matrices(self) -> tuple:
-        """R(e_i): y -> y . e_i."""
-        return tuple(Matrix(self.field, self.dim, self.dim, column).transpose()
-                     for column in zip(*self.tensor.entries))
-
-    @cached_property
-    def sparse_rows(self) -> tuple:
-        """rows[a][b], the product e_a . e_b as a {k: c} fiber over its nonzero
-        coefficients c of e_k."""
-        return tuple(tuple(_sparse_rows(plane)) for plane in self.tensor.entries)
+        """R(e_i): y -> y . e_i; column j is e_j . e_i."""
+        return tuple(_dense(self.field, column, self.dim).transpose() for column in zip(*self.tensor.fibers))
 
     @cached_property
     def sparse(self) -> tuple:
-        """(rows, comm), each [a][b] a fiber as in sparse_rows: rows[a][b] is
+        """(rows, comm), each [a][b] a {k: c} fiber: rows[a][b] is the stored
         e_a . e_b and comm[a][b] the commutator [e_a, e_b]."""
-        return self.sparse_rows, _commutators(self.sparse_rows, self.sparse_rows, self.field.one())
+        return self.tensor.fibers, _commutators(self.tensor.fibers, self.tensor.fibers, self.field.one())
 
     def conjugate(self, p: Matrix) -> "MultTable":
         """Basis change: the table of x *' y = P^{-1}(P(x) . P(y))."""
@@ -171,12 +164,8 @@ class MultTable:
         if p_inv is None:
             raise ValueError("change of basis must be invertible")
         cols = _columns(p)
-        return _fiber_table(self.field, _transport(self.sparse_rows, cols, cols, _columns(p_inv)))
-
-
-def _fiber_table(field: Field, grid: list) -> MultTable:
-    """The table of an n x n grid of {k: c} fibers over n coordinates."""
-    return MultTable.from_entries(field, [_dense(field, line, len(grid)).entries for line in grid])
+        return MultTable(Tensor3(self.field, self.tensor.dims,
+                                 _transport(self.tensor.fibers, cols, cols, _columns(p_inv))))
 
 
 def _commutators(rows: tuple, other: tuple, one) -> tuple:
@@ -258,7 +247,7 @@ def _law_views(tables: Sequence[MultTable]) -> tuple:
     e_a . e_b and [e_a, e_b] as (a, b, fiber); left[w] pairs each z with
     e_z . e_w and right[w] with e_w . e_z.
     """
-    planes, nonzero, scalar = _integral_views(tables[0].field, *(t.sparse_rows for t in tables))
+    planes, nonzero, scalar = _integral_views(tables[0].field, *(t.tensor.fibers for t in tables))
     n = tables[0].dim
     views = [(_entries(rows), _entries(_commutators(rows, rows, 1)), _by_second(rows, n), _by_first(rows))
              for rows in planes]
@@ -336,7 +325,7 @@ def check_lie_table(table: MultTable) -> Report:
     """Antisymmetry and the Jacobi identity on all basis pairs/triples."""
     n = table.dim
     # e_i e_j + e_j e_i, written out densely where it is nonzero
-    sym = _commutators(table.sparse_rows, table.sparse_rows, -table.field.one())
+    sym = _commutators(table.tensor.fibers, table.tensor.fibers, -table.field.one())
     violations = [Violation("antisymmetry", (i, j), v) for i, line in enumerate(sym)
                   for j, v in enumerate(_dense(table.field, line, n).entries) if any(v)]
     # (e_i e_j) e_k + (e_j e_k) e_i + (e_k e_i) e_j
@@ -347,7 +336,7 @@ def check_lie_table(table: MultTable) -> Report:
 
 
 def commutator_table(table: MultTable) -> MultTable:
-    return _fiber_table(table.field, table.sparse[1])
+    return MultTable(Tensor3(table.field, table.tensor.dims, table.sparse[1]))
 
 
 def sub_adjacent_lie(alg: AntiPreLieAlgebra) -> LieTable:
@@ -367,8 +356,8 @@ def check_morphism(f: Matrix, src: MultTable, dst: MultTable) -> Report:
         raise ValueError(f"morphism matrix must be {dst.dim}x{src.dim}, got {f.rows}x{f.cols}")
     _require_field("morphism", f.field, src.field)
     _require_field("target table", dst.field, src.field)
-    res = _transport(src.sparse_rows, _units(src.dim), _units(src.dim), _columns(f))
-    _transport(dst.sparse_rows, _columns(f), _columns(-f), _units(dst.dim), res)
+    res = _transport(src.tensor.fibers, _units(src.dim), _units(src.dim), _columns(f))
+    _transport(dst.tensor.fibers, _columns(f), _columns(-f), _units(dst.dim), res)
     return Report("morphism", tuple(
         Violation("morphism", (i, j), v) for i, line in enumerate(res)
         for j, v in enumerate(_dense(src.field, line, dst.dim).entries) if any(v)))

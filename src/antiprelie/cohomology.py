@@ -25,17 +25,16 @@ each term of a formula puts one sparse fiber at its coordinates.  Over Q the
 d2 rows are assembled on ints, from views scaled by one common denominator.
 Nothing on the way to H2 is dense: Z2 is eliminated from the sparse d2 rows,
 B2 and cohomologous read the sparse d1 rows, Z2 and B2 stay sparse vectors,
-the [B2 | Z2] block is their transpose, and each cochain is built from its
-nonzeros: every fiber with no nonzero is one shared zero fiber and every
-plane with none one shared zero plane, which the document encoder renders
-once.  The complex of one (table, representation) pair is one private
-value, _Complex, which refuses a representation of another algebra and
-assembles its d1 and d2 rows once each, for H2, the cocycle gate, d1 and
-cohomologous.  One check, _require_cochain, refuses a 2-cochain of other dims
-or of another field than the pair, for the complex and for extension_table.
-d1_matrix and d2_matrix are the dense views of the same rows.  The pointwise
-evaluations of d1 and d2 on basis pairs and triples live in the test suite,
-as the independent oracles.
+the [B2 | Z2] block is their transpose, and each cochain is written as the
+nonzero fibers of its tensor (linalg.Tensor3).  The complex of one (table,
+representation) pair is one private value, _Complex, which refuses a
+representation of another algebra and assembles its d1 and d2 rows once
+each, for H2, the cocycle gate, d1 and cohomologous.  One check,
+_require_cochain, refuses a 2-cochain of other dims or of another field than
+the pair, for the complex and for extension_table.  d1_matrix and d2_matrix
+are the dense views of the same rows.  The pointwise evaluations of d1 and
+d2 on basis pairs and triples live in the test suite, as the independent
+oracles.
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ from typing import Iterator, Optional
 
 from .algebra import AntiPreLieAlgebra, MultTable, StructureError
 from .fields import Field, Rationals, _require_field
-from .linalg import (Matrix, Tensor3, Vec, _apply_rows, _dense, _integral, _kernel, _rref, _solve,
-                     vec_sub)
+from .linalg import Matrix, Tensor3, Vec, _apply_rows, _dense, _integral, _kernel, _rref, _solve
 from .representation import AlgebraLike, Representation, _pair_views, _require_pair, as_table
 
 
@@ -119,30 +117,33 @@ def cochain1_from_vec(field: Field, n: int, m: int, v: Vec) -> Matrix:
 
 def cochain2_to_vec(f: Cochain2) -> Vec:
     """The C2 vectorization, lexicographic: t[i][j][k] at coordinate (i n + j) m + k."""
-    return tuple(x for plane in f.tensor.entries for fiber in plane for x in fiber)
+    return _dense(f.field, [_c2(f)], f.dim_a ** 2 * f.dim_v).entries[0]
+
+
+def _c2(f: Cochain2) -> dict:
+    """The nonzero coordinates of the C2 vectorization of f, {coordinate: value}."""
+    n, m = f.dim_a, f.dim_v
+    return {(i * n + j) * m + k: x for i, line in enumerate(f.tensor.fibers)
+            for j, fiber in enumerate(line) for k, x in fiber.items()}
 
 
 def cochain2_from_vec(field: Field, n: int, m: int, v: Vec) -> Cochain2:
-    return _cochain2(field, n, m, dict(enumerate(v)))
+    return _cochain2(field, n, m, {c: x for c, x in enumerate(v) if x})
 
 
 def _cochain2(field: Field, n: int, m: int, v: dict) -> Cochain2:
-    """A sparse C2 vector as a 2-cochain, built from its nonzeros only: a
-    fiber with no nonzero is one shared zero fiber, and a plane with none is
-    one shared plane of those."""
-    z = field.zero()
-    fibers: dict = {}
+    """A sparse C2 vector {coordinate: value} as a 2-cochain, written into the
+    fibers of its tensor.  Its fibers with no entry share one empty dict (no
+    operation writes a stored fiber): a dict each cost the dim-16 H2 12 MB
+    and four times the build time, half of it in the cyclic collector."""
+    empty = {}
+    fibers = [[empty] * n for _ in range(n)]
     for c, x in v.items():
-        if x:
-            ij, k = divmod(c, m)
-            fibers.setdefault(ij, [z] * m)[k] = x
-    zero_fiber = (z,) * m
-    zero_plane = (zero_fiber,) * n
-    planes = [zero_plane] * n
-    for i in {ij // n for ij in fibers}:
-        planes[i] = tuple(tuple(fibers[ij]) if ij in fibers else zero_fiber
-                          for ij in range(i * n, i * n + n))
-    return Cochain2(Tensor3(field, (n, n, m), tuple(planes)))
+        i, j = divmod(c // m, n)
+        if fibers[i][j] is empty:
+            fibers[i][j] = {}
+        fibers[i][j][c % m] = x
+    return Cochain2(Tensor3(field, (n, n, m), fibers))
 
 
 def _require_cochain(table: MultTable, rep: Representation, f: Cochain2) -> None:
@@ -174,7 +175,7 @@ class _Complex:
         component l of F (base l n, stride 1).
         """
         n, m = self.table.dim, self.rep.dim_v
-        prod = self.table.sparse_rows
+        prod = self.table.tensor.fibers
         rho, mu = self.rep.sparse
         return [{c: x for c, x in r.items() if x} for i, j in product(range(n), range(n))
                 for r in _placed(((rho[i], j, 0, n, False), (mu[j], i, 0, n, False),
@@ -183,23 +184,24 @@ class _Complex:
     @cached_property
     def d2(self) -> list:
         """The nonzero rows of d2, without the entries that cancelled; over Q on
-        ints (D times the rational rows, see _d2_rows), with the same kernel."""
+        ints (D times the rational rows, see _d2_rows), with the same kernel.
+        A row is copied only when some entry cancelled."""
         integral = isinstance(self.table.field, Rationals)
-        rows = ({j: x for j, x in r.items() if x} for r in _d2_rows(self.table, self.rep, integral))
-        return [r for r in rows if r]
-
-    def vec(self, f: Cochain2) -> Vec:
-        """The C2 vector of f, refused unless f is a 2-cochain of this pair."""
-        _require_cochain(self.table, self.rep, f)
-        return cochain2_to_vec(f)
+        return [r if all(r.values()) else {j: x for j, x in r.items() if x}
+                for r in _d2_rows(self.table, self.rep, integral) if any(r.values())]
 
     def is_cocycle(self, f: Cochain2) -> bool:
-        """Whether the d2 rows vanish on f, stopping at the first that does
-        not; over Q f is scaled to ints by the lcm of its own denominators."""
-        v = self.vec(f)
+        """Whether the d2 rows vanish on f, a 2-cochain of this pair (refused
+        otherwise), stopping at the first that does not; over Q f is scaled to
+        ints by the lcm of its own denominators, and read as a list."""
+        _require_cochain(self.table, self.rep, f)
+        v, zero = _c2(f), self.table.field.zero()
         if isinstance(self.table.field, Rationals):
-            return not any(_apply_rows(self.d2, _integral(dict(enumerate(v))), 0))
-        return not any(_apply_rows(self.d2, v, self.table.field.zero()))
+            v, zero = _integral(v), 0
+        dense = [zero] * (self.table.dim ** 2 * self.rep.dim_v)
+        for c, x in v.items():
+            dense[c] = x
+        return not any(_apply_rows(self.d2, dense, zero))
 
     def spaces(self) -> "CohomologySpaces":
         """cohomology_spaces of the pair, from its d2 and d1 rows."""
@@ -211,9 +213,9 @@ class _Complex:
         pivots = _rref(field, _transpose(b2 + z2, size))[1]
         if len(pivots) != len(z2):
             raise StructureError("a coboundary fell outside Z2; (alg, rep) was not verified")
-        reps = [z2[c - len(b2)] for c in pivots[len(b2):]]
-        mk = lambda vecs: tuple(_cochain2(field, n, m, v) for v in vecs)
-        return CohomologySpaces(mk(z2), mk(b2), len(reps), mk(reps))
+        z2_basis = tuple(_cochain2(field, n, m, v) for v in z2)
+        reps = tuple(z2_basis[c - len(b2)] for c in pivots[len(b2):])
+        return CohomologySpaces(z2_basis, tuple(_cochain2(field, n, m, v) for v in b2), len(reps), reps)
 
 
 def d1_matrix(alg: AlgebraLike, rep: Representation) -> Matrix:
@@ -348,5 +350,7 @@ def cohomologous(
     """A 1-cochain phi with f - g = d1(phi), or None when none exists."""
     cx = _Complex(as_table(alg), rep)
     field, n, m = cx.table.field, cx.table.dim, rep.dim_v
-    x = _solve(field, cx.d1, n * m, vec_sub(cx.vec(f), cx.vec(g)))
+    for h in (f, g):
+        _require_cochain(cx.table, rep, h)
+    x = _solve(field, cx.d1, n * m, cochain2_to_vec(f - g))
     return None if x is None else cochain1_from_vec(field, n, m, x)

@@ -40,12 +40,11 @@ from .algebra import (
     Report,
     StructureError,
     _apl_terms,
-    _fiber_table,
     _law_views,
     _support_walk,
 )
 from .fields import Field, _require_field
-from .linalg import Matrix, _columns, _transport, _units
+from .linalg import Matrix, Tensor3, _columns, _transport, _units
 
 if TYPE_CHECKING:
     from .cohomology import Cochain2
@@ -209,7 +208,7 @@ def apply_isomorphism(d: TruncatedDeformation, iso: TruncatedIsomorphism) -> Tru
     """
     n, field, order = d.dim, d.field, d.order
     phis = iso.padded(field, n, order)
-    rows = [t.sparse_rows for t in d.tables()]
+    rows = [t.tensor.fibers for t in d.tables()]
     phi_cols = {s: _columns(p) for s, p in enumerate(phis[1:], 1) if not p.is_zero()}
     psi_cols = {q: _columns(p) for q, p in enumerate(inverse_series(phis)[1:], 1) if not p.is_zero()}
     phi_cols[0] = psi_cols[0] = _units(n)
@@ -223,7 +222,7 @@ def apply_isomorphism(d: TruncatedDeformation, iso: TruncatedIsomorphism) -> Tru
         for q, out in psi_cols.items():
             if q <= deg:
                 acc = _transport(pushed[deg - q], _units(n), _units(n), out, acc)
-        terms.append(_fiber_table(field, acc))
+        terms.append(MultTable(Tensor3(field, (n, n, n), acc)))
     return TruncatedDeformation(d.base, tuple(terms))
 
 

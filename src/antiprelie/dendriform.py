@@ -40,12 +40,11 @@ from .algebra import (
     _by_second,
     _commutators,
     _entries,
-    _fiber_table,
     _law_views,
     _support_walk,
 )
 from .fields import Field, Rationals, _require_field
-from .linalg import Matrix, _columns, _integral_views, _transport, _units, invert, rank
+from .linalg import Matrix, Tensor3, _columns, _integral_views, _transport, _units, invert, rank
 from .representation import AlgebraLike, Representation, _require_pair, as_table
 
 LAW_D1 = "dendriform-1"
@@ -116,7 +115,8 @@ def verify_anti_L_dendriform(d: AntiLDendriform) -> AntiLDendriform:
 
 def associated_table(d: AntiLDendriform) -> MultTable:
     """The table of x . y = x > y - y < x, with no verification."""
-    return _fiber_table(d.field, _commutators(d.right.sparse_rows, d.left.sparse_rows, d.field.one()))
+    return MultTable(Tensor3(d.field, d.right.tensor.dims,
+                             _commutators(d.right.tensor.fibers, d.left.tensor.fibers, d.field.one())))
 
 
 def associated_anti_pre_lie(d: AntiLDendriform) -> AntiPreLieAlgebra:
@@ -184,7 +184,7 @@ def check_O_operator(alg: AlgebraLike, rep: Representation, t: Matrix) -> Report
     tm = [[num(x) for x in row] for row in t.entries]
     right, left = _induced(rep, tm, num)
     cols = [[(s, row[a]) for s, row in enumerate(tm) if row[a]] for a in range(m)]
-    rows = [[{z: num(c) for z, c in f.items()} for f in line] for line in table.sparse_rows]
+    rows = [[{z: num(c) for z, c in f.items()} for f in line] for line in table.tensor.fibers]
     violations = []
     for a, b in product(range(m), repeat=2):
         o = [x - y for x, y in zip(right[a][b], left[b][a])]
@@ -235,8 +235,8 @@ def compatible_from_invertible_O(
         raise StructureError("operator matrix is singular")
     check_O_operator(table, rep, t).require("matrix is not an O-operator")
     # Each action, read as the bilinear map (x, v) -> rho(x) v, moved along (Id, T^{-1}, +-T).
-    d = AntiLDendriform(*(_fiber_table(table.field, _transport(
-        [_columns(a) for a in mats], _units(table.dim), _columns(t_inv), _columns(out)))
+    d = AntiLDendriform(*(MultTable(Tensor3(table.field, table.tensor.dims, _transport(
+        [_columns(a) for a in mats], _units(table.dim), _columns(t_inv), _columns(out))))
         for mats, out in ((rep.rho, t), (rep.mu, -t))))
     verify_anti_L_dendriform(d)
     if associated_table(d).tensor != table.tensor:
@@ -281,7 +281,7 @@ def check_form_invariance(alg: AlgebraLike, b: Matrix, strict_skew: bool = False
     # B(e_i, e_j.e_k) - B(e_j, e_i.e_k) - B([e_j, e_i], e_k) and
     # B(e_i.e_j, e_k) + B(e_j, [e_k, e_i]) + B(e_i, e_k.e_j).
     form = tuple(tuple({0: x} if x else {} for x in row) for row in b.entries)
-    (prod, form), nonzero, scalar = _integral_views(table.field, table.sparse_rows, form)
+    (prod, form), nonzero, scalar = _integral_views(table.field, table.tensor.fibers, form)
     prods, comms = _entries(prod), _entries(_commutators(prod, prod, 1))
     left, right = _by_second(form, n), _by_first(form)
     for law, terms in (
@@ -313,9 +313,9 @@ def dendriform_from_bilinear_form(
     bt_inv = invert(bt)
     # B(e_j, w(e_z, e_i)) over z is R[i][k] = {z: w(e_z, e_i)_k} moved along (Id, B^T),
     # with w the bracket for > and the product for <; then out is -(B^T)^{-1} or (B^T)^{-1}.
-    d = AntiLDendriform(*(_fiber_table(table.field, _transport(
+    d = AntiLDendriform(*(MultTable(Tensor3(table.field, table.tensor.dims, _transport(
         [[{z: w[z][i][k] for z in range(n) if k in w[z][i]} for k in range(n)] for i in range(n)],
-        _units(n), _columns(bt), _columns(out)))
+        _units(n), _columns(bt), _columns(out))))
         for w, out in ((comm, -bt_inv), (rows, bt_inv))))
     verify_anti_L_dendriform(d)
     if associated_table(d).tensor != table.tensor:

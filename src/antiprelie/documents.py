@@ -102,27 +102,19 @@ def decode_matrix(field: Field, doc, rows: Optional[int] = None, cols: Optional[
 
 
 def encode_tensor3(t: Tensor3) -> list:
-    """The nested lists of scalar strings.  The strings of each distinct fiber
-    and plane object are rendered once (a tensor built from sparse data
-    shares its zero fiber and zero plane), and every place gets a list of its
-    own, so editing one place of the document changes no other."""
-    f = t.field
+    """The nested lists of scalar strings, written from the stored fibers:
+    every place gets a list of its own, so editing one place of the document
+    changes no other, and only the nonzero entries are rendered."""
+    f, d3 = t.field, t.dims[2]
     zero = f.to_str(f.zero())
-    fibers: dict = {}
-    planes: dict = {}
-
-    def strings(fiber):
-        out = fibers.get(id(fiber))
-        if out is None:
-            out = fibers[id(fiber)] = [f.to_str(x) if x else zero for x in fiber]
-        return out
-
     out = []
-    for plane in t.entries:
-        lines = planes.get(id(plane))
-        if lines is None:
-            lines = planes[id(plane)] = [strings(fiber) for fiber in plane]
-        out.append([line[:] for line in lines])
+    for line in t.fibers:
+        out.append([])
+        for fiber in line:
+            strings = [zero] * d3
+            for k, x in fiber.items():
+                strings[k] = f.to_str(x)
+            out[-1].append(strings)
     return out
 
 

@@ -30,13 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import (
-    AntiPreLieAlgebra,
-    MultTable,
-    StructureError,
-    _fiber_table,
-    check_morphism,
-)
+from .algebra import AntiPreLieAlgebra, MultTable, StructureError, check_morphism
 from .cohomology import Cochain2, _Complex, _require_cochain, cohomologous
 from .fields import Field, _require_field
 from .linalg import Matrix, Tensor3, _columns, _dense, _transport, _units, kernel_basis, rank, solve
@@ -82,27 +76,29 @@ class AbelianExtension:
     def base_table(self) -> MultTable:
         """The induced product on A: proj(s(x) . s(y)) along the canonical section s."""
         n = self.dim_a
-        return _fiber_table(self.field, _transport(
-            self.total.table.sparse_rows, _units(n), _units(n), _units(n) + [{}] * self.dim_v))
+        return MultTable(Tensor3(self.field, (n, n, n), _transport(
+            self.total.table.tensor.fibers, _units(n), _units(n), _units(n) + [{}] * self.dim_v)))
 
 
 def extension_table(alg_table: MultTable, rep: Representation, theta: Cochain2) -> MultTable:
     """The standard-coordinate product table built from (product, theta, rho, mu).
 
+    Its fibers are written from theirs, theta's at the V coordinates n + k.
     No verification happens here; build_extension adds the cocycle gate.
     """
     n, m = alg_table.dim, rep.dim_v
     _require_pair(alg_table, rep)
     _require_cochain(alg_table, rep, theta)
-    z = alg_table.field.zero()
-    total = [[[z] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            total[i][j] = alg_table.basis_product(i, j) + theta.value(i, j)
-        for b in range(m):
-            total[i][n + b][n:] = rep.rho[i].col(b)
-            total[n + b][i][n:] = rep.mu[i].col(b)
-    return MultTable.from_entries(alg_table.field, total)
+    total = [[{} for _ in range(n + m)] for _ in range(n + m)]
+    for i, (prods, values) in enumerate(zip(alg_table.tensor.fibers, theta.tensor.fibers)):
+        total[i][:n] = [{**p, **{n + k: x for k, x in t.items()}} for p, t in zip(prods, values)]
+    for i, (rho, mu) in enumerate(zip(*rep.sparse)):
+        for r, (rho_row, mu_row) in enumerate(zip(rho, mu)):
+            for b, x in rho_row.items():
+                total[i][n + b][n + r] = x
+            for b, x in mu_row.items():
+                total[n + b][i][n + r] = x
+    return MultTable(Tensor3(alg_table.field, (n + m,) * 3, total))
 
 
 def build_extension(
@@ -145,22 +141,21 @@ def extract_cocycle(ext: AbelianExtension, section: Optional[Matrix] = None) -> 
         raise ValueError(f"section must be {n + m}x{n}, got {s.rows}x{s.cols}")
     if ext.proj @ s != Matrix.identity(field, n):
         raise ValueError("not a section: proj o s is not the identity")
-    rows = ext.total.table.sparse_rows
+    rows = ext.total.table.tensor.fibers
     cols, iota, units = _columns(s), _units(m, n), _units(n + m)
     # s(x.y), with x.y = proj(e_x . e_y), is the product read out through -s o proj.
     values = _transport(rows, cols, cols, units)
     _transport(rows, _units(n), _units(n), _columns(-s) + [{}] * m, values)
 
     def v_part(grid: list, message: str) -> list:
-        dense = [_dense(field, line, n + m).entries for line in grid]
-        if any(any(v[:n]) for line in dense for v in line):
+        if any(x for line in grid for f in line for k, x in f.items() if k < n):
             raise StructureError(message)
-        return [[v[n:] for v in line] for line in dense]
+        return [[{k - n: x for k, x in f.items() if x} for f in line] for line in grid]
 
-    theta = Cochain2(Tensor3.from_entries(field, v_part(
+    theta = Cochain2(Tensor3(field, (n, n, m), v_part(
         values, "cocycle escaped V; extension coordinates are inconsistent")))
     # rho(e_i) e_b = s(e_i) . e_(n+b); mu(e_i) e_b is the same with the factors swapped.
-    rho, mu = (tuple(Matrix.from_cols(field, line, rows=m) for line in v_part(
+    rho, mu = (tuple(_dense(field, line, m).transpose() for line in v_part(
         _transport(w, cols, iota, units), "action of A does not preserve V; not an abelian extension"))
         for w in (rows, tuple(zip(*rows))))
     rep = Representation(n, m, rho, mu, field)
@@ -199,7 +194,7 @@ def normalize_extension(
         section = Matrix.from_cols(field, [solve(proj, e) for e in ident.entries], rows=nm)
     if (section.rows, section.cols) != (nm, n) or proj @ section != Matrix.identity(field, n):
         raise StructureError("supplied section does not split proj")
-    squares = _transport(total.table.sparse_rows, _columns(iota), _columns(iota), _units(nm))
+    squares = _transport(total.table.tensor.fibers, _columns(iota), _columns(iota), _units(nm))
     if any(any(f.values()) for line in squares for f in line):
         raise StructureError("embedded V does not square to zero; extension is not abelian")
     change = Matrix.from_cols(field, section.transpose().entries + v_cols, rows=nm)

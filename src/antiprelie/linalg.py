@@ -1,14 +1,19 @@
 """Exact linear algebra on immutable matrices and rank-3 tensors.
 
-Matrices and tensors are stored dense.  Elimination works on sparse rows
-({column: value} over the nonzero entries), because the cochain operators it
-runs on are mostly zero (the dim-8 d2 is 8192x512 with 0.2 % nonzeros).  One
-routine, `_rref`, computes the reduced row echelon form behind `rank`,
-`pivot_columns`, `kernel_basis`, `solve` and `invert`.  That form is unique,
-so pivots, kernel bases, solutions and inverses are fully determined by the
-input and reproducible across runs and platforms.  The kernel core `_kernel`
-takes sparse rows as they are, so an operator assembled row by row (like d2)
-reaches elimination without ever being written out dense.
+Matrices are stored dense.  A rank-3 tensor, the storage of every product
+table, 2-cochain and Lie bracket, is stored as its nonzero fibers
+({k: value} per index pair [i][j], Davis, Direct Methods for Sparse Linear
+Systems, SIAM 2006, ch. 2), and its dense entries are a view built on
+demand; the kernels read and write the fibers.  Elimination works on sparse
+rows ({column: value} over the nonzero entries), because the cochain
+operators it runs on are mostly zero (the dim-8 d2 is 8192x512 with 0.2 %
+nonzeros).  One routine, `_rref`, computes the reduced row echelon form
+behind `rank`, `pivot_columns`, `kernel_basis`, `solve` and `invert`.  That
+form is unique, so pivots, kernel bases, solutions and inverses are fully
+determined by the input and reproducible across runs and platforms.  The
+kernel core `_kernel` takes sparse rows as they are, so an operator
+assembled row by row (like d2) reaches elimination without ever being
+written out dense.
 
 Over Q, `_rref` eliminates modulo a word-size prime and certifies the result
 (Wang, Guy & Davenport, SIGSAM Bull. 1982; Dixon, Numer. Math. 1982).  Each
@@ -49,6 +54,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -167,14 +174,14 @@ def _dot(a: Sequence[Scalar], b: Sequence[Scalar], field: Field) -> Scalar:
     return acc
 
 
-def _sparse_rows(rows: Iterable[Sequence[Scalar]]) -> list:
+def _nonzero_rows(rows: Iterable[Sequence[Scalar]]) -> list:
     """Each row as {column: value} over its nonzero entries."""
     return [{j: x for j, x in enumerate(r) if x} for r in rows]
 
 
 def _columns(m: Matrix) -> list:
     """The sparse columns of m, {row: value} for the image of each basis vector."""
-    return _sparse_rows(m.transpose().entries)
+    return _nonzero_rows(m.transpose().entries)
 
 
 def _units(n: int, start: int = 0) -> list:
@@ -206,7 +213,7 @@ def _transport(rows, left: Sequence[dict], right: Sequence[dict], out: Sequence[
                acc: Optional[list] = None) -> list:
     """[a][b] = out(w(left e_a, right e_b)) as {k: value} fibers (a cancelled
     entry stays, as a zero), added into acc when given; w(e_p, e_q) is the
-    fiber rows[p][q], as in MultTable.sparse_rows.  A map is a list of sparse
+    fiber rows[p][q], as in Tensor3.fibers.  A map is a list of sparse
     columns, left[a] = {p: x}, where x None is 1 and never multiplied (see
     _units).  Only nonzero fibers and entries are visited (the co-iteration of
     Kjolstad et al., OOPSLA 2017), and x * y is formed outside the fiber loop."""
@@ -519,19 +526,19 @@ def _certify(rows: list, pivot_rows: dict, lifts: dict) -> bool:
 
 
 def rank(m: Matrix) -> int:
-    return len(_rref(m.field, _sparse_rows(m.entries))[1])
+    return len(_rref(m.field, _nonzero_rows(m.entries))[1])
 
 
 def pivot_columns(m: Matrix) -> list[int]:
     """Indices of the lexicographically-first maximal independent column set."""
-    return _rref(m.field, _sparse_rows(m.entries))[1]
+    return _rref(m.field, _nonzero_rows(m.entries))[1]
 
 
 def kernel_basis(m: Matrix) -> list[Vec]:
     """Deterministic basis of the right null space {v : Mv = 0}."""
     z = m.field.zero()
     return [tuple(v.get(c, z) for c in range(m.cols))
-            for v in _kernel(m.field, _sparse_rows(m.entries), m.cols)]
+            for v in _kernel(m.field, _nonzero_rows(m.entries), m.cols)]
 
 
 def _kernel(field: Field, rows: Iterable[dict], ncols: int) -> list[dict]:
@@ -554,7 +561,7 @@ def solve(m: Matrix, b: Vec) -> Optional[Vec]:
     """One exact solution of Mx = b (free variables set to zero), or None."""
     if len(b) != m.rows:
         raise ValueError(f"rhs length {len(b)} does not match {m.rows} rows")
-    return _solve(m.field, _sparse_rows(m.entries), m.cols, b)
+    return _solve(m.field, _nonzero_rows(m.entries), m.cols, b)
 
 
 def _solve(field: Field, rows: list, ncols: int, b: Vec) -> Optional[Vec]:
@@ -576,7 +583,7 @@ def invert(m: Matrix) -> Optional[Matrix]:
     if not m.is_square():
         raise ValueError(f"cannot invert a {m.rows}x{m.cols} matrix")
     n = m.rows
-    aug = _sparse_rows(m.entries)
+    aug = _nonzero_rows(m.entries)
     o = m.field.one()
     for i, row in enumerate(aug):
         row[n + i] = o
@@ -590,62 +597,76 @@ def invert(m: Matrix) -> Optional[Matrix]:
 
 @dataclass(frozen=True)
 class Tensor3:
-    """Immutable rank-3 tensor, indexed [i][j][k] with i-major layout."""
+    """Immutable rank-3 tensor [i][j][k], stored as its nonzero fibers: a
+    d1 x d2 grid of dicts fibers[i][j] = {k: value}, k in range(d3), kept as
+    tuples of dicts with no zero (a fiber is copied only when it holds one), so
+    == and hash mean equal entries; the dense entries are a view, built on use."""
 
     field: Field
     dims: tuple  # (d1, d2, d3)
-    entries: tuple  # tuple[tuple[tuple[Scalar, ...], ...], ...]
+    fibers: tuple  # tuple[tuple[dict, ...], ...]
 
     def __post_init__(self):
+        # Only the nonempty fibers are read entry by entry: O(d1 d2 + nonzeros).
         d1, d2, d3 = self.dims
-        if len(self.entries) != d1 or any(len(p) != d2 for p in self.entries) or any(
-            len(f) != d3 for p in self.entries for f in p
-        ):
-            raise ValueError("entries shape does not match declared dims")
+        fibers = tuple(map(tuple, self.fibers))
+        every = list(chain.from_iterable(fibers))
+        full = list(filter(None, every))
+        if (len(fibers) != d1 or set(map(len, fibers)) - {d2} or not set(map(type, every)) <= {dict}
+                or full and (min(map(min, full)) < 0 or max(map(max, full)) >= d3)):
+            raise ValueError("fibers do not match the declared dims")
+        if not all(map(all, map(dict.values, full))):
+            fibers = tuple(tuple(f if all(f.values()) else {k: x for k, x in f.items() if x}
+                                 for f in line) for line in fibers)
+        object.__setattr__(self, "fibers", fibers)
+
+    def __hash__(self):
+        return hash((self.field, self.dims, tuple(frozenset(f.items()) for line in self.fibers for f in line)))
 
     @staticmethod
     def zero(field: Field, d1: int, d2: int, d3: int) -> "Tensor3":
-        z = field.zero()
-        return Tensor3(field, (d1, d2, d3),
-                       tuple(tuple(tuple(z for _ in range(d3)) for _ in range(d2)) for _ in range(d1)))
+        return Tensor3(field, (d1, d2, d3), [[{} for _ in range(d2)] for _ in range(d1)])
 
     @staticmethod
     def from_entries(field: Field, entries) -> "Tensor3":
-        ent = tuple(tuple(tuple(f) for f in p) for p in entries)
+        """The tensor of dense nested entries [i][j][k]; ragged input is refused."""
+        ent = [[tuple(f) for f in p] for p in entries]
         d1 = len(ent)
         d2 = len(ent[0]) if d1 else 0
         d3 = len(ent[0][0]) if d1 and d2 else 0
-        return Tensor3(field, (d1, d2, d3), ent)
+        if any(len(p) != d2 or any(len(f) != d3 for f in p) for p in ent):
+            raise ValueError("entries shape is ragged")
+        return Tensor3(field, (d1, d2, d3), [[{k: x for k, x in enumerate(f) if x} for f in p] for p in ent])
+
+    @cached_property
+    def entries(self) -> tuple:
+        """The dense view [i][j][k], with the field's zero off the stored fibers."""
+        return tuple(_dense(self.field, line, self.dims[2]).entries for line in self.fibers)
 
     def fiber(self, i: int, j: int) -> Vec:
         """The vector [i][j][.] along the third index."""
-        return self.entries[i][j]
+        return _dense(self.field, [self.fibers[i][j]], self.dims[2]).entries[0]
 
     def contract(self, x: Vec, y: Vec) -> Vec:
         """The bilinear map the tensor represents: sum over i, j of x_i y_j [i][j][.]."""
         d1, d2, d3 = self.dims
         if len(x) != d1 or len(y) != d2:
             raise ValueError(f"operands must have lengths {d1} and {d2}")
-        xs, ys = _sparse_rows([x, y])
-        rows = {i: dict(zip(ys, _sparse_rows(self.entries[i][j] for j in ys))) for i in xs}
-        line = _transport(rows, [xs], [ys], _units(d3))[0]
-        return _dense(self.field, line, d3).entries[0]
+        xs, ys = _nonzero_rows([x, y])
+        return _dense(self.field, _transport(self.fibers, [xs], [ys], _units(d3))[0], d3).entries[0]
 
     def __add__(self, other: "Tensor3") -> "Tensor3":
         if self.dims != other.dims:
             raise ValueError("tensor dims mismatch")
-        return Tensor3(self.field, self.dims,
-                       tuple(tuple(tuple(a + b for a, b in zip(fa, fb))
-                                   for fa, fb in zip(pa, pb))
-                             for pa, pb in zip(self.entries, other.entries)))
+        out = [[dict(f) for f in line] for line in self.fibers]
+        for line, other_line in zip(out, other.fibers):
+            for f, g in zip(line, other_line):
+                _add_scaled(f, None, g)
+        return Tensor3(self.field, self.dims, out)
 
     def __sub__(self, other: "Tensor3") -> "Tensor3":
-        if self.dims != other.dims:
-            raise ValueError("tensor dims mismatch")
-        return Tensor3(self.field, self.dims,
-                       tuple(tuple(tuple(a - b for a, b in zip(fa, fb))
-                                   for fa, fb in zip(pa, pb))
-                             for pa, pb in zip(self.entries, other.entries)))
+        return self + Tensor3(other.field, other.dims, [[{k: -x for k, x in f.items()} for f in line]
+                                                        for line in other.fibers])
 
     def is_zero(self) -> bool:
-        return not any(any(any(f) for f in p) for p in self.entries)
+        return not any(any(line) for line in self.fibers)

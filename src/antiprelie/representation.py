@@ -43,7 +43,7 @@ from .algebra import (
     sub_adjacent_lie,
 )
 from .fields import Field, _require_field
-from .linalg import Matrix, _integral_views, _sparse_rows
+from .linalg import Matrix, _integral_views, _nonzero_rows
 
 AlgebraLike = Union[AntiPreLieAlgebra, MultTable]
 
@@ -83,7 +83,7 @@ class Representation:
     def sparse(self) -> tuple:
         """(rho, mu) as sparse rows: rho[i][r] = {s: x} over the nonzero entries
         x of row r of the matrix of rho(e_i), and likewise for mu."""
-        return tuple(tuple(tuple(_sparse_rows(mat.entries)) for mat in mats)
+        return tuple(tuple(tuple(_nonzero_rows(mat.entries)) for mat in mats)
                      for mats in (self.rho, self.mu))
 
 
@@ -101,7 +101,7 @@ def _require_pair(table: MultTable, rep: Representation) -> None:
 
 def _pair_views(table: MultTable, rep: Representation, integral: bool = True) -> tuple:
     """((prod, comm, rho, mu), nonzero, scalar): the product and commutator
-    fibers of the table's sparse view and the representation's sparse rows.
+    fibers of the table (MultTable.sparse) and the representation's sparse rows.
     With integral they are on the ints of linalg._integral_views (over Q
     all four scaled by one common denominator D, the lcm over table and
     representation; over F_p the residues), read by its nonzero and scalar;
@@ -112,7 +112,7 @@ def _pair_views(table: MultTable, rep: Representation, integral: bool = True) ->
     if not integral:
         prod, comm = table.sparse
         return (prod, comm, rho, mu), None, None
-    (prod, rho, mu), nonzero, scalar = _integral_views(table.field, table.sparse_rows, rho, mu)
+    (prod, rho, mu), nonzero, scalar = _integral_views(table.field, table.tensor.fibers, rho, mu)
     return (prod, _commutators(prod, prod, 1), rho, mu), nonzero, scalar
 
 
@@ -190,8 +190,8 @@ def check_lie_representation(lie: LieTable, rep: LieRepresentation) -> Report:
     for a in rep.action:
         _require_field("action", a.field, lie.field)
     (bracket, act), nonzero, scalar = _integral_views(
-        lie.field, MultTable(lie.tensor).sparse_rows,
-        tuple(tuple(_sparse_rows(a.entries)) for a in rep.action))
+        lie.field, lie.tensor.fibers,
+        tuple(tuple(_nonzero_rows(a.entries)) for a in rep.action))
     act_x, act_first, act_second = _entries(act), _by_first(act), _by_second(act, m)
     terms = [(0, 1, act_x, act_second, "pzq"), (0, -1, act_x, act_second, "zpq"),
              (0, -1, _entries(bracket), act_first, "pqz")]

@@ -312,10 +312,9 @@ def search_algebras(spec: SearchSpec) -> list:
     n = spec.dim
 
     def build(cells):
-        it = iter(cells)
-        return MultTable(Tensor3.from_entries(
-            field, [[[x[next(it)] for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        ))
+        """The table whose entry [i][j][k] is cell (i n + j) n + k, written as its fibers."""
+        fibers = [{k: x[c] for k, c in enumerate(cells[ij * n:ij * n + n]) if c} for ij in range(n * n)]
+        return MultTable(Tensor3(field, (n, n, n), [fibers[i * n:i * n + n] for i in range(n)]))
 
     return _scan(spec, n**3, build, check_anti_pre_lie)
 
@@ -373,8 +372,8 @@ def lift_matrix(m: Matrix) -> Matrix:
 
 
 def lift_table(t: MultTable) -> MultTable:
-    ent = tuple(tuple(tuple(_lift_scalar(x) for x in f) for f in p) for p in t.tensor.entries)
-    return MultTable(Tensor3(QQ, t.tensor.dims, ent))
+    return MultTable(Tensor3(QQ, t.tensor.dims, [[{k: _lift_scalar(x) for k, x in f.items()} for f in line]
+                                                 for line in t.tensor.fibers]))
 
 
 def lift_representation(rep: Representation) -> Representation:
@@ -400,10 +399,9 @@ def rational_algebra_corpus(dim: int, p: int = 3, max_results: Optional[int] = N
     seen = set()
     for table in search_algebras(spec):
         lifted = lift_table(table)
-        key = lifted.tensor.entries
-        if key in seen:
+        if lifted.tensor in seen:
             continue
-        seen.add(key)
+        seen.add(lifted.tensor)
         if is_anti_pre_lie(lifted):
             out.append(lifted)
             if max_results is not None and len(out) >= max_results:

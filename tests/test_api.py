@@ -49,7 +49,7 @@ DATACLASS_FIELDS = {
     "Representation": ("dim_a", "dim_v", "rho", "mu", "scalars"),
     "RigidityCertificate": ("h2_dim", "order", "eliminations"),
     "SearchSpec": ("kind", "dim", "p", "dim_v", "exhaustive", "samples", "max_results", "seed"),
-    "Tensor3": ("field", "dims", "entries"),
+    "Tensor3": ("field", "dims", "fibers"),
     "TruncatedDeformation": ("base", "terms"),
     "TruncatedIsomorphism": ("phis",),
     "Violation": ("law", "at", "residual"),

@@ -144,7 +144,14 @@ def test_prime_field_linalg():
 
 def test_tensor3_shape_validation():
     with pytest.raises(ValueError):
-        Tensor3(QQ, (2, 2, 2), ((((Fraction(0),),),),))
+        Tensor3.from_entries(QQ, [[[Fraction(0), Fraction(1)], [Fraction(2)]]])
+    with pytest.raises(ValueError):
+        Tensor3.from_entries(QQ, [[[Fraction(0)]], []])
+    one = Fraction(1)
+    for dims, fibers in (((2, 2, 2), [[{}, {}]]), ((1, 2, 2), [[{}]]), ((1, 1, 2), [[{2: one}]]),
+                         ((1, 1, 2), [[{-1: one}]]), ((1, 1, 2), [[(one, one)]])):
+        with pytest.raises(ValueError):
+            Tensor3(QQ, dims, fibers)
     t = Tensor3.zero(QQ, 2, 3, 4)
     assert t.dims == (2, 3, 4)
     assert len(t.fiber(1, 2)) == 4

@@ -29,8 +29,8 @@ from antiprelie import linalg
 from antiprelie.fields import QQ, PrimeField
 from antiprelie.linalg import (
     Matrix,
+    _nonzero_rows,
     _rref,
-    _sparse_rows,
     invert,
     kernel_basis,
     pivot_columns,
@@ -131,7 +131,7 @@ def check_rref(m):
     Q the modular path produced them; returns the Fraction eliminations."""
     ref_rows, ref_pivots = dense_rref(m.field, m.entries, m.cols)
     with fraction_eliminations() as fallbacks:
-        rows, pivots = _rref(m.field, _sparse_rows(m.entries))
+        rows, pivots = _rref(m.field, _nonzero_rows(m.entries))
         assert rank(m) == len(ref_pivots)
         assert pivot_columns(m) == ref_pivots
     assert pivots == ref_pivots
@@ -183,7 +183,7 @@ def test_modular_rref_with_denominators_equals_dense_reference(m):
 ])
 def test_modular_rref_moves_on_to_the_next_prime(entries):
     m = Matrix.from_rows(QQ, [[Fraction(x) for x in r] for r in entries])
-    scaled = [linalg._integral(r) for r in _sparse_rows(m.entries)]
+    scaled = [linalg._integral(r) for r in _nonzero_rows(m.entries)]
     assert linalg._rref_modular(scaled, linalg._PRIMES[0]) is None
     assert check_rref(m) == 0
 
@@ -204,7 +204,7 @@ def test_elimination_leaves_its_rows_unchanged(field):
     b = tuple(field.of_int(x) for x in (1, 0, 2, 1))
     for eliminate in (lambda rows: _rref(field, rows), lambda rows: linalg._kernel(field, rows, 3),
                       lambda rows: linalg._solve(field, rows, 3, b)):
-        rows = _sparse_rows(m.entries)
+        rows = _nonzero_rows(m.entries)
         before = [dict(r) for r in rows]
         eliminate(rows)
         assert rows == before
@@ -252,7 +252,7 @@ def test_tiny_prime_falls_back_to_fractions(entries):
     m = Matrix.from_rows(QQ, [[Fraction(x) for x in r] for r in entries])
     ref_rows, ref_pivots = dense_rref(QQ, m.entries, m.cols)
     with fraction_eliminations(_PRIMES=(5,)) as fallbacks:
-        rows, pivots = _rref(QQ, _sparse_rows(m.entries))
+        rows, pivots = _rref(QQ, _nonzero_rows(m.entries))
         basis = kernel_basis(m)
     assert fallbacks[0] == 2
     assert pivots == ref_pivots
@@ -280,7 +280,7 @@ def test_certificate_rejects_a_wrong_lift():
     m = Matrix.from_rows(QQ, [[Fraction(x) for x in r] for r in ([2, 4, 1, 0], [1, 0, 3, 5])])
     ref_rows, ref_pivots = dense_rref(QQ, m.entries, m.cols)
     with fraction_eliminations(_reconstruct=wrong) as fallbacks:
-        rows, pivots = _rref(QQ, _sparse_rows(m.entries))
+        rows, pivots = _rref(QQ, _nonzero_rows(m.entries))
         basis = kernel_basis(m)
     assert fallbacks[0] == 2
     assert pivots == ref_pivots == [0, 1]
@@ -384,7 +384,7 @@ def repeated_rows(draw):
 
 def check_repeated(m, scaled, b, scaled_b):
     ref_rows, ref_pivots = dense_rref(m.field, m.entries, m.cols)
-    rows, pivots = _rref(m.field, _sparse_rows(scaled.entries))
+    rows, pivots = _rref(m.field, _nonzero_rows(scaled.entries))
     assert pivots == ref_pivots
     assert [_dense(r, m.cols, m.field.zero()) for r in rows] == ref_rows[: len(pivots)]
     assert kernel_basis(scaled) == dense_kernel_basis(m)
@@ -407,7 +407,7 @@ def test_repeated_scaled_rows_give_the_reference_of_the_original(case):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_rref_modular", spy)
-        rows, _ = _rref(m.field, _sparse_rows(scaled.entries))
+        rows, _ = _rref(m.field, _nonzero_rows(scaled.entries))
     if m.field == QQ:
         assert handed
         for rows in handed:
@@ -452,7 +452,7 @@ SINGLETON_CASES = {
 def test_singleton_cascades_equal_the_dense_references(case, field):
     entries, fixed = SINGLETON_CASES[case]
     m = Matrix.from_rows(field, [[field.of_int(x) for x in r] for r in entries])
-    assert linalg._singletons(_sparse_rows(m.entries))[0] == fixed
+    assert linalg._singletons(_nonzero_rows(m.entries))[0] == fixed
     assert check_rref(m) == 0
     check_kernel(m)
     assert kernel_basis(m) == bareiss_kernel(m)
