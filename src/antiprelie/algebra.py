@@ -42,7 +42,7 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .fields import Field, _require_field
-from .linalg import (Matrix, Tensor3, Vec, _columns, _dense, _integral_views, _subtract, _transport, _units,
+from .linalg import (Matrix, Tensor3, Vec, _columns, _integral_views, _subtract, _transport, _units,
                      invert, vec_sub)
 
 LAW_EXCHANGE = "exchange"
@@ -142,12 +142,12 @@ class MultTable:
     @cached_property
     def left_matrices(self) -> tuple:
         """L(e_i): y -> e_i . y, one matrix per basis vector; column j is e_i . e_j."""
-        return tuple(_dense(self.field, line, self.dim).transpose() for line in self.tensor.fibers)
+        return tuple(Matrix(self.field, self.dim, self.dim, line).transpose() for line in self.tensor.fibers)
 
     @cached_property
     def right_matrices(self) -> tuple:
         """R(e_i): y -> y . e_i; column j is e_j . e_i."""
-        return tuple(_dense(self.field, column, self.dim).transpose() for column in zip(*self.tensor.fibers))
+        return tuple(Matrix(self.field, self.dim, self.dim, c).transpose() for c in zip(*self.tensor.fibers))
 
     @cached_property
     def sparse(self) -> tuple:
@@ -327,7 +327,7 @@ def check_lie_table(table: MultTable) -> Report:
     # e_i e_j + e_j e_i, written out densely where it is nonzero
     sym = _commutators(table.tensor.fibers, table.tensor.fibers, -table.field.one())
     violations = [Violation("antisymmetry", (i, j), v) for i, line in enumerate(sym)
-                  for j, v in enumerate(_dense(table.field, line, n).entries) if any(v)]
+                  for j, v in enumerate(Matrix(table.field, n, n, line).entries) if any(v)]
     # (e_i e_j) e_k + (e_j e_k) e_i + (e_k e_i) e_j
     ((prods, _, _, right),), nonzero, scalar = _law_views([table])
     terms = [(0, 1, prods, right, place) for place in ("pqz", "zpq", "qzp")]
@@ -360,4 +360,4 @@ def check_morphism(f: Matrix, src: MultTable, dst: MultTable) -> Report:
     _transport(dst.tensor.fibers, _columns(f), _columns(-f), _units(dst.dim), res)
     return Report("morphism", tuple(
         Violation("morphism", (i, j), v) for i, line in enumerate(res)
-        for j, v in enumerate(_dense(src.field, line, dst.dim).entries) if any(v)))
+        for j, v in enumerate(Matrix(src.field, src.dim, dst.dim, line).entries) if any(v)))

@@ -29,10 +29,11 @@ the [B2 | Z2] block is their transpose, and each cochain is written as the
 nonzero fibers of its tensor (linalg.Tensor3).  The complex of one (table,
 representation) pair is one private value, _Complex, which refuses a
 representation of another algebra and assembles its d1 and d2 rows once
-each, for H2, the cocycle gate, d1 and cohomologous.  One check,
-_require_cochain, refuses a 2-cochain of other dims or of another field than
-the pair, for the complex and for extension_table.  d1_matrix and d2_matrix
-are the dense views of the same rows.  The pointwise evaluations of d1 and
+each, for H2, the cocycle gate, d1 and cohomologous; the gate reads the d2
+rows indexed by column, once per pair.  One check, _require_cochain, refuses
+a 2-cochain of other dims or of another field than the pair, for the complex
+and for extension_table.  d1_matrix and d2_matrix are the matrices of the
+same rows.  The pointwise evaluations of d1 and
 d2 on basis pairs and triples live in the test suite, as the independent
 oracles.
 """
@@ -46,7 +47,7 @@ from typing import Iterator, Optional
 
 from .algebra import AntiPreLieAlgebra, MultTable, StructureError
 from .fields import Field, Rationals, _require_field
-from .linalg import Matrix, Tensor3, Vec, _apply_rows, _dense, _integral, _kernel, _rref, _solve
+from .linalg import Matrix, Tensor3, Vec, _add_scaled, _integral, _kernel, _rref, _solve, _transpose
 from .representation import AlgebraLike, Representation, _pair_views, _require_pair, as_table
 
 
@@ -103,7 +104,7 @@ def d1(alg: AlgebraLike, rep: Representation, f: Matrix) -> Cochain2:
     if (f.rows, f.cols) != (m, n):
         raise ValueError(f"1-cochain must be {m}x{n}, got {f.rows}x{f.cols}")
     _require_field("cochain", f.field, field)
-    return cochain2_from_vec(field, n, m, tuple(_apply_rows(cx.d1, cochain1_to_vec(f), field.zero())))
+    return cochain2_from_vec(field, n, m, Matrix(field, n * n * m, n * m, cx.d1).apply(cochain1_to_vec(f)))
 
 
 def cochain1_to_vec(f: Matrix) -> Vec:
@@ -112,12 +113,13 @@ def cochain1_to_vec(f: Matrix) -> Vec:
 
 
 def cochain1_from_vec(field: Field, n: int, m: int, v: Vec) -> Matrix:
-    return Matrix(field, m, n, tuple(tuple(v[l * n + i] for i in range(n)) for l in range(m)))
+    return Matrix(field, m, n, [{i: v[l * n + i] for i in range(n) if v[l * n + i]} for l in range(m)])
 
 
 def cochain2_to_vec(f: Cochain2) -> Vec:
     """The C2 vectorization, lexicographic: t[i][j][k] at coordinate (i n + j) m + k."""
-    return _dense(f.field, [_c2(f)], f.dim_a ** 2 * f.dim_v).entries[0]
+    v, z = _c2(f), f.field.zero()
+    return tuple(v.get(c, z) for c in range(f.dim_a ** 2 * f.dim_v))
 
 
 def _c2(f: Cochain2) -> dict:
@@ -190,18 +192,25 @@ class _Complex:
         return [r if all(r.values()) else {j: x for j, x in r.items() if x}
                 for r in _d2_rows(self.table, self.rep, integral) if any(r.values())]
 
+    @cached_property
+    def d2_columns(self) -> list:
+        """The d2 rows indexed by column: column c as {row: value}, over the
+        rows of _Complex.d2 (linalg._transpose)."""
+        return _transpose(self.d2, self.table.dim ** 2 * self.rep.dim_v)
+
     def is_cocycle(self, f: Cochain2) -> bool:
         """Whether the d2 rows vanish on f, a 2-cochain of this pair (refused
-        otherwise), stopping at the first that does not; over Q f is scaled to
-        ints by the lcm of its own denominators, and read as a list."""
+        otherwise): d2 f is summed as f_c times column c of d2 over the
+        support of f, and every entry of the sum must be zero.  Over Q f is
+        scaled to ints by the lcm of its own denominators."""
         _require_cochain(self.table, self.rep, f)
-        v, zero = _c2(f), self.table.field.zero()
+        v = _c2(f)
         if isinstance(self.table.field, Rationals):
-            v, zero = _integral(v), 0
-        dense = [zero] * (self.table.dim ** 2 * self.rep.dim_v)
+            v = _integral(v)
+        acc: dict = {}
         for c, x in v.items():
-            dense[c] = x
-        return not any(_apply_rows(self.d2, dense, zero))
+            _add_scaled(acc, x, self.d2_columns[c])
+        return not any(acc.values())
 
     def spaces(self) -> "CohomologySpaces":
         """cohomology_spaces of the pair, from its d2 and d1 rows."""
@@ -226,7 +235,7 @@ def d1_matrix(alg: AlgebraLike, rep: Representation) -> Matrix:
     the oracle-equivalence tests.
     """
     cx = _Complex(as_table(alg), rep)
-    return _dense(cx.table.field, cx.d1, cx.table.dim * rep.dim_v)
+    return Matrix(cx.table.field, len(cx.d1), cx.table.dim * rep.dim_v, cx.d1)
 
 
 def _placed(terms: tuple, m: int) -> Iterator[dict]:
@@ -289,7 +298,8 @@ def _d2_rows(table: MultTable, rep: Representation, integral: bool = False) -> I
 def d2_matrix(alg: AlgebraLike, rep: Representation) -> Matrix:
     """Linearization of both d2 components as a (2 n^3 m) x (n^2 m) matrix."""
     table = as_table(alg)
-    return _dense(table.field, _d2_rows(table, rep), table.dim ** 2 * rep.dim_v)
+    rows = list(_d2_rows(table, rep))
+    return Matrix(table.field, len(rows), table.dim ** 2 * rep.dim_v, rows)
 
 
 @dataclass(frozen=True)
@@ -329,18 +339,9 @@ def cohomology_spaces(alg: AntiPreLieAlgebra, rep: Representation) -> Cohomology
     return _Complex(as_table(alg), rep).spaces()
 
 
-def _transpose(vecs: list, size: int) -> list:
-    """The size sparse rows of the matrix whose columns are the sparse vecs."""
-    rows = [{} for _ in range(size)]
-    for k, v in enumerate(vecs):
-        for i, x in v.items():
-            rows[i][k] = x
-    return rows
-
-
 def is_cocycle(alg: AlgebraLike, rep: Representation, f: Cochain2) -> bool:
-    """Whether d2 f = 0: the nonzero rows of d2 applied to f, stopping at the
-    first nonzero component."""
+    """Whether d2 f = 0: the columns of d2 summed over the nonzero
+    coordinates of f (_Complex.is_cocycle)."""
     return _Complex(as_table(alg), rep).is_cocycle(f)
 
 
@@ -352,5 +353,5 @@ def cohomologous(
     field, n, m = cx.table.field, cx.table.dim, rep.dim_v
     for h in (f, g):
         _require_cochain(cx.table, rep, h)
-    x = _solve(field, cx.d1, n * m, cochain2_to_vec(f - g))
+    x = _solve(field, cx.d1, n * m, _c2(f - g))
     return None if x is None else cochain1_from_vec(field, n, m, x)

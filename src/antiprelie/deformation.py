@@ -170,8 +170,7 @@ def inverse_series(phis: Sequence[Matrix]) -> list:
     zero = Matrix.zero(phis[0].field, phis[0].rows, phis[0].cols)
     psis = [phis[0]]
     for k in range(1, len(phis)):
-        psis.append(-sum((phis[i] @ psis[k - i] for i in range(1, k + 1)
-                          if not (phis[i].is_zero() or psis[k - i].is_zero())), zero))
+        psis.append(-sum((phis[i] @ psis[k - i] for i in range(1, k + 1)), zero))
     return psis
 
 

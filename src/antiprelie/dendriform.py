@@ -44,7 +44,7 @@ from .algebra import (
     _support_walk,
 )
 from .fields import Field, Rationals, _require_field
-from .linalg import Matrix, Tensor3, _columns, _integral_views, _transport, _units, invert, rank
+from .linalg import Matrix, Tensor3, _columns, _integral_views, _transport, _transpose, _units, invert, rank
 from .representation import AlgebraLike, Representation, _require_pair, as_table
 
 LAW_D1 = "dendriform-1"
@@ -268,19 +268,19 @@ def check_form_invariance(alg: AlgebraLike, b: Matrix, strict_skew: bool = False
     if (b.rows, b.cols) != (n, n):
         raise ValueError(f"form matrix must be {n}x{n}, got {b.rows}x{b.cols}")
     _require_field("form", b.field, table.field)
-    violations = []
+    violations, z, rows = [], b.field.zero(), b.nonzero
     if rank(b) != n:
-        violations.append(Violation(LAW_DEGENERATE, (), (b.field.zero(),)))
+        violations.append(Violation(LAW_DEGENERATE, (), (z,)))
     if strict_skew:
         for i in range(n):
             for j in range(i, n):
-                s = b.entries[i][j] + b.entries[j][i]
+                s = rows[i].get(j, z) + rows[j].get(i, z)
                 if s:
                     violations.append(Violation(LAW_SKEW, (i, j), (s,)))
     # Each law is walked on its own over the ints of the table and of B:
     # B(e_i, e_j.e_k) - B(e_j, e_i.e_k) - B([e_j, e_i], e_k) and
     # B(e_i.e_j, e_k) + B(e_j, [e_k, e_i]) + B(e_i, e_k.e_j).
-    form = tuple(tuple({0: x} if x else {} for x in row) for row in b.entries)
+    form = tuple(tuple({0: row[j]} if j in row else {} for j in range(n)) for row in rows)
     (prod, form), nonzero, scalar = _integral_views(table.field, table.tensor.fibers, form)
     prods, comms = _entries(prod), _entries(_commutators(prod, prod, 1))
     left, right = _by_second(form, n), _by_first(form)
@@ -314,8 +314,7 @@ def dendriform_from_bilinear_form(
     # B(e_j, w(e_z, e_i)) over z is R[i][k] = {z: w(e_z, e_i)_k} moved along (Id, B^T),
     # with w the bracket for > and the product for <; then out is -(B^T)^{-1} or (B^T)^{-1}.
     d = AntiLDendriform(*(MultTable(Tensor3(table.field, table.tensor.dims, _transport(
-        [[{z: w[z][i][k] for z in range(n) if k in w[z][i]} for k in range(n)] for i in range(n)],
-        _units(n), _columns(bt), _columns(out))))
+        [_transpose(column, n) for column in zip(*w)], _units(n), _columns(bt), _columns(out))))
         for w, out in ((comm, -bt_inv), (rows, bt_inv))))
     verify_anti_L_dendriform(d)
     if associated_table(d).tensor != table.tensor:

@@ -80,9 +80,20 @@ def require_same_field(*fields: Field) -> Field:
     return first
 
 
+def _strings(f: Field, rows, width: int, zero: str) -> list:
+    """Sparse rows {index: value} as lists of width scalar strings, zero
+    elsewhere, each a list of its own; only the nonzero entries are rendered."""
+    out = []
+    for row in rows:
+        strings = [zero] * width
+        for k, x in row.items():
+            strings[k] = f.to_str(x)
+        out.append(strings)
+    return out
+
+
 def encode_matrix(m: Matrix) -> list:
-    f = m.field
-    return [[f.to_str(x) for x in row] for row in m.entries]
+    return _strings(m.field, m.nonzero, m.cols, m.field.to_str(m.field.zero()))
 
 
 def decode_matrix(field: Field, doc, rows: Optional[int] = None, cols: Optional[int] = None) -> Matrix:
@@ -105,17 +116,9 @@ def encode_tensor3(t: Tensor3) -> list:
     """The nested lists of scalar strings, written from the stored fibers:
     every place gets a list of its own, so editing one place of the document
     changes no other, and only the nonzero entries are rendered."""
-    f, d3 = t.field, t.dims[2]
+    f = t.field
     zero = f.to_str(f.zero())
-    out = []
-    for line in t.fibers:
-        out.append([])
-        for fiber in line:
-            strings = [zero] * d3
-            for k, x in fiber.items():
-                strings[k] = f.to_str(x)
-            out[-1].append(strings)
-    return out
+    return [_strings(f, line, t.dims[2], zero) for line in t.fibers]
 
 
 def decode_tensor3(field: Field, doc, dims: tuple) -> Tensor3:

@@ -33,7 +33,7 @@ from typing import Optional
 from .algebra import AntiPreLieAlgebra, MultTable, StructureError, check_morphism
 from .cohomology import Cochain2, _Complex, _require_cochain, cohomologous
 from .fields import Field, _require_field
-from .linalg import Matrix, Tensor3, _columns, _dense, _transport, _units, kernel_basis, rank, solve
+from .linalg import Matrix, Tensor3, _columns, _kernel, _transport, _transpose, _units, basis_vec, rank, solve
 from .representation import Representation, _require_pair, check_representation, semidirect_product
 
 
@@ -55,8 +55,9 @@ class AbelianExtension:
         return self.total.field
 
     def _identity_rows(self, start: int, stop: Optional[int] = None) -> Matrix:
-        size = self.dim_a + self.dim_v
-        return Matrix.from_rows(self.field, Matrix.identity(self.field, size).entries[start:stop], size)
+        one, size = self.field.one(), self.dim_a + self.dim_v
+        rows = [{i: one} for i in range(size)[start:stop]]
+        return Matrix(self.field, len(rows), size, rows)
 
     @property
     def iota(self) -> Matrix:
@@ -155,7 +156,7 @@ def extract_cocycle(ext: AbelianExtension, section: Optional[Matrix] = None) -> 
     theta = Cochain2(Tensor3(field, (n, n, m), v_part(
         values, "cocycle escaped V; extension coordinates are inconsistent")))
     # rho(e_i) e_b = s(e_i) . e_(n+b); mu(e_i) e_b is the same with the factors swapped.
-    rho, mu = (tuple(_dense(field, line, m).transpose() for line in v_part(
+    rho, mu = (tuple(Matrix(field, m, m, _transpose(line, m)) for line in v_part(
         _transport(w, cols, iota, units), "action of A does not preserve V; not an abelian extension"))
         for w in (rows, tuple(zip(*rows))))
     rep = Representation(n, m, rho, mu, field)
@@ -186,18 +187,19 @@ def normalize_extension(
         raise StructureError("iota is not injective")
     if rank(proj) != n:
         raise StructureError("proj is not surjective")
-    v_cols = iota.transpose().entries
-    if rank(Matrix.from_cols(field, kernel_basis(proj) + list(v_cols), rows=nm)) != m:
+    # The kernel of proj and the image of iota, as the rows of one matrix.
+    v_cols = _columns(iota)
+    spans = _kernel(field, proj.nonzero, nm) + v_cols
+    if rank(Matrix(field, len(spans), nm, spans)) != m:
         raise StructureError("image(iota) differs from kernel(proj)")
     if section is None:
-        ident = Matrix.identity(field, n)
-        section = Matrix.from_cols(field, [solve(proj, e) for e in ident.entries], rows=nm)
+        section = Matrix.from_cols(field, [solve(proj, basis_vec(field, n, i)) for i in range(n)], rows=nm)
     if (section.rows, section.cols) != (nm, n) or proj @ section != Matrix.identity(field, n):
         raise StructureError("supplied section does not split proj")
-    squares = _transport(total.table.tensor.fibers, _columns(iota), _columns(iota), _units(nm))
+    squares = _transport(total.table.tensor.fibers, v_cols, v_cols, _units(nm))
     if any(any(f.values()) for line in squares for f in line):
         raise StructureError("embedded V does not square to zero; extension is not abelian")
-    change = Matrix.from_cols(field, section.transpose().entries + v_cols, rows=nm)
+    change = Matrix(field, nm, nm, _columns(section) + v_cols).transpose()
     ext = AbelianExtension(AntiPreLieAlgebra.verify(total.table.conjugate(change)), n, m)
     check_morphism(proj, total.table, ext.base_table()).require("projection is not an algebra morphism")
     return ext

@@ -32,6 +32,10 @@ class Fp:
     def __setattr__(self, name, val):  # immutable after construction
         raise AttributeError("Fp values are immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not the refusing __setattr__.
+        return Fp, (self.value, self.p)
+
     def _coerce(self, other) -> "Fp":
         if isinstance(other, Fp):
             if other.p != self.p:

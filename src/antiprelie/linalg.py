@@ -1,19 +1,22 @@
 """Exact linear algebra on immutable matrices and rank-3 tensors.
 
-Matrices are stored dense.  A rank-3 tensor, the storage of every product
-table, 2-cochain and Lie bracket, is stored as its nonzero fibers
-({k: value} per index pair [i][j], Davis, Direct Methods for Sparse Linear
-Systems, SIAM 2006, ch. 2), and its dense entries are a view built on
-demand; the kernels read and write the fibers.  Elimination works on sparse
-rows ({column: value} over the nonzero entries), because the cochain
-operators it runs on are mostly zero (the dim-8 d2 is 8192x512 with 0.2 %
-nonzeros).  One routine, `_rref`, computes the reduced row echelon form
-behind `rank`, `pivot_columns`, `kernel_basis`, `solve` and `invert`.  That
-form is unique, so pivots, kernel bases, solutions and inverses are fully
-determined by the input and reproducible across runs and platforms.  The
-kernel core `_kernel` takes sparse rows as they are, so an operator
-assembled row by row (like d2) reaches elimination without ever being
-written out dense.
+Both are stored as their nonzero entries, in the compressed storage of
+Davis, Direct Methods for Sparse Linear Systems, SIAM 2006, ch. 2.  A
+matrix, the storage of every linear map (an action, an O-operator, a form,
+a 1-cochain, the structure maps of an extension), is its nonzero rows
+({column: value} per row); a rank-3 tensor, the storage of every product
+table, 2-cochain and Lie bracket, is its nonzero fibers ({k: value} per index
+pair [i][j]).  Their dense entries are views built on demand; the kernels
+read and write the stored rows and fibers, and `_transpose` is the one
+change from rows to columns.  Elimination works on the same sparse rows,
+because the cochain operators it runs on are mostly zero (the dim-8 d2 is
+8192x512 with 0.2 % nonzeros).  One routine, `_rref`, computes the reduced
+row echelon form behind `rank`, `pivot_columns`, `kernel_basis`, `solve` and
+`invert`, which hand it the stored rows.  That form is unique, so pivots,
+kernel bases, solutions and inverses are fully determined by the input and
+reproducible across runs and platforms.  The kernel core `_kernel` takes
+sparse rows as they are, so an operator assembled row by row (like d2)
+reaches elimination without ever being written out dense.
 
 Over Q, `_rref` eliminates modulo a word-size prime and certifies the result
 (Wang, Guy & Davenport, SIGSAM Bull. 1982; Dixon, Numer. Math. 1982).  Each
@@ -55,9 +58,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import gcd, isqrt, lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .fields import Field, Rationals, Scalar
 
@@ -79,126 +81,136 @@ def vec_is_zero(a: Vec) -> bool:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix with exact entries, stored row-major."""
+    """Immutable matrix with exact entries, stored as its nonzero rows
+    nonzero[r] = {column: value} (_stored), so == and hash mean equal
+    entries; the dense entries are a view, built on use."""
 
     field: Field
     rows: int
     cols: int
-    entries: tuple  # tuple[tuple[Scalar, ...], ...]
+    nonzero: tuple  # tuple[dict, ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError("entries shape does not match declared rows x cols")
+        object.__setattr__(self, "nonzero", _stored(self.nonzero, self.rows, self.cols))
+
+    def __hash__(self):
+        return hash((self.field, self.rows, self.cols, tuple(frozenset(r.items()) for r in self.nonzero)))
 
     @staticmethod
     def from_rows(field: Field, rows: Iterable[Iterable[Scalar]], cols: Optional[int] = None) -> "Matrix":
-        ent = tuple(tuple(r) for r in rows)
+        """The matrix of dense rows; ragged rows are refused."""
+        ent = [tuple(r) for r in rows]
         if ent:
             cols = len(ent[0])
         elif cols is None:
             raise ValueError("cols required for a matrix with no rows")
-        return Matrix(field, len(ent), cols, ent)
+        if any(len(r) != cols for r in ent):
+            raise ValueError("entries shape is ragged")
+        return Matrix(field, len(ent), cols, [{j: x for j, x in enumerate(r) if x} for r in ent])
 
     @staticmethod
     def from_cols(field: Field, cols: Sequence[Sequence[Scalar]], rows: Optional[int] = None) -> "Matrix":
-        if cols:
-            rows = len(cols[0])
-        elif rows is None:
+        """The matrix of dense columns; ragged columns are refused."""
+        if not cols and rows is None:
             raise ValueError("rows required for a matrix with no columns")
-        ent = tuple(tuple(c[i] for c in cols) for i in range(rows))
-        return Matrix(field, rows, len(cols), ent)
+        return Matrix.from_rows(field, cols, rows).transpose()
 
     @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero()
-        return Matrix(field, rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return Matrix(field, rows, cols, [{}] * rows)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        z, o = field.zero(), field.one()
-        return Matrix(field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
+        o = field.one()
+        return Matrix(field, n, n, [{i: o} for i in range(n)])
+
+    @cached_property
+    def entries(self) -> tuple:
+        """The dense view, row-major, with the field's zero off the stored rows."""
+        z, cols = self.field.zero(), range(self.cols)
+        return tuple(tuple(r.get(j, z) for j in cols) for r in self.nonzero)
 
     def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.entries)
+        z = self.field.zero()
+        return tuple(r.get(j, z) for r in self.nonzero)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)))
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+        out = [dict(r) for r in self.nonzero]
+        for r, o in zip(out, other.nonzero):
+            _add_scaled(r, None, o)
+        return Matrix(self.field, self.rows, self.cols, out)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)))
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(tuple(-a for a in r) for r in self.entries))
+        return self.scale(-self.field.one())
 
     def scale(self, c: Scalar) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(tuple(c * a for a in r) for r in self.entries))
+        return Matrix(self.field, self.rows, self.cols, [{j: c * x for j, x in r.items()} for r in self.nonzero])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ot = other.transpose().entries
-        return Matrix(self.field, self.rows, other.cols,
-                      tuple(tuple(_dot(r, c, self.field) for c in ot) for r in self.entries))
+        out = []
+        for r in self.nonzero:
+            acc = {}
+            for k, x in r.items():
+                _add_scaled(acc, x, other.nonzero[k])
+            out.append(acc)
+        return Matrix(self.field, self.rows, other.cols, out)
 
     def apply(self, v: Vec) -> Vec:
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} does not match {self.rows}x{self.cols} matrix")
-        return tuple(_dot(r, v, self.field) for r in self.entries)
+        z = self.field.zero()
+        return tuple(sum((x * v[j] for j, x in r.items() if v[j]), z) for r in self.nonzero)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows,
-                      tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)))
+        return Matrix(self.field, self.cols, self.rows, _transpose(self.nonzero, self.cols))
 
     def is_zero(self) -> bool:
-        return not any(any(r) for r in self.entries)
+        return not any(self.nonzero)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def _same_shape(self, other: "Matrix") -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+
+def _stored(rows: Iterable[dict], count: int, width: int) -> tuple:
+    """count sparse rows {index: value}, index in range(width), as Matrix and
+    Tensor3 store them: a tuple of dicts with no zero, a row copied only when
+    it holds one.  It costs O(count + nonzeros); another count of rows, a row
+    that is not a dict or an index outside range(width) is a ValueError."""
+    rows = tuple(rows)
+    full = list(filter(None, rows))
+    if (len(rows) != count or not set(map(type, rows)) <= {dict}
+            or full and (min(map(min, full)) < 0 or max(map(max, full)) >= width)):
+        raise ValueError(f"rows do not match the declared dims {count} x {width}")
+    if all(map(all, map(dict.values, full))):
+        return rows
+    return tuple(r if all(r.values()) else {k: x for k, x in r.items() if x} for r in rows)
 
 
-def _dot(a: Sequence[Scalar], b: Sequence[Scalar], field: Field) -> Scalar:
-    acc = field.zero()
-    for x, y in zip(a, b):
-        if x and y:
-            acc = acc + x * y
-    return acc
-
-
-def _nonzero_rows(rows: Iterable[Sequence[Scalar]]) -> list:
-    """Each row as {column: value} over its nonzero entries."""
-    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+def _transpose(rows: Iterable[dict], size: int) -> list:
+    """The size sparse rows of the transpose of sparse rows {column: value},
+    column < size: the columns of the matrix whose rows they are."""
+    out = [{} for _ in range(size)]
+    for r, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][r] = x
+    return out
 
 
 def _columns(m: Matrix) -> list:
     """The sparse columns of m, {row: value} for the image of each basis vector."""
-    return _nonzero_rows(m.transpose().entries)
+    return _transpose(m.nonzero, m.cols)
 
 
 def _units(n: int, start: int = 0) -> list:
     """The columns e_start, .., e_(start+n-1), their units as None (see _transport)."""
     return [{start + a: None} for a in range(n)]
-
-
-def _dense(field: Field, rows, ncols: int) -> Matrix:
-    """The matrix of sparse {column: value} rows, with the field zero elsewhere."""
-    z = field.zero()
-    out = []
-    for r in rows:
-        dense = [z] * ncols
-        for idx, x in r.items():
-            dense[idx] = x
-        out.append(tuple(dense))
-    return Matrix.from_rows(field, out, ncols)
 
 
 def _add_scaled(acc: dict, c, fiber: dict) -> None:
@@ -231,17 +243,6 @@ def _transport(rows, left: Sequence[dict], right: Sequence[dict], out: Sequence[
                 if v:
                     _add_scaled(fiber_ab, v, out[k])
     return acc
-
-
-def _apply_rows(rows: Iterable[dict], v: Sequence[Scalar], zero) -> Iterator:
-    """Each sparse {column: value} row applied to the vector v, lazily."""
-    for r in rows:
-        acc = zero
-        for idx, x in r.items():
-            y = v[idx]
-            if y:
-                acc = acc + x * y
-        yield acc
 
 
 def _subtract(row: dict, f: Scalar, other: dict) -> None:
@@ -526,19 +527,19 @@ def _certify(rows: list, pivot_rows: dict, lifts: dict) -> bool:
 
 
 def rank(m: Matrix) -> int:
-    return len(_rref(m.field, _nonzero_rows(m.entries))[1])
+    return len(_rref(m.field, m.nonzero)[1])
 
 
 def pivot_columns(m: Matrix) -> list[int]:
     """Indices of the lexicographically-first maximal independent column set."""
-    return _rref(m.field, _nonzero_rows(m.entries))[1]
+    return _rref(m.field, m.nonzero)[1]
 
 
 def kernel_basis(m: Matrix) -> list[Vec]:
     """Deterministic basis of the right null space {v : Mv = 0}."""
     z = m.field.zero()
     return [tuple(v.get(c, z) for c in range(m.cols))
-            for v in _kernel(m.field, _nonzero_rows(m.entries), m.cols)]
+            for v in _kernel(m.field, m.nonzero, m.cols)]
 
 
 def _kernel(field: Field, rows: Iterable[dict], ncols: int) -> list[dict]:
@@ -561,13 +562,14 @@ def solve(m: Matrix, b: Vec) -> Optional[Vec]:
     """One exact solution of Mx = b (free variables set to zero), or None."""
     if len(b) != m.rows:
         raise ValueError(f"rhs length {len(b)} does not match {m.rows} rows")
-    return _solve(m.field, _nonzero_rows(m.entries), m.cols, b)
+    return _solve(m.field, m.nonzero, m.cols, {i: x for i, x in enumerate(b) if x})
 
 
-def _solve(field: Field, rows: list, ncols: int, b: Vec) -> Optional[Vec]:
-    """solve on sparse rows over ncols columns, one per entry of b, which is
-    appended to copies of the rows as column ncols."""
-    rows = [{**row, ncols: bb} if bb else row for row, bb in zip(rows, b)]
+def _solve(field: Field, rows: Sequence[dict], ncols: int, b: dict) -> Optional[Vec]:
+    """solve on sparse rows over ncols columns, with the right-hand side b
+    sparse too, {row: value}: each value is appended to a copy of its row as
+    column ncols."""
+    rows = [{**row, ncols: b[i]} if i in b else row for i, row in enumerate(rows)]
     reduced, pivots = _rref(field, rows)
     if pivots and pivots[-1] == ncols:
         return None
@@ -583,16 +585,11 @@ def invert(m: Matrix) -> Optional[Matrix]:
     if not m.is_square():
         raise ValueError(f"cannot invert a {m.rows}x{m.cols} matrix")
     n = m.rows
-    aug = _nonzero_rows(m.entries)
     o = m.field.one()
-    for i, row in enumerate(aug):
-        row[n + i] = o
-    rows, pivots = _rref(m.field, aug)
+    rows, pivots = _rref(m.field, [{**row, n + i: o} for i, row in enumerate(m.nonzero)])
     if pivots != list(range(n)):
         return None
-    z = m.field.zero()
-    inverse = tuple(tuple(row.get(j, z) for j in range(n, 2 * n)) for row in rows)
-    return Matrix(m.field, n, n, inverse)
+    return Matrix(m.field, n, n, [{j - n: x for j, x in row.items() if j >= n} for row in rows])
 
 
 @dataclass(frozen=True)
@@ -607,17 +604,11 @@ class Tensor3:
     fibers: tuple  # tuple[tuple[dict, ...], ...]
 
     def __post_init__(self):
-        # Only the nonempty fibers are read entry by entry: O(d1 d2 + nonzeros).
+        # Each line is stored as the rows of a d2 x d3 matrix: O(d1 d2 + nonzeros).
         d1, d2, d3 = self.dims
-        fibers = tuple(map(tuple, self.fibers))
-        every = list(chain.from_iterable(fibers))
-        full = list(filter(None, every))
-        if (len(fibers) != d1 or set(map(len, fibers)) - {d2} or not set(map(type, every)) <= {dict}
-                or full and (min(map(min, full)) < 0 or max(map(max, full)) >= d3)):
+        fibers = tuple(_stored(line, d2, d3) for line in self.fibers)
+        if len(fibers) != d1:
             raise ValueError("fibers do not match the declared dims")
-        if not all(map(all, map(dict.values, full))):
-            fibers = tuple(tuple(f if all(f.values()) else {k: x for k, x in f.items() if x}
-                                 for f in line) for line in fibers)
         object.__setattr__(self, "fibers", fibers)
 
     def __hash__(self):
@@ -641,19 +632,22 @@ class Tensor3:
     @cached_property
     def entries(self) -> tuple:
         """The dense view [i][j][k], with the field's zero off the stored fibers."""
-        return tuple(_dense(self.field, line, self.dims[2]).entries for line in self.fibers)
+        z, d3 = self.field.zero(), range(self.dims[2])
+        return tuple(tuple(tuple(f.get(k, z) for k in d3) for f in line) for line in self.fibers)
 
     def fiber(self, i: int, j: int) -> Vec:
         """The vector [i][j][.] along the third index."""
-        return _dense(self.field, [self.fibers[i][j]], self.dims[2]).entries[0]
+        f, z = self.fibers[i][j], self.field.zero()
+        return tuple(f.get(k, z) for k in range(self.dims[2]))
 
     def contract(self, x: Vec, y: Vec) -> Vec:
         """The bilinear map the tensor represents: sum over i, j of x_i y_j [i][j][.]."""
         d1, d2, d3 = self.dims
         if len(x) != d1 or len(y) != d2:
             raise ValueError(f"operands must have lengths {d1} and {d2}")
-        xs, ys = _nonzero_rows([x, y])
-        return _dense(self.field, _transport(self.fibers, [xs], [ys], _units(d3))[0], d3).entries[0]
+        xs, ys = ({i: a for i, a in enumerate(v) if a} for v in (x, y))
+        f, z = _transport(self.fibers, [xs], [ys], _units(d3))[0][0], self.field.zero()
+        return tuple(f.get(k, z) for k in range(d3))
 
     def __add__(self, other: "Tensor3") -> "Tensor3":
         if self.dims != other.dims:

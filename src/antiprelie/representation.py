@@ -27,7 +27,6 @@ mu(x.y) + mu(y.x) = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
 from typing import Optional, Union
 
 from .algebra import (
@@ -43,7 +42,7 @@ from .algebra import (
     sub_adjacent_lie,
 )
 from .fields import Field, _require_field
-from .linalg import Matrix, _integral_views, _nonzero_rows
+from .linalg import Matrix, _integral_views
 
 AlgebraLike = Union[AntiPreLieAlgebra, MultTable]
 
@@ -79,12 +78,11 @@ class Representation:
         z = Matrix.zero(field, dim_v, dim_v)
         return Representation(dim_a, dim_v, (z,) * dim_a, (z,) * dim_a, field)
 
-    @cached_property
+    @property
     def sparse(self) -> tuple:
-        """(rho, mu) as sparse rows: rho[i][r] = {s: x} over the nonzero entries
-        x of row r of the matrix of rho(e_i), and likewise for mu."""
-        return tuple(tuple(tuple(_nonzero_rows(mat.entries)) for mat in mats)
-                     for mats in (self.rho, self.mu))
+        """(rho, mu) as their stored rows: rho[i][r] = {s: x} over the nonzero
+        entries x of row r of the matrix of rho(e_i), and likewise for mu."""
+        return tuple(tuple(mat.nonzero for mat in mats) for mats in (self.rho, self.mu))
 
 
 LAW_RHO = "rep-rho"
@@ -190,8 +188,7 @@ def check_lie_representation(lie: LieTable, rep: LieRepresentation) -> Report:
     for a in rep.action:
         _require_field("action", a.field, lie.field)
     (bracket, act), nonzero, scalar = _integral_views(
-        lie.field, lie.tensor.fibers,
-        tuple(tuple(_nonzero_rows(a.entries)) for a in rep.action))
+        lie.field, lie.tensor.fibers, tuple(a.nonzero for a in rep.action))
     act_x, act_first, act_second = _entries(act), _by_first(act), _by_second(act, m)
     terms = [(0, 1, act_x, act_second, "pzq"), (0, -1, act_x, act_second, "zpq"),
              (0, -1, _entries(bracket), act_first, "pqz")]

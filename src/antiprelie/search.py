@@ -301,9 +301,8 @@ def _residues(p: int) -> tuple:
 
 
 def _matrix(field: PrimeField, x: tuple, rows: int, cols: int, cells: tuple) -> Matrix:
-    return Matrix(field, rows, cols, tuple(
-        tuple(x[cells[r * cols + c]] for c in range(cols)) for r in range(rows)
-    ))
+    return Matrix(field, rows, cols, [{c: x[v] for c, v in enumerate(cells[r * cols:r * cols + cols]) if v}
+                                      for r in range(rows)])
 
 
 def search_algebras(spec: SearchSpec) -> list:
@@ -368,7 +367,7 @@ def _lift_scalar(x: Fp) -> Fraction:
 
 
 def lift_matrix(m: Matrix) -> Matrix:
-    return Matrix(QQ, m.rows, m.cols, tuple(tuple(_lift_scalar(x) for x in r) for r in m.entries))
+    return Matrix(QQ, m.rows, m.cols, [{j: _lift_scalar(x) for j, x in r.items()} for r in m.nonzero])
 
 
 def lift_table(t: MultTable) -> MultTable:

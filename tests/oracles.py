@@ -170,7 +170,7 @@ def solved_form_products(table, b):
     system in the coordinates of the product with matrix B^T."""
     c = _c(table)
     n, be, z = table.dim, b.entries, table.field.zero()
-    bt = Matrix(table.field, n, n, tuple(tuple(be[a][k] for a in range(n)) for k in range(n)))
+    bt = Matrix.from_rows(table.field, [[be[a][k] for a in range(n)] for k in range(n)], n)
 
     def product_table(bracket):
         ent = [[None] * n for _ in range(n)]
@@ -716,7 +716,7 @@ def dense_invert(m: Matrix):
     rows, pivots = dense_rref(m.field, aug, 2 * n)
     if pivots != list(range(n)):
         return None
-    return Matrix(m.field, n, n, tuple(tuple(r[n:]) for r in rows[:n]))
+    return Matrix.from_rows(m.field, [r[n:] for r in rows[:n]], n)
 
 
 def dense_rank(field: Field, vecs, length: int) -> int:
@@ -759,9 +759,9 @@ def search_kind(spec, table=None, rep=None, strict_skew=False):
     field = PrimeField(p)
 
     def matrix(cells, rows, cols):
-        return Matrix(field, rows, cols, tuple(
-            tuple(Fp(cells[r * cols + c], p) for c in range(cols)) for r in range(rows)
-        ))
+        return Matrix.from_rows(field, [
+            [Fp(cells[r * cols + c], p) for c in range(cols)] for r in range(rows)
+        ], cols)
 
     if spec.kind == "algebra":
         def build(cells):

@@ -41,7 +41,7 @@ DATACLASS_FIELDS = {
     "CohomologySpaces": ("z2_basis", "b2_basis", "h2_dim", "h2_representatives"),
     "LieRepresentation": ("dim_v", "action"),
     "LieTable": ("tensor",),
-    "Matrix": ("field", "rows", "cols", "entries"),
+    "Matrix": ("field", "rows", "cols", "nonzero"),
     "MultTable": ("tensor",),
     "PrimeField": ("p",),
     "Rationals": (),

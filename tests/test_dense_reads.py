@@ -1,10 +1,12 @@
-"""Where the package reads a dense view, pinned.
+"""Where the package reads or builds a dense view, pinned.
 
-Matrices are stored dense and tensors as their nonzero fibers; both expose
-an attribute `entries`, and for a tensor reading it builds the dense view.
-This lists every function of the package that reads an attribute named
-`entries` (the scan cannot tell a matrix from a tensor), so a new dense read
-in a kernel shows up here as a one-line diff.  Like the other scans of the
+Matrices are stored as their nonzero rows and tensors as their nonzero
+fibers; both expose an attribute `entries`, a dense view built on first
+read.  This lists every function of the package that reads an attribute
+named `entries` (the scan cannot tell a matrix from a tensor), and every
+function that builds a value from dense input, by calling `from_rows`,
+`from_cols` or `from_entries`.  A new dense read or a new dense build in a
+kernel then shows up here as a one-line diff.  Like the other scans of the
 package, it walks each module's syntax tree with the standard library's ast.
 """
 
@@ -17,24 +19,25 @@ SOURCES = sorted(Path(antiprelie.__file__).parent.glob("*.py"))
 
 DENSE_READS = {
     "algebra": ["check_lie_table", "check_morphism"],
-    "cohomology": ["cochain1_to_vec", "cochain2_to_vec"],
-    "dendriform": ["check_O_operator", "check_form_invariance", "induced_dendriform"],
-    "documents": ["encode_matrix"],
-    "extension": ["AbelianExtension._identity_rows", "normalize_extension"],
-    "linalg": [
-        "Matrix.__add__", "Matrix.__matmul__", "Matrix.__neg__", "Matrix.__post_init__", "Matrix.__sub__",
-        "Matrix.apply", "Matrix.col", "Matrix.is_zero", "Matrix.scale", "Matrix.transpose",
-        "Tensor3.contract", "Tensor3.entries", "Tensor3.fiber", "_columns", "invert", "kernel_basis",
-        "pivot_columns", "rank", "solve",
-    ],
-    "representation": ["Representation.sparse", "check_lie_representation"],
-    "search": ["lift_matrix"],
+    "cohomology": ["cochain1_to_vec"],
+    "dendriform": ["check_O_operator", "induced_dendriform"],
 }
 
+DENSE_BUILDS = {
+    "algebra": ["MultTable.from_entries"],
+    "dendriform": ["induced_dendriform"],
+    "documents": ["decode_matrix", "decode_tensor3"],
+    "extension": ["normalize_extension"],
+    "linalg": ["Matrix.from_cols"],
+}
 
-def entries_readers(source: str) -> list:
+BUILDERS = {"from_rows", "from_cols", "from_entries"}
+
+
+def scopes_where(source: str, hit) -> list:
     """The sorted qualified names (function, Class.method, outer.inner) of
-    the functions and classes of source that read an attribute `entries`."""
+    the functions and classes of source that hold a node for which hit is
+    true; "<module>" for one at the top level."""
     found = set()
 
     def visit(node, scope: tuple) -> None:
@@ -42,12 +45,23 @@ def entries_readers(source: str) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "entries":
+            if hit(child):
                 found.add(".".join(scope) or "<module>")
             visit(child, scope)
 
     visit(ast.parse(source), ())
     return sorted(found)
+
+
+def entries_readers(source: str) -> list:
+    """The functions of source that read an attribute `entries`."""
+    return scopes_where(source, lambda node: isinstance(node, ast.Attribute) and node.attr == "entries")
+
+
+def dense_builders(source: str) -> list:
+    """The functions of source that call an attribute named in BUILDERS."""
+    return scopes_where(source, lambda node: isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute) and node.func.attr in BUILDERS)
 
 
 def test_the_scan_finds_a_dense_read():
@@ -57,6 +71,20 @@ def test_the_scan_finds_a_dense_read():
     assert entries_readers(source) == ["<module>", "T.view", "kernel.inner"]
 
 
+def test_the_scan_finds_a_dense_build():
+    source = ("class T:\n    @staticmethod\n    def from_rows(rows):\n        return rows\n\n"
+              "    def wrap(self, cols):\n        return T.from_cols(cols)\n\n"
+              "def build(x):\n    def inner():\n        return Matrix.from_rows(F, x)\n    return inner\n\n"
+              "def clean(from_rows):\n    return from_rows(1), Matrix(F, 1, 1, [{}])\n\n"
+              "TOP = Tensor3.from_entries(F, [])\n")
+    assert dense_builders(source) == ["<module>", "T.wrap", "build.inner"]
+
+
 def test_dense_reads_are_pinned():
     found = {p.stem: entries_readers(p.read_text(encoding="utf-8")) for p in SOURCES}
     assert {module: names for module, names in found.items() if names} == DENSE_READS
+
+
+def test_dense_builds_are_pinned():
+    found = {p.stem: dense_builders(p.read_text(encoding="utf-8")) for p in SOURCES}
+    assert {module: names for module, names in found.items() if names} == DENSE_BUILDS

@@ -25,7 +25,7 @@ from antiprelie.extension import (
 )
 from antiprelie.documents import encode_representation
 from antiprelie.fields import QQ, PrimeField
-from antiprelie.linalg import Matrix, Tensor3, invert
+from antiprelie.linalg import Matrix, Tensor3, _transpose, invert
 from antiprelie.representation import (
     Representation,
     regular_representation,
@@ -305,7 +305,8 @@ def test_classify_builds_d2_once(named_algebras, monkeypatch):
 def test_classify_over_f3_gates_against_intact_rows(monkeypatch):
     """classify_extensions gates every representative with the complex that
     gave H2, and over F_p elimination leaves the rows it is handed alone, so
-    the gate reads exactly the d2 rows Z2 came from."""
+    the gate reads exactly the d2 rows Z2 came from: it sums the columns of
+    those rows (their transpose), which gating leaves unchanged too."""
     a2 = AntiPreLieAlgebra.verify(fp_table(3, 2, {(0, 1, 1): 1}))
     a4 = semidirect_product(a2, regular_representation(a2))
     rep = regular_representation(a4)
@@ -317,14 +318,18 @@ def test_classify_over_f3_gates_against_intact_rows(monkeypatch):
         return spaces(cx)
 
     def recording(cx, theta):
-        gated.append((cx, [dict(r) for r in cx.d2]))
-        return gate(cx, theta)
+        rows = [dict(r) for r in cx.d2]
+        ok = gate(cx, theta)
+        gated.append((cx, rows, [dict(c) for c in cx.d2_columns]))
+        return ok
 
     monkeypatch.setattr(_Complex, "spaces", solving)
     monkeypatch.setattr(_Complex, "is_cocycle", recording)
     classes = classify_extensions(a4, rep)
     [(solver, z2_rows)] = solved
-    assert gated and all(cx is solver and rows == z2_rows for cx, rows in gated)
+    z2_columns = _transpose(z2_rows, 4 * 4 * 4)
+    assert gated and all(cx is solver and rows == z2_rows and columns == z2_columns
+                         for cx, rows, columns in gated)
     assert [theta for theta, _ in classes] == list(cohomology_spaces(a4, rep).h2_representatives)
     assert len(classes) == 11
     assert [ext for _, ext in classes] == [build_extension(a4, rep, theta) for theta, _ in classes]

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from antiprelie.fields import MAX_PRIME, Fp, PrimeField, QQ, field_from_json
 
+from conftest import fp_table
+
 fracs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
 
 
@@ -164,3 +166,31 @@ def test_operand_over_another_field_is_refused(name):
     message = rf"{operand} is over PrimeField\(p=3\), the table over Rationals"
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_values_survive_pickle_and_copy():
+    """An Fp, and the F_3 values built from them, round-trip through pickle,
+    copy.copy and copy.deepcopy and compare equal: Fp rebuilds through its
+    constructor instead of the refusing __setattr__."""
+    import copy
+    import pickle
+
+    from antiprelie.algebra import AntiPreLieAlgebra, check_anti_pre_lie
+    from antiprelie.cohomology import cohomology_spaces
+    from antiprelie.linalg import Matrix
+    from antiprelie.representation import regular_representation
+
+    f3 = PrimeField(3)
+    table = AntiPreLieAlgebra.verify(fp_table(3, 2, {(0, 1, 1): 1})).table
+    rep = regular_representation(AntiPreLieAlgebra(table))
+    failing = check_anti_pre_lie(fp_table(3, 2, {(0, 0, 1): 1, (1, 1, 0): 1}))
+    assert not failing.ok
+    values = [f3.of_int(2), table, Matrix.from_rows(f3, [[f3.of_int(2), f3.zero()], [f3.one(), f3.one()]]),
+              rep, cohomology_spaces(AntiPreLieAlgebra(table), rep).z2_basis[0], failing]
+    for value in values:
+        for route in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
+            assert route(value) == value, value
+    x = copy.deepcopy(values[0])
+    assert (x.value, x.p) == (2, 3) and x + x == f3.one()
+    with pytest.raises(AttributeError):
+        x.value = 1

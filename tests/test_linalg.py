@@ -157,6 +157,22 @@ def test_tensor3_shape_validation():
     assert len(t.fiber(1, 2)) == 4
 
 
+def test_matrix_shape_validation():
+    """Ragged dense input and stored rows that do not fit the declared
+    shape are refused, as are the dense rows of the earlier positional form."""
+    one = Fraction(1)
+    for build in (lambda: Matrix.from_rows(QQ, [[one, one], [one]]), lambda: Matrix.from_rows(QQ, []),
+                  lambda: Matrix.from_cols(QQ, [[one, one], [one]]), lambda: Matrix.from_cols(QQ, [])):
+        with pytest.raises(ValueError):
+            build()
+    for rows, cols, stored in ((2, 2, [{}]), (1, 2, [{}, {}]), (1, 2, [{2: one}]), (1, 2, [{-1: one}]),
+                               (1, 2, [(one, one)]), (1, 0, [{0: one}])):
+        with pytest.raises(ValueError):
+            Matrix(QQ, rows, cols, stored)
+    assert Matrix.from_rows(QQ, [], 3) == Matrix(QQ, 0, 3, []) == Matrix.from_cols(QQ, [[]] * 3)
+    assert Matrix.from_cols(QQ, [], rows=2) == Matrix.zero(QQ, 2, 0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 4), st.data())
 def test_contract_of_a_non_cubic_tensor_is_the_explicit_sum(n, m, data):
