@@ -170,11 +170,13 @@ class MultTable:
 
 def _commutators(rows: tuple, other: tuple, one) -> tuple:
     """[a][b], the fiber rows[a][b] - one * other[b][a] without the entries that
-    cancel: with other = rows and one the field's 1, the commutator [e_a, e_b]."""
-    comm = tuple(tuple(dict(fiber) for fiber in line) for line in rows)
+    cancel: with other = rows and one the field's 1, the commutator [e_a, e_b].
+    A fiber is copied, and subtracted from, only where other[b][a] is nonzero."""
+    comm = tuple(tuple(dict(f) if other[b][a] else f for b, f in enumerate(line)) for a, line in enumerate(rows))
     for a, line in enumerate(comm):
         for b, fiber in enumerate(line):
-            _subtract(fiber, one, other[b][a])
+            if other[b][a]:
+                _subtract(fiber, one, other[b][a])
     return comm
 
 
@@ -323,11 +325,10 @@ class LieTable:
 
 def check_lie_table(table: MultTable) -> Report:
     """Antisymmetry and the Jacobi identity on all basis pairs/triples."""
-    n = table.dim
+    n, rows = table.dim, table.tensor.fibers
     # e_i e_j + e_j e_i, written out densely where it is nonzero
-    sym = _commutators(table.tensor.fibers, table.tensor.fibers, -table.field.one())
-    violations = [Violation("antisymmetry", (i, j), v) for i, line in enumerate(sym)
-                  for j, v in enumerate(Matrix(table.field, n, n, line).entries) if any(v)]
+    sym = Tensor3(table.field, table.tensor.dims, _commutators(rows, rows, -table.field.one()))
+    violations = [Violation("antisymmetry", (i, j), sym.fiber(i, j)) for i, j, _ in _entries(sym.fibers)]
     # (e_i e_j) e_k + (e_j e_k) e_i + (e_k e_i) e_j
     ((prods, _, _, right),), nonzero, scalar = _law_views([table])
     terms = [(0, 1, prods, right, place) for place in ("pqz", "zpq", "qzp")]
@@ -358,6 +359,6 @@ def check_morphism(f: Matrix, src: MultTable, dst: MultTable) -> Report:
     _require_field("target table", dst.field, src.field)
     res = _transport(src.tensor.fibers, _units(src.dim), _units(src.dim), _columns(f))
     _transport(dst.tensor.fibers, _columns(f), _columns(-f), _units(dst.dim), res)
-    return Report("morphism", tuple(
-        Violation("morphism", (i, j), v) for i, line in enumerate(res)
-        for j, v in enumerate(Matrix(src.field, src.dim, dst.dim, line).entries) if any(v)))
+    res = Tensor3(src.field, (src.dim, src.dim, dst.dim), res)
+    return Report("morphism", tuple(Violation("morphism", (i, j), res.fiber(i, j))
+                                    for i, j, _ in _entries(res.fibers)))

@@ -21,20 +21,21 @@ Z2 is the joint kernel, B2 the image of d1, and H2 = Z2/B2.  The spaces are
 computed from a direct matrix linearization of the operators over the n^2 m
 coordinates of C1 and C2.  The rows of both are assembled by one placement
 loop, _placed, from the nonzero structure constants and action entries only:
-each term of a formula puts one sparse fiber at its coordinates.  Over Q the
-d2 rows are assembled on ints, from views scaled by one common denominator.
-Nothing on the way to H2 is dense: Z2 is eliminated from the sparse d2 rows,
-B2 and cohomologous read the sparse d1 rows, Z2 and B2 stay sparse vectors,
-the [B2 | Z2] block is their transpose, and each cochain is written as the
-nonzero fibers of its tensor (linalg.Tensor3).  The complex of one (table,
-representation) pair is one private value, _Complex, which refuses a
-representation of another algebra and assembles its d1 and d2 rows once
-each, for H2, the cocycle gate, d1 and cohomologous; the gate reads the d2
-rows indexed by column, once per pair.  One check, _require_cochain, refuses
-a 2-cochain of other dims or of another field than the pair, for the complex
-and for extension_table.  d1_matrix and d2_matrix are the matrices of the
-same rows.  The pointwise evaluations of d1 and
-d2 on basis pairs and triples live in the test suite, as the independent
+each term of a formula puts one sparse fiber at its coordinates, and each row
+comes out without the entries that cancel.  One route, _d2_rows, takes the
+grids it reads: ints scaled by one common denominator over Q (_pair_views),
+the stored values otherwise.  Nothing on the way to H2 is dense: Z2 is
+eliminated from the sparse d2 rows, B2 and cohomologous read the sparse d1
+rows, Z2 and B2 stay sparse vectors, the [B2 | Z2] block is their transpose,
+and each cochain is written as the nonzero fibers of its tensor
+(linalg.Tensor3).  The complex of one (table, representation) pair is one
+private value, _Complex, which refuses a representation of another algebra and
+assembles its d1 and d2 rows once each, for H2, the cocycle gate, d1 and
+cohomologous; the gate reads the d2 rows indexed by column, once per pair.
+One check, _require_cochain, refuses a 2-cochain of other dims or of another
+field than the pair, for the complex and for extension_table.  d1_matrix and
+d2_matrix are the matrices of the same rows.  The pointwise evaluations of d1
+and d2 on basis pairs and triples live in the test suite, as the independent
 oracles.
 """
 
@@ -109,7 +110,8 @@ def d1(alg: AlgebraLike, rep: Representation, f: Matrix) -> Cochain2:
 
 def cochain1_to_vec(f: Matrix) -> Vec:
     """The C1 vectorization: F[l][i] (component l of F(e_i)) at coordinate l n + i."""
-    return tuple(x for row in f.entries for x in row)
+    z = f.field.zero()
+    return tuple(row.get(i, z) for row in f.nonzero for i in range(f.cols))
 
 
 def cochain1_from_vec(field: Field, n: int, m: int, v: Vec) -> Matrix:
@@ -179,18 +181,18 @@ class _Complex:
         n, m = self.table.dim, self.rep.dim_v
         prod = self.table.tensor.fibers
         rho, mu = self.rep.sparse
-        return [{c: x for c, x in r.items() if x} for i, j in product(range(n), range(n))
+        return [r for i, j in product(range(n), range(n))
                 for r in _placed(((rho[i], j, 0, n, False), (mu[j], i, 0, n, False),
                                   ((prod[i][j],) * m, 0, n, 1, True)), m)]
 
     @cached_property
     def d2(self) -> list:
-        """The nonzero rows of d2, without the entries that cancelled; over Q on
-        ints (D times the rational rows, see _d2_rows), with the same kernel.
-        A row is copied only when some entry cancelled."""
-        integral = isinstance(self.table.field, Rationals)
-        return [r if all(r.values()) else {j: x for j, x in r.items() if x}
-                for r in _d2_rows(self.table, self.rep, integral) if any(r.values())]
+        """The nonzero rows of d2 in order (_d2_rows): over Q on the ints of
+        _pair_views, D times the rational rows and so with the same kernel,
+        over F_p on the stored fibers and rows of table and representation."""
+        grids = (_pair_views(self.table, self.rep)[0] if isinstance(self.table.field, Rationals)
+                 else (*self.table.sparse, *self.rep.sparse))
+        return list(filter(None, _d2_rows(self.table.dim, self.rep.dim_v, *grids)))
 
     @cached_property
     def d2_columns(self) -> list:
@@ -239,11 +241,11 @@ def d1_matrix(alg: AlgebraLike, rep: Representation) -> Matrix:
 
 
 def _placed(terms: tuple, m: int) -> Iterator[dict]:
-    """The m rows l < m of a coboundary, each as {coordinate: value}: a term
-    (fibers, base, step, stride, negate) adds each entry x of the sparse
-    fiber fibers[l] = {k: x} at base + step * l + stride * k (-x with
-    negate).  Only nonzero fibers are visited; an entry that cancels stays
-    as a zero."""
+    """The m rows l < m of a coboundary, each as {coordinate: nonzero value}:
+    a term (fibers, base, step, stride, negate) adds each entry x of the
+    sparse fiber fibers[l] = {k: x} at base + step * l + stride * k (-x with
+    negate).  Only nonzero fibers are visited; an entry that cancels is
+    dropped, and a row is copied only then."""
     terms = [t for t in terms if any(t[0])]
     for l in range(m):
         row = {}
@@ -256,11 +258,13 @@ def _placed(terms: tuple, m: int) -> Iterator[dict]:
                         x = -x
                     v = row.get(idx)
                     row[idx] = x if v is None else v + x
-        yield row
+        yield row if all(row.values()) else {j: x for j, x in row.items() if x}
 
 
-def _d2_rows(table: MultTable, rep: Representation, integral: bool = False) -> Iterator[dict]:
-    """The rows of the d2 linearization in order, each as {C2 coordinate: value}.
+def _d2_rows(n: int, m: int, prod, comm, rho, mu) -> Iterator[dict]:
+    """The rows of the d2 linearization in order, each as {C2 coordinate: value},
+    of a dim-n table with fibers prod and comm (MultTable.sparse) and actions
+    on a dim-m space with rows rho and mu (Representation.sparse).
 
     Row ((a n + b) n + c) m + l of the first n^3 m is component l of
     (d2_1 f)(e_a, e_b, e_c), the next n^3 m rows are d2_2 in the same order.
@@ -268,14 +272,9 @@ def _d2_rows(table: MultTable, rep: Representation, integral: bool = False) -> I
     fiber {k: x} (_placed): row l of an action matrix, with k the V index of
     f(e_p, e_q) (stride 1), or a product or bracket, the same for every l,
     with k the basis index w of f(e_p, e_w) (stride m) or of f(e_w, e_q)
-    (stride n m), moved by l (step 1).  Only nonzero entries are visited; an
-    entry that cancels stays as a zero, which _Complex.d2 drops.
-    With integral (over Q) the views are first scaled to ints by one common
-    denominator D (_pair_views); d2 is linear in them, so each row is D times
-    the rational one.
+    (stride n m), moved by l (step 1).  Only nonzero entries are visited.  d2
+    is linear in the grids, so grids scaled by D give D times the rows.
     """
-    n, m = table.dim, rep.dim_v
-    (prod, comm, rho, mu), _, _ = _pair_views(table, rep, integral)
     nm = n * m
 
     def first(a, b, c):
@@ -298,7 +297,8 @@ def _d2_rows(table: MultTable, rep: Representation, integral: bool = False) -> I
 def d2_matrix(alg: AlgebraLike, rep: Representation) -> Matrix:
     """Linearization of both d2 components as a (2 n^3 m) x (n^2 m) matrix."""
     table = as_table(alg)
-    rows = list(_d2_rows(table, rep))
+    _require_pair(table, rep)
+    rows = list(_d2_rows(table.dim, rep.dim_v, *table.sparse, *rep.sparse))
     return Matrix(table.field, len(rows), table.dim ** 2 * rep.dim_v, rows)
 
 

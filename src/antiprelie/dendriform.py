@@ -20,8 +20,8 @@ algebra._law_views (over Q all three scaled by one common denominator, over
 F_p their residues).  Both pairing identities of a form are terms for the
 same kernel, on the ints of the table and the form.  The operator relation is
 summed over the nonzero entries of T, the table and the actions, in Fractions
-over Q and ints over F_p.  An operator, form or representation over another
-field than the table's is refused.
+over Q and ints over F_p, the induced products as fibers.  An operator, form
+or representation over another field than the table's is refused.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Iterator
 
 from .algebra import (
     AntiPreLieAlgebra,
@@ -150,23 +151,21 @@ def _numbers(field: Field) -> tuple:
     return (lambda x: x.value), field.p.__rmod__, field.of_int
 
 
-def _induced(rep: Representation, tm: list, num) -> tuple:
-    """u > v = rho(T u) v and u < v = -mu(T u) v on the basis of V as [a][b][w]
-    arrays, from tm, the entries of T as num makes them: (v_a > v_b)_w is the
-    sum over s of T[s][a] rho(e_s)[w][b], over the nonzero action entries."""
+def _induced(rep: Representation, t: Matrix, num) -> Iterator[list]:
+    """u > v = rho(T u) v, then u < v = -mu(T u) v, on the basis of V as [a][b]
+    fibers {w: value}, on values as num makes them: (v_a > v_b)_w is the sum
+    over s of T[s][a] rho(e_s)[w][b], over the stored rows of T and the actions."""
     m = rep.dim_v
-    out = []
     for mats, sign in zip(rep.sparse, (1, -1)):
-        ent = [[[0] * m for _ in range(m)] for _ in range(m)]
-        for s, mat in enumerate(mats):
-            coeffs = [(a, sign * c) for a, c in enumerate(tm[s]) if c]
+        fibers = [[{} for _ in range(m)] for _ in range(m)]
+        for row_t, mat in zip(t.nonzero, mats):
+            coeffs = [(fibers[a], sign * num(c)) for a, c in row_t.items()]
             for w, row in enumerate(mat):
                 for b, x in row.items():
                     x = num(x)
-                    for a, c in coeffs:
-                        ent[a][b][w] += c * x
-        out.append(ent)
-    return tuple(out)
+                    for line, c in coeffs:
+                        line[b][w] = line[b].get(w, 0) + c * x
+        yield fibers
 
 
 def check_O_operator(alg: AlgebraLike, rep: Representation, t: Matrix) -> Report:
@@ -181,18 +180,18 @@ def check_O_operator(alg: AlgebraLike, rep: Representation, t: Matrix) -> Report
         raise ValueError(f"operator matrix must be {n}x{m}, got {t.rows}x{t.cols}")
     _require_field("operator", t.field, table.field)
     num, nonzero, scalar = _numbers(table.field)
-    tm = [[num(x) for x in row] for row in t.entries]
-    right, left = _induced(rep, tm, num)
-    cols = [[(s, row[a]) for s, row in enumerate(tm) if row[a]] for a in range(m)]
-    rows = [[{z: num(c) for z, c in f.items()} for f in line] for line in table.tensor.fibers]
+    cols = _transpose([{a: num(x) for a, x in row.items()} for row in t.nonzero], m)
+    assoc = _commutators(*_induced(rep, t, num), 1)
     violations = []
     for a, b in product(range(m), repeat=2):
-        o = [x - y for x, y in zip(right[a][b], left[b][a])]
-        res = [-sum(tm[z][w] * u for w, u in enumerate(o) if u) for z in range(n)]
-        for p, x in cols[a]:
-            for q, y in cols[b]:
-                for z, c in rows[p][q].items():
-                    res[z] += x * y * c
+        res = [0] * n
+        for w, u in assoc[a][b].items():
+            for z, x in cols[w].items():
+                res[z] -= x * u
+        for p, x in cols[a].items():
+            for q, y in cols[b].items():
+                for z, c in table.tensor.fibers[p][q].items():
+                    res[z] += x * y * num(c)
         if any(map(nonzero, res)):
             violations.append(Violation(LAW_O, (a, b), tuple(map(scalar, res))))
     return Report("o-operator", tuple(violations))
@@ -213,9 +212,9 @@ def induced_dendriform(alg: AlgebraLike, rep: Representation, t: Matrix) -> Anti
     table = as_table(alg)
     check_O_operator(table, rep, t).require("matrix is not an O-operator")
     num, _, scalar = _numbers(table.field)
-    products = _induced(rep, [[num(x) for x in row] for row in t.entries], num)
-    return verify_anti_L_dendriform(AntiLDendriform(*(MultTable.from_entries(
-        table.field, [[map(scalar, f) for f in line] for line in ent]) for ent in products)))
+    grids = ([[{w: scalar(x) for w, x in f.items()} for f in line] for line in g] for g in _induced(rep, t, num))
+    return verify_anti_L_dendriform(AntiLDendriform(*(MultTable(Tensor3(table.field, (rep.dim_v,) * 3, g))
+                                                      for g in grids)))
 
 
 def compatible_from_invertible_O(

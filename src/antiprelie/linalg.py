@@ -413,10 +413,10 @@ def _integral_views(field: Field, *views) -> tuple:
     """
     if isinstance(field, Rationals):
         d = lcm(*(x.denominator for v in views for line in v for f in line for x in f.values()))
-        scaled = tuple(tuple(tuple(_integral(f, d) for f in line) for line in v) for v in views)
+        scaled = tuple(tuple(tuple(f and _integral(f, d) for f in line) for line in v) for v in views)
         scale = d * d
         return scaled, bool, lambda r: Fraction(r, scale)
-    scaled = tuple(tuple(tuple({j: x.value for j, x in f.items()} for f in line) for line in v)
+    scaled = tuple(tuple(tuple(f and {j: x.value for j, x in f.items()} for f in line) for line in v)
                    for v in views)
     return scaled, field.p.__rmod__, field.of_int  # p.__rmod__(r) is r % p
 

@@ -12,16 +12,16 @@ the Lie action law, the symmetry of mu) is a list of terms for the kernel
 algebra._support_walk, which reaches only the nonzero products of the cached
 structure constants and action rows: row r of a residual matrix at (e_i, e_j)
 is its key (i, j, r), and the matrix is reported whole.  The walks run on
-ints (_pair_views, linalg._integral_views): over Q table and representation
-are scaled by one common denominator D, each residual term is a product of
-two of their entries, so an int residual is D^2 times the rational one; over
-F_p they hold their residues, and a residual is reduced mod p only where it
-is tested.  A representation over an algebra of another dimension, or over
-another field, than the table's is refused before any arithmetic.  The module
-also builds the regular representation (L, R), semidirect products, the
-induced sub-adjacent Lie action rho - mu, dual representations on V*, and the
-three-way equivalence report for (mu - rho, mu) / (rho*, mu*) /
-mu(x.y) + mu(y.x) = 0.
+ints (_pair_views, linalg._integral_views), as do the d2 rows over Q: over Q
+table and representation are scaled by one common denominator D, each
+residual term is a product of two of their entries, so an int residual is
+D^2 times the rational one; over F_p they hold their residues, reduced mod p
+only where tested.  A representation over two fields is refused when made,
+one over another algebra or field than the table's before any arithmetic.
+The module also builds the regular representation (L, R), semidirect
+products, the induced sub-adjacent Lie action rho - mu, dual representations
+on V*, and the three-way equivalence report for (mu - rho, mu) / (rho*, mu*)
+/ mu(x.y) + mu(y.x) = 0.
 """
 
 from __future__ import annotations
@@ -68,6 +68,8 @@ class Representation:
         for m in (*self.rho, *self.mu):
             if (m.rows, m.cols) != (self.dim_v, self.dim_v):
                 raise ValueError(f"action matrices must be {self.dim_v}x{self.dim_v}")
+        if len({m.field for m in (*self.rho, *self.mu)} | ({self.scalars} - {None})) > 1:
+            raise ValueError("action matrices and scalars mix fields")
 
     @property
     def field(self) -> Optional[Field]:
@@ -97,20 +99,15 @@ def _require_pair(table: MultTable, rep: Representation) -> None:
     _require_field("representation", rep.field, table.field)
 
 
-def _pair_views(table: MultTable, rep: Representation, integral: bool = True) -> tuple:
+def _pair_views(table: MultTable, rep: Representation) -> tuple:
     """((prod, comm, rho, mu), nonzero, scalar): the product and commutator
-    fibers of the table (MultTable.sparse) and the representation's sparse rows.
-    With integral they are on the ints of linalg._integral_views (over Q
-    all four scaled by one common denominator D, the lcm over table and
-    representation; over F_p the residues), read by its nonzero and scalar;
-    otherwise they hold field scalars, and nonzero and scalar are None.  A
-    representation of another algebra is refused (_require_pair)."""
+    fibers of the table (MultTable.sparse) and the representation's sparse
+    rows, on the ints of linalg._integral_views (over Q all four scaled by one
+    common denominator D, the lcm over table and representation; over F_p the
+    residues), read by its nonzero and scalar.  A representation of another
+    algebra is refused (_require_pair)."""
     _require_pair(table, rep)
-    rho, mu = rep.sparse
-    if not integral:
-        prod, comm = table.sparse
-        return (prod, comm, rho, mu), None, None
-    (prod, rho, mu), nonzero, scalar = _integral_views(table.field, table.tensor.fibers, rho, mu)
+    (prod, rho, mu), nonzero, scalar = _integral_views(table.field, table.tensor.fibers, *rep.sparse)
     return (prod, _commutators(prod, prod, 1), rho, mu), nonzero, scalar
 
 

@@ -294,10 +294,12 @@ def _scan(spec: SearchSpec, n_cells: int, build: Callable, check: Callable) -> l
     return out
 
 
-def _residues(p: int) -> tuple:
-    """The field F_p and its elements 0..p-1, shared by every candidate."""
-    field = PrimeField(p)
-    return field, tuple(field.of_int(v) for v in range(p))
+def _residues(spec: SearchSpec, kind: str) -> tuple:
+    """F_p and its elements 0..p-1, shared by every candidate; a spec of another kind is refused."""
+    if spec.kind != kind:
+        raise ValueError(f"a {spec.kind!r} spec cannot drive a {kind!r} search")
+    field = PrimeField(spec.p)
+    return field, tuple(field.of_int(v) for v in range(spec.p))
 
 
 def _matrix(field: PrimeField, x: tuple, rows: int, cols: int, cells: tuple) -> Matrix:
@@ -307,7 +309,7 @@ def _matrix(field: PrimeField, x: tuple, rows: int, cols: int, cells: tuple) -> 
 
 def search_algebras(spec: SearchSpec) -> list:
     """All (or sampled) tables over F_p passing the anti-pre-Lie check."""
-    field, x = _residues(spec.p)
+    field, x = _residues(spec, "algebra")
     n = spec.dim
 
     def build(cells):
@@ -322,7 +324,7 @@ def search_representations(spec: SearchSpec, table: MultTable) -> list:
     """Action pairs (rho, mu) on F_p^m passing the representation axioms."""
     from .representation import Representation, check_representation
 
-    field, x = _residues(spec.p)
+    field, x = _residues(spec, "representation")
     n, m = spec.dim, spec.dim_v
     if table.dim != n:
         raise ValueError("table dimension does not match the spec")
@@ -340,7 +342,7 @@ def search_o_operators(spec: SearchSpec, table: MultTable, rep: Representation) 
     """Matrices V -> A over F_p satisfying the operator relation."""
     from .dendriform import check_O_operator
 
-    field, x = _residues(spec.p)
+    field, x = _residues(spec, "o-operator")
     n, m = spec.dim, spec.dim_v
     if table.dim != n or rep.dim_v != m:
         raise ValueError("context dimensions do not match the spec")
@@ -353,7 +355,7 @@ def search_bilinear_forms(spec: SearchSpec, table: MultTable, strict_skew: bool 
     full skewness)."""
     from .dendriform import check_form_invariance
 
-    field, x = _residues(spec.p)
+    field, x = _residues(spec, "bilinear-form")
     n = spec.dim
     if table.dim != n:
         raise ValueError("table dimension does not match the spec")

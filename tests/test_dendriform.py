@@ -22,6 +22,7 @@ from antiprelie.dendriform import (
     form_sharp,
     induced_dendriform,
     is_anti_L_dendriform,
+    is_O_operator,
     left_mult_representation,
 )
 from antiprelie.documents import encode_representation
@@ -34,9 +35,10 @@ from antiprelie.representation import (
     is_representation,
     regular_representation,
 )
-from antiprelie.search import SearchSpec, search_o_operators
+from antiprelie.search import (SearchSpec, lift_matrix, lift_representation, lift_table,
+                               search_o_operators)
 
-from conftest import rand_fraction, rand_matrix, rand_table
+from conftest import fp_table, rand_fraction, rand_matrix, rand_table
 from oracles import (
     naive_action,
     naive_associated_table,
@@ -431,3 +433,54 @@ def test_left_mult_representation_keeps_field_at_dim_0():
     rep = left_mult_representation(AntiLDendriform.zero(QQ, 0))
     assert rep.field == QQ
     assert encode_representation(rep)["field"] == {"type": "rational"}
+
+
+def _cancelling_operator(field):
+    """On the dim-2 zero algebra, rho(e_0) = rho(e_1) = Id and mu(e_0) =
+    mu(e_1) = 2 Id on F^2 form a representation, and T with columns of
+    coordinate sum zero is an operator: rho(T v) and mu(T v) are sums of two
+    nonzero terms that cancel, so both induced products are zero."""
+    ident, two = Matrix.identity(field, 2), Matrix.identity(field, 2).scale(field.of_int(2))
+    rep = Representation(2, 2, (ident, ident), (two, two), field)
+    t = Matrix.from_rows(field, [[field.of_int(1), field.of_int(2)], [field.of_int(-1), field.of_int(-2)]])
+    return MultTable.zero(field, 2), rep, t
+
+
+def _operator_cases(f3_algebras, named_algebras):
+    """(name, table, rep, operator) over Q, F_3 and F_5: search hits over the
+    regular and dual-regular representations, their lifts to Q that stay
+    operators, the identity for (L_>, -L_<), and the cancelling operator."""
+    cases = [(f"cancel@{field}", *_cancelling_operator(field))
+             for field in (QQ, PrimeField(3), PrimeField(5))]
+    d = AntiLDendriform(named_algebras["a2"].table, MultTable.zero(QQ, 2))
+    cases.append(("identity@Q", associated_table(d), left_mult_representation(d), Matrix.identity(QQ, 2)))
+    tables = [(name, table) for name, table in f3_algebras.items() if name in ("a2@3", "comm2@3")]
+    tables += [(name, fp_table(5, 2, nonzero)) for name, nonzero in
+               (("a2@5", {(0, 1, 1): 1}), ("comm2@5", {(0, 0, 1): 1}))]
+    for name, table in tables:
+        reg = Representation(2, 2, table.left_matrices, table.right_matrices)
+        for rep_name, rep in (("regular", reg), ("dual", dual_representation(reg))):
+            spec = SearchSpec(kind="o-operator", dim=2, p=table.field.p, dim_v=2)
+            for k, t in enumerate(search_o_operators(spec, table, rep)):
+                cases.append((f"{name}/{rep_name}/{k}", table, rep, t))
+                lifted = (lift_table(table), lift_representation(rep), lift_matrix(t))
+                if is_O_operator(*lifted):
+                    cases.append((f"{name}/{rep_name}/{k}@Q", *lifted))
+    return cases
+
+
+def test_induced_tables_match_naive_actions(f3_algebras, named_algebras):
+    """v_a > v_b is rho(T v_a) v_b and v_a < v_b is -mu(T v_a) v_b, fiber by
+    fiber, against the actions summed entry by entry (naive_action)."""
+    cases = _operator_cases(f3_algebras, named_algebras)
+    assert {case[1].field for case in cases} == {QQ, PrimeField(3), PrimeField(5)}
+    assert sum(name.endswith("@Q") for name, *_ in cases) > 1
+    for name, table, rep, t in cases:
+        d = induced_dendriform(table, rep, t)
+        for a in range(rep.dim_v):
+            rho_a, minus_mu_a = naive_action(rep.rho, t.col(a)), -naive_action(rep.mu, t.col(a))
+            for b in range(rep.dim_v):
+                assert d.right.tensor.fiber(a, b) == rho_a.col(b), name
+                assert d.left.tensor.fiber(a, b) == minus_mu_a.col(b), name
+        if name.startswith("cancel"):
+            assert d.right.tensor.is_zero() and d.left.tensor.is_zero(), name

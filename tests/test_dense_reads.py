@@ -3,11 +3,12 @@
 Matrices are stored as their nonzero rows and tensors as their nonzero
 fibers; both expose an attribute `entries`, a dense view built on first
 read.  This lists every function of the package that reads an attribute
-named `entries` (the scan cannot tell a matrix from a tensor), and every
-function that builds a value from dense input, by calling `from_rows`,
-`from_cols` or `from_entries`.  A new dense read or a new dense build in a
-kernel then shows up here as a one-line diff.  Like the other scans of the
-package, it walks each module's syntax tree with the standard library's ast.
+named `entries` (the scan cannot tell a matrix from a tensor), which is
+none, and every function that builds a value from dense input, by calling
+`from_rows`, `from_cols` or `from_entries`.  A new dense read or a new dense
+build in a kernel then shows up here as a one-line diff.  Like the other
+scans of the package, it walks each module's syntax tree with the standard
+library's ast.
 """
 
 import ast
@@ -17,15 +18,10 @@ import antiprelie
 
 SOURCES = sorted(Path(antiprelie.__file__).parent.glob("*.py"))
 
-DENSE_READS = {
-    "algebra": ["check_lie_table", "check_morphism"],
-    "cohomology": ["cochain1_to_vec"],
-    "dendriform": ["check_O_operator", "induced_dendriform"],
-}
+DENSE_READS = {}
 
 DENSE_BUILDS = {
     "algebra": ["MultTable.from_entries"],
-    "dendriform": ["induced_dendriform"],
     "documents": ["decode_matrix", "decode_tensor3"],
     "extension": ["normalize_extension"],
     "linalg": ["Matrix.from_cols"],

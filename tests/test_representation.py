@@ -256,3 +256,19 @@ def test_representation_over_another_field_is_refused(field):
         check_representation(table, rep)
     with pytest.raises(ValueError, match="representation is over PrimeField"):
         is_representation(table, rep)
+
+
+def test_representation_refuses_mixed_fields():
+    """Action matrices over more than one field, or scalars other than
+    theirs, are refused when the representation is made; a rho over Q with
+    a mu over F_3 used to reach the checks and fail there on an Fp value."""
+    f3 = PrimeField(3)
+    q_one, f3_one = Matrix.identity(QQ, 1), Matrix.identity(f3, 1)
+    with pytest.raises(ValueError, match="mix fields"):
+        Representation(1, 1, (q_one,), (f3_one,))
+    with pytest.raises(ValueError, match="mix fields"):
+        Representation(2, 1, (f3_one, f3_one), (f3_one, Matrix.zero(PrimeField(5), 1, 1)))
+    with pytest.raises(ValueError, match="mix fields"):
+        Representation(1, 1, (q_one,), (q_one,), f3)
+    assert Representation(1, 1, (f3_one,), (f3_one,), f3).field == f3
+    assert Representation(0, 2, (), (), f3).field == f3

@@ -11,6 +11,7 @@ from antiprelie.search import (
     lift_representation,
     lift_table,
     search_algebras,
+    search_bilinear_forms,
     search_o_operators,
     search_representations,
     space_size,
@@ -116,3 +117,23 @@ def test_lift_representation_keeps_field_at_dim_0():
     lifted = lift_representation(Representation.zero(PrimeField(3), 0, 1))
     assert lifted.field == QQ
     assert encode_representation(lifted)["field"] == {"type": "rational"}
+
+
+@pytest.mark.parametrize("kind", ["algebra", "representation", "o-operator", "bilinear-form"])
+def test_search_refuses_a_spec_of_another_kind(kind, f3_algebras):
+    """Each search runs only the kind its spec names: a bilinear-form spec
+    handed to search_algebras used to scan tables anyway, against a
+    space_size of forms."""
+    table = f3_algebras["a2@3"]
+    reg = Representation(2, 2, table.left_matrices, table.right_matrices)
+    spec = SearchSpec(kind=kind, dim=2, p=3, dim_v=2)
+    searches = {
+        "algebra": lambda: search_algebras(spec),
+        "representation": lambda: search_representations(spec, table),
+        "o-operator": lambda: search_o_operators(spec, table, reg),
+        "bilinear-form": lambda: search_bilinear_forms(spec, table),
+    }
+    for other, search in searches.items():
+        if other != kind:
+            with pytest.raises(ValueError, match=f"cannot drive a '{other}' search"):
+                search()
