@@ -37,11 +37,10 @@ of a Lie table.  A naive nested-loop oracle is kept in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .fields import Field, _require_field
+from .fields import Field, _record, _require_field, _set
 from .linalg import (Matrix, Tensor3, Vec, _columns, _integral_views, _subtract, _transport, _units,
                      invert, vec_sub)
 
@@ -49,13 +48,20 @@ LAW_EXCHANGE = "exchange"
 LAW_CYCLIC = "cyclic"
 
 
-@dataclass(frozen=True)
+@_record()
 class Violation:
     """One failed identity instance: the law, the basis indices, the exact residual."""
 
     law: str
     at: tuple
     residual: tuple
+
+    def __init__(self, law: str, at: tuple, residual: tuple):
+        # Written out: a failing check makes one per failing instance, where
+        # the generic constructor of _record costs about a third more.
+        _set(self, "law", law)
+        _set(self, "at", at)
+        _set(self, "residual", residual)
 
     def rendered(self) -> list:
         """The residual as canonical scalar strings (a list of rows for a matrix)."""
@@ -67,7 +73,7 @@ class Violation:
         return f"{self.law} at {self.at}: residual {self.rendered()}"
 
 
-@dataclass(frozen=True)
+@_record()
 class Report:
     """Outcome of a verification: empty violations means the check passed."""
 
@@ -93,7 +99,7 @@ class StructureError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
+@_record()
 class MultTable:
     """A bilinear product on a based space, as a structure-constant tensor."""
 
@@ -285,7 +291,7 @@ def is_anti_pre_lie(table: MultTable) -> bool:
     return check_anti_pre_lie(table).ok
 
 
-@dataclass(frozen=True)
+@_record()
 class AntiPreLieAlgebra:
     """A multiplication table that passed check_anti_pre_lie; build it with verify."""
 
@@ -305,7 +311,7 @@ class AntiPreLieAlgebra:
         return self.table.field
 
 
-@dataclass(frozen=True)
+@_record()
 class LieTable:
     """Structure constants of a Lie bracket (antisymmetric, Jacobi verified)."""
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import antiprelie as api
@@ -29,7 +28,7 @@ import antiprelie as api
 from . import documents as docs
 from .algebra import AntiPreLieAlgebra, Report, StructureError
 from .documents import DocumentError
-from .fields import PrimeField
+from .fields import PrimeField, _record
 
 PASS, FAIL, BAD_INPUT = 0, 1, 2
 
@@ -81,7 +80,7 @@ class Exit(NamedTuple):
     note: str = ""
 
 
-@dataclass(frozen=True)
+@_record()
 class Command:
     name: str
     help: str
@@ -385,13 +384,18 @@ COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of the named command alone, or of every command if none is
+    named; its usage lists every command either way.  Only the full parser can
+    report an unknown or missing command, which name the default metavar."""
     parser = argparse.ArgumentParser(
         prog="antiprelie",
         description="Exact verification and construction tools for anti-pre-Lie algebras.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in COMMANDS:
+    chosen = [cmd for cmd in COMMANDS if cmd.name == command]
+    listed = {"metavar": "{" + ",".join(cmd.name for cmd in COMMANDS) + "}"} if chosen else {}
+    sub = parser.add_subparsers(dest="command", required=True, **listed)
+    for cmd in chosen or COMMANDS:
         p = sub.add_parser(cmd.name, help=cmd.help)
         p.set_defaults(command_entry=cmd)
         # Documents given by flag follow the other options, as in the help text.
@@ -407,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     cmd = args.command_entry
     try:
         return _finish(cmd.body(args, *_load(cmd, args)))

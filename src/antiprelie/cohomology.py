@@ -41,18 +41,17 @@ oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterator, Optional
 
 from .algebra import AntiPreLieAlgebra, MultTable, StructureError
-from .fields import Field, Rationals, _require_field
+from .fields import Field, Rationals, _record, _require_field
 from .linalg import Matrix, Tensor3, Vec, _add_scaled, _integral, _kernel, _rref, _solve, _transpose
 from .representation import AlgebraLike, Representation, _pair_views, _require_pair, as_table
 
 
-@dataclass(frozen=True)
+@_record()
 class Cochain2:
     """A bilinear map A (x) A -> V; t[i][j][k] = coefficient of v_k in f(e_i, e_j)."""
 
@@ -157,7 +156,7 @@ def _require_cochain(table: MultTable, rep: Representation, f: Cochain2) -> None
     _require_field("cochain", f.field, table.field)
 
 
-@dataclass(frozen=True)
+@_record()
 class _Complex:
     """The cochain complex C*(A; V) of a (table, rep) pair that fits
     (_require_pair); its d1 and d2 rows are each assembled once, on first use."""
@@ -302,7 +301,7 @@ def d2_matrix(alg: AlgebraLike, rep: Representation) -> Matrix:
     return Matrix(table.field, len(rows), table.dim ** 2 * rep.dim_v, rows)
 
 
-@dataclass(frozen=True)
+@_record()
 class CohomologySpaces:
     """Bases of Z2 and B2 plus a deterministic set of H2 representatives."""
 

@@ -30,7 +30,6 @@ that use them, so checking a deformation loads neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -43,7 +42,7 @@ from .algebra import (
     _law_views,
     _support_walk,
 )
-from .fields import Field, _require_field
+from .fields import Field, _record, _require_field
 from .linalg import Matrix, Tensor3, _columns, _transport, _units
 
 if TYPE_CHECKING:
@@ -53,7 +52,7 @@ LAW_DEF_EXCHANGE = "deformation-exchange"
 LAW_DEF_CYCLIC = "deformation-cyclic"
 
 
-@dataclass(frozen=True)
+@_record()
 class TruncatedDeformation:
     """Base algebra plus the bilinear terms w_1..w_N, each a MultTable shape."""
 
@@ -88,7 +87,7 @@ class TruncatedDeformation:
         return TruncatedDeformation(base, (zero,) * order)
 
 
-@dataclass(frozen=True)
+@_record()
 class TruncatedIsomorphism:
     """Degree parts phi_1..phi_N of Id + phi_1 t + ...; phi_0 = Id implicitly."""
 
@@ -256,7 +255,7 @@ def trivialize_step(d: TruncatedDeformation, n: int) -> Optional[tuple]:
     return phi, transformed
 
 
-@dataclass(frozen=True)
+@_record()
 class RigidityCertificate:
     """Outcome of trivializing sample deformations against a computed H2."""
 

@@ -26,7 +26,6 @@ or representation over another field than the table's is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterator
@@ -44,7 +43,7 @@ from .algebra import (
     _law_views,
     _support_walk,
 )
-from .fields import Field, Rationals, _require_field
+from .fields import Field, Rationals, _record, _require_field
 from .linalg import Matrix, Tensor3, _columns, _integral_views, _transport, _transpose, _units, invert, rank
 from .representation import AlgebraLike, Representation, _require_pair, as_table
 
@@ -53,7 +52,7 @@ LAW_D2 = "dendriform-2"
 LAW_D3 = "dendriform-3"
 
 
-@dataclass(frozen=True)
+@_record()
 class AntiLDendriform:
     """Two multiplication tables: ``right`` holds x > y, ``left`` holds x < y."""
 

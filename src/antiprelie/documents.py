@@ -96,20 +96,27 @@ def encode_matrix(m: Matrix) -> list:
     return _strings(m.field, m.nonzero, m.cols, m.field.to_str(m.field.zero()))
 
 
+def _parsed(f: Field, strings, zero: str) -> dict:
+    """The nonzero scalars {index: value} of strings; zero is not parsed."""
+    return {k: x for k, s in enumerate(strings) if s != zero and (x := f.parse(s))}
+
+
 def decode_matrix(field: Field, doc, rows: Optional[int] = None, cols: Optional[int] = None) -> Matrix:
+    """A bad scalar is reported before a bad shape."""
     if not isinstance(doc, list) or any(not isinstance(r, list) for r in doc):
         raise DocumentError("matrix must be a nested array of scalar strings")
+    zero = field.to_str(field.zero())
     try:
-        ent = [[field.parse(x) for x in r] for r in doc]
+        stored = [_parsed(field, r, zero) for r in doc]
     except (ValueError, TypeError) as exc:
         raise DocumentError(f"bad scalar in matrix: {exc}") from exc
-    try:
-        m = Matrix.from_rows(field, ent, cols=cols if cols is not None else 0)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
-    if rows is not None and m.rows != rows or cols is not None and m.cols != cols:
-        raise DocumentError(f"matrix has shape {m.rows}x{m.cols}, expected {rows}x{cols}")
-    return m
+    widths = {len(r) for r in doc}
+    if len(widths) > 1:
+        raise DocumentError("entries shape is ragged")
+    width = max(widths, default=0 if cols is None else cols)
+    if rows is not None and len(doc) != rows or cols is not None and width != cols:
+        raise DocumentError(f"matrix has shape {len(doc)}x{width}, expected {rows}x{cols}")
+    return Matrix(field, len(doc), width, stored)
 
 
 def encode_tensor3(t: Tensor3) -> list:
@@ -122,19 +129,22 @@ def encode_tensor3(t: Tensor3) -> list:
 
 
 def decode_tensor3(field: Field, doc, dims: tuple) -> Tensor3:
+    """A bad scalar is reported before a bad shape."""
     if not isinstance(doc, list):
         raise DocumentError("tensor must be a nested array of scalar strings")
+    zero = field.to_str(field.zero())
     try:
-        ent = [[[field.parse(x) for x in fiber] for fiber in plane] for plane in doc]
+        fibers = [[_parsed(field, fiber, zero) for fiber in plane] for plane in doc]
     except (ValueError, TypeError) as exc:
         raise DocumentError(f"bad scalar in tensor: {exc}") from exc
-    try:
-        t = Tensor3.from_entries(field, ent)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
-    if t.dims != dims:
-        raise DocumentError(f"tensor has dims {t.dims}, expected {dims}")
-    return t
+    # Every plane and fiber was iterated above, so each has a length.
+    planes, lines = {len(plane) for plane in doc}, {len(fiber) for plane in doc for fiber in plane}
+    if len(planes) > 1 or len(lines) > 1:
+        raise DocumentError("entries shape is ragged")
+    got = (len(doc), max(planes, default=0), max(lines, default=0))
+    if got != dims:
+        raise DocumentError(f"tensor has dims {got}, expected {dims}")
+    return Tensor3(field, dims, fibers)
 
 
 def encode_algebra(table_or_alg: Union[MultTable, AntiPreLieAlgebra]) -> dict:

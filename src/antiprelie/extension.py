@@ -27,17 +27,16 @@ rows Z2 was eliminated from, and every extension table is re-verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import AntiPreLieAlgebra, MultTable, StructureError, check_morphism
 from .cohomology import Cochain2, _Complex, _require_cochain, cohomologous
-from .fields import Field, _require_field
+from .fields import Field, _record, _require_field
 from .linalg import Matrix, Tensor3, _columns, _kernel, _transport, _transpose, _units, basis_vec, rank, solve
 from .representation import Representation, _require_pair, check_representation, semidirect_product
 
 
-@dataclass(frozen=True)
+@_record()
 class AbelianExtension:
     """A verified total algebra in standard A + V coordinates.
 

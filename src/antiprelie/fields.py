@@ -14,9 +14,67 @@ else (no whitespace, exponent, underscore or decimal point) is accepted.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
+
+
+def _record(*hidden: str):
+    """Make a class an immutable record of its annotated fields (`_fields`),
+    with plain methods, so nothing is compiled at start-up: __init__ binds
+    arguments as Python would and calls __post_init__, and ==, hash and repr
+    read the fields not named in hidden as a tuple.  Own methods are kept."""
+
+    def make(cls):
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        indexed, shown = tuple(enumerate(names)), tuple(n for n in names if n not in hidden)
+        defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+        post_init = getattr(cls, "__post_init__", None)
+
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != len(names):
+                args = _bind(cls, names, defaults, args, kwargs)
+            for i, name in indexed:
+                _set(self, name, args[i])
+            if post_init is not None:
+                post_init(self)
+
+        def refuse(self, name, *value):
+            raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+        def key(self) -> tuple:
+            return tuple([getattr(self, n) for n in shown])
+
+        def __eq__(self, other):
+            return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+        def __repr__(self):
+            return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in shown)})"
+
+        methods = {"__init__": __init__, "__setattr__": refuse, "__delattr__": refuse,
+                   "__eq__": __eq__, "__hash__": lambda self: hash(key(self)), "__repr__": __repr__}
+        for name, method in methods.items():
+            if name not in cls.__dict__:
+                setattr(cls, name, method)
+        cls._fields = names
+        return cls
+
+    return make
+
+
+# Sets a field past a refusing __setattr__.  Writing into __dict__ instead
+# makes CPython 3.11 read every field of that instance up to 3x slower.
+_set = object.__setattr__
+
+
+def _bind(cls, names: tuple, defaults: dict, args: tuple, kwargs: dict) -> list:
+    """The field values, in order, of a constructor call with keywords or
+    defaults; too many, unknown, repeated or missing arguments are a TypeError."""
+    given = dict(zip(names, args))
+    values = {**defaults, **given, **kwargs}
+    if len(args) > len(names) or kwargs.keys() & given.keys() or values.keys() != set(names):
+        raise TypeError(f"{cls.__qualname__}() takes the fields ({', '.join(names)}), got"
+                        f" {len(args)} positional arguments and {sorted(kwargs)} by keyword")
+    return [values[n] for n in names]
 
 
 class Fp:
@@ -104,7 +162,7 @@ _RESIDUE = re.compile(r"(-?[0-9]+) mod ([0-9]+)")
 MAX_PRIME = 2**31 - 1
 
 
-@dataclass(frozen=True)
+@_record()
 class Rationals:
     """The field of rational numbers, carried by ``fractions.Fraction``."""
 
@@ -133,7 +191,7 @@ class Rationals:
         return {"type": "rational"}
 
 
-@dataclass(frozen=True)
+@_record()
 class PrimeField:
     """The prime field Z/pZ; scalars render as ``"k mod p"``."""
 

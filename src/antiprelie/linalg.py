@@ -55,13 +55,12 @@ and reported).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
-from .fields import Field, Rationals, Scalar
+from .fields import Field, Rationals, Scalar, _record
 
 Vec = tuple  # tuple[Scalar, ...]
 
@@ -79,7 +78,7 @@ def vec_is_zero(a: Vec) -> bool:
     return not any(a)
 
 
-@dataclass(frozen=True)
+@_record()
 class Matrix:
     """Immutable matrix with exact entries, stored as its nonzero rows
     nonzero[r] = {column: value} (_stored), so == and hash mean equal
@@ -592,7 +591,7 @@ def invert(m: Matrix) -> Optional[Matrix]:
     return Matrix(m.field, n, n, [{j - n: x for j, x in row.items() if j >= n} for row in rows])
 
 
-@dataclass(frozen=True)
+@_record()
 class Tensor3:
     """Immutable rank-3 tensor [i][j][k], stored as its nonzero fibers: a
     d1 x d2 grid of dicts fibers[i][j] = {k: value}, k in range(d3), kept as

@@ -26,7 +26,6 @@ on V*, and the three-way equivalence report for (mu - rho, mu) / (rho*, mu*)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Union
 
 from .algebra import (
@@ -41,7 +40,7 @@ from .algebra import (
     _support_walk,
     sub_adjacent_lie,
 )
-from .fields import Field, _require_field
+from .fields import Field, _record, _require_field
 from .linalg import Matrix, _integral_views
 
 AlgebraLike = Union[AntiPreLieAlgebra, MultTable]
@@ -51,7 +50,7 @@ def as_table(alg: AlgebraLike) -> MultTable:
     return alg.table if isinstance(alg, AntiPreLieAlgebra) else alg
 
 
-@dataclass(frozen=True)
+@_record("scalars")
 class Representation:
     """Paired actions on V: rho[i], mu[i] are the matrices of the e_i actions."""
 
@@ -60,7 +59,7 @@ class Representation:
     rho: tuple  # tuple[Matrix, ...], length dim_a, each dim_v x dim_v
     mu: tuple
     # The field when there are no matrices to read it from (dim_a = 0).
-    scalars: Optional[Field] = dataclass_field(default=None, compare=False, repr=False)
+    scalars: Optional[Field] = None
 
     def __post_init__(self):
         if len(self.rho) != self.dim_a or len(self.mu) != self.dim_a:
@@ -171,7 +170,7 @@ def semidirect_product(alg: AntiPreLieAlgebra, rep: Representation) -> AntiPreLi
     return AntiPreLieAlgebra.verify(extension_table(table, rep, theta))
 
 
-@dataclass(frozen=True)
+@_record()
 class LieRepresentation:
     """A single action of a Lie algebra: [action(x), action(y)] = action([x,y])."""
 

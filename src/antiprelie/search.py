@@ -30,13 +30,12 @@ modules of its own checks when it runs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from .algebra import MultTable, Report, check_anti_pre_lie, is_anti_pre_lie
-from .fields import Fp, PrimeField, QQ
+from .fields import Fp, PrimeField, QQ, _record
 from .linalg import Matrix, Tensor3
 
 if TYPE_CHECKING:
@@ -74,7 +73,7 @@ def _exceeds(p: int, cells: int, bound: int) -> bool:
     return cells * (p.bit_length() - 1) >= bound.bit_length() or p**cells > bound
 
 
-@dataclass(frozen=True)
+@_record()
 class SearchSpec:
     """What to enumerate: kind, dimensions, prime, and the enumeration mode.
 

@@ -1,10 +1,9 @@
 """The public surface of the package, pinned.
 
 A change that adds, drops or renames a public name, or reshapes the fields
-of a public dataclass, shows up here as a one-line diff.
+of a public record, shows up here as a one-line diff.  A record names its
+fields in order in `_fields` (fields._record).
 """
-
-import dataclasses
 
 import antiprelie
 
@@ -33,7 +32,7 @@ PUBLIC_NAMES = [
     "verify_representation",
 ]
 
-DATACLASS_FIELDS = {
+RECORD_FIELDS = {
     "AbelianExtension": ("total", "dim_a", "dim_v"),
     "AntiLDendriform": ("right", "left"),
     "AntiPreLieAlgebra": ("table",),
@@ -62,8 +61,8 @@ def test_public_names():
 
 def test_public_dataclass_fields():
     found = {
-        name: tuple(f.name for f in dataclasses.fields(obj))
+        name: obj._fields
         for name in antiprelie.__all__
-        if isinstance(obj := getattr(antiprelie, name), type) and dataclasses.is_dataclass(obj)
+        if isinstance(obj := getattr(antiprelie, name), type) and "_fields" in vars(obj)
     }
-    assert found == DATACLASS_FIELDS
+    assert found == RECORD_FIELDS

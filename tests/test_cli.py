@@ -146,6 +146,74 @@ def test_unrecognized_arguments_print_the_top_level_usage(capsys, monkeypatch):
     assert listed == [cmd.name for cmd in COMMANDS] and len(listed) == 23
 
 
+COMMAND_LIST = TOP_LEVEL_USAGE.splitlines()[1].strip()
+COHOMOLOGY_USAGE = "usage: antiprelie cohomology [-h] algebra rep\n"
+COHOMOLOGY_MISSING = (COHOMOLOGY_USAGE + "antiprelie cohomology: error: the following arguments"
+                      " are required: algebra, rep\n")
+TOP_LEVEL_HELP = TOP_LEVEL_USAGE + f"""
+Exact verification and construction tools for anti-pre-Lie algebras.
+
+positional arguments:
+  {COMMAND_LIST}
+    check               verify the anti-pre-Lie laws of a table
+    lie                 commutator bracket of a verified algebra
+    rep-check           verify the representation axioms
+    semidirect          semidirect product algebra on A + V
+    dual                dual representation on V*
+    special             three-way equivalence report
+    cohomology          Z2, B2 and H2 with representatives
+    dend-check          verify the anti-L-dendriform laws
+    assoc               associated anti-pre-Lie algebra of a dendriform
+                        structure
+    o-check             verify the operator relation
+    o-induce            dendriform structure induced on V
+    o-compat            compatible structure on A from an invertible operator
+    from-form           compatible structure from an invariant bilinear form
+    deform-check        verify the deformation equations
+    infinitesimal       degree-1 cocycle of a verified deformation
+    apply-iso           pull a deformation back along a truncated isomorphism
+    trivialize          flatten the first nonzero order if it is exact
+    rigidity            H2 computation plus sample trivializations
+    extend              build an abelian extension from a 2-cocycle
+    extract             cocycle and representation of an extension
+    iso                 test two extensions for isomorphism
+    classify            one extension per second-cohomology class
+    search              enumerate verified instances over a prime field
+
+options:
+  -h, --help            show this help message and exit
+"""
+COHOMOLOGY_HELP = COHOMOLOGY_USAGE + """
+positional arguments:
+  algebra
+  rep
+
+options:
+  -h, --help  show this help message and exit
+"""
+CHOICES = ", ".join(repr(name) for name in COMMAND_LIST.strip("{}").split(","))
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    ([], 2, "", TOP_LEVEL_USAGE + "antiprelie: error: the following arguments are required: command\n"),
+    (["bogus"], 2, "", TOP_LEVEL_USAGE
+     + f"antiprelie: error: argument command: invalid choice: 'bogus' (choose from {CHOICES})\n"),
+    (["--bogus", "cohomology"], 2, "", COHOMOLOGY_MISSING),
+    (["--help"], 0, TOP_LEVEL_HELP, ""),
+    (["cohomology", "--help"], 0, COHOMOLOGY_HELP, ""),
+    (["cohomology", "--bogus"], 2, "", COHOMOLOGY_MISSING),
+], ids=["no-command", "unknown-command", "unknown-option-first", "help", "command-help",
+        "unknown-option-after"])
+def test_top_level_text(capsys, monkeypatch, argv, code, out, err):
+    """Usage, help and parse errors at 80 columns, whether the call names a
+    command (the parser holds that command only) or not (it holds all)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == (code, out, err)
+
+
 def test_lie_output(write_doc, capsys, named_algebras):
     path = write_doc(docs.encode_algebra(named_algebras["a2"]))
     code, out, _ = run_cli(capsys, "lie", path)

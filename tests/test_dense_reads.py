@@ -22,7 +22,6 @@ DENSE_READS = {}
 
 DENSE_BUILDS = {
     "algebra": ["MultTable.from_entries"],
-    "documents": ["decode_matrix", "decode_tensor3"],
     "extension": ["normalize_extension"],
     "linalg": ["Matrix.from_cols"],
 }

@@ -1,9 +1,12 @@
-"""The lazy package surface, and which package modules a command loads.
+"""The lazy package surface, which package modules a command loads, and what
+a command pays at start-up.
 
 Each case runs in a fresh interpreter that records, for every package module
 it imports, the chain of package (and driver) lines that led to the import,
 and then prints the records as JSON.  A module a command must not load is
-reported with that chain, so a stray top-level import names its line.
+reported with that chain, so a stray top-level import names its line.  The
+start-up cases check that a command loads no `dataclasses` or `inspect`
+beyond a bare interpreter and that the parser holds only the named command.
 """
 
 import importlib
@@ -57,15 +60,20 @@ print(json.dumps(chains))
 """
 
 
-def _loaded(argv) -> dict:
-    """{module: import chain} for every package module the command loads."""
+def _run(code: str, *args: str) -> str:
+    """The stdout of `python -c code args...` with this package on the path."""
     src = str(Path(antiprelie.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", RECORDER, json.dumps(argv)],
+    proc = subprocess.run([sys.executable, "-c", code, *args],
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def _loaded(argv) -> dict:
+    """{module: import chain} for every package module the command loads."""
+    return json.loads(_run(RECORDER, json.dumps(argv)))
 
 
 def _cohomology_argv(tmp_path) -> list:
@@ -112,6 +120,51 @@ def test_command_loads_only_its_modules(tmp_path, case, absent):
     assert not stray, "\n".join(
         f"{name} imported by:\n  " + "\n  ".join(chain) for name, chain in stray.items()
     )
+
+
+# Runs a command and then lists, on the last line of stdout, every module loaded.
+STARTUP = r"""
+import sys
+from antiprelie.cli import main
+
+code = main(sys.argv[1:])
+assert code == 0, code
+print()
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def _modules(code: str, *argv: str) -> set:
+    """The modules loaded by the end of `python -c code argv...`, read from
+    the last line of its stdout."""
+    return set(_run(code, *argv).splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("case", ["search", "cohomology"])
+def test_command_starts_without_code_generation(tmp_path, case):
+    """Records are plain classes (fields._record): neither `dataclasses` nor
+    the `inspect` it pulls in is loaded by a command, beyond what a bare
+    interpreter on this host already loads."""
+    argv = {
+        "search": ["search", "--kind", "algebra", "--dim", "2", "--prime", "3"],
+        "cohomology": _cohomology_argv(tmp_path),
+    }[case]
+    bare = _modules("import sys; print(' '.join(sorted(sys.modules)))")
+    loaded = _modules(STARTUP, *argv) - bare
+    assert "antiprelie.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_parser_builds_only_the_named_command():
+    from antiprelie.cli import COMMANDS, build_parser
+
+    def commands(parser) -> list:
+        return list(next(a for a in parser._actions if a.dest == "command").choices)
+
+    every = [cmd.name for cmd in COMMANDS]
+    assert commands(build_parser("cohomology")) == ["cohomology"]
+    assert commands(build_parser()) == commands(build_parser("bogus")) == every
+    assert len(every) == 23
 
 
 def test_star_import_binds_the_public_surface():
