@@ -284,7 +284,7 @@ def _search(args, context, rep):
     if args.kind != "algebra":
         if context is None:
             raise DocumentError(f"search kind {args.kind!r} needs a context algebra document")
-        if not isinstance(context.field, PrimeField) or context.field.p != spec.p:
+        if context.field != PrimeField(spec.p):
             raise DocumentError("context algebra must live over the searched prime field")
         if args.kind == "o-operator" and rep is None:
             raise DocumentError("o-operator search needs a representation document")

@@ -23,12 +23,12 @@ coordinates of C1 and C2.  The rows of both are assembled by one placement
 loop, _placed, from the nonzero structure constants and action entries only:
 each term of a formula puts one sparse fiber at its coordinates, and each row
 comes out without the entries that cancel.  One route, _d2_rows, takes the
-grids it reads: ints scaled by one common denominator over Q (_pair_views),
-the stored values otherwise.  Nothing on the way to H2 is dense: Z2 is
-eliminated from the sparse d2 rows, B2 and cohomologous read the sparse d1
-rows, Z2 and B2 stay sparse vectors, the [B2 | Z2] block is their transpose,
-and each cochain is written as the nonzero fibers of its tensor
-(linalg.Tensor3).  The complex of one (table, representation) pair is one
+grids it reads: the ints of _pair_views for H2 and the gate over either field
+(nothing here asks which), the stored values for d2_matrix.  Nothing on the
+way to H2 is dense: Z2 is eliminated from the sparse d2 rows, B2 and
+cohomologous read the sparse d1 rows, Z2 and B2 stay sparse vectors, the
+[B2 | Z2] block is their transpose, and each cochain is written as the
+nonzero fibers of its tensor (linalg.Tensor3).  The complex of one (table, representation) pair is one
 private value, _Complex, which refuses a representation of another algebra and
 assembles its d1 and d2 rows once each, for H2, the cocycle gate, d1 and
 cohomologous; the gate reads the d2 rows indexed by column, once per pair.
@@ -46,8 +46,8 @@ from itertools import product
 from typing import Iterator, Optional
 
 from .algebra import AntiPreLieAlgebra, MultTable, StructureError
-from .fields import Field, Rationals, _record, _require_field
-from .linalg import Matrix, Tensor3, Vec, _add_scaled, _integral, _kernel, _rref, _solve, _transpose
+from .fields import Field, _record, _require_field
+from .linalg import Matrix, Tensor3, Vec, _add_scaled, _integral_views, _kernel, _rref, _solve, _transpose
 from .representation import AlgebraLike, Representation, _pair_views, _require_pair, as_table
 
 
@@ -186,11 +186,10 @@ class _Complex:
 
     @cached_property
     def d2(self) -> list:
-        """The nonzero rows of d2 in order (_d2_rows): over Q on the ints of
-        _pair_views, D times the rational rows and so with the same kernel,
-        over F_p on the stored fibers and rows of table and representation."""
-        grids = (_pair_views(self.table, self.rep)[0] if isinstance(self.table.field, Rationals)
-                 else (*self.table.sparse, *self.rep.sparse))
+        """The nonzero rows of d2 in order (_d2_rows), on the ints of
+        _pair_views: over Q D times the rational rows, over F_p sums of
+        residues not yet reduced, so with the same kernel either way."""
+        grids = _pair_views(self.table, self.rep)[0]
         return list(filter(None, _d2_rows(self.table.dim, self.rep.dim_v, *grids)))
 
     @cached_property
@@ -202,16 +201,14 @@ class _Complex:
     def is_cocycle(self, f: Cochain2) -> bool:
         """Whether the d2 rows vanish on f, a 2-cochain of this pair (refused
         otherwise): d2 f is summed as f_c times column c of d2 over the
-        support of f, and every entry of the sum must be zero.  Over Q f is
-        scaled to ints by the lcm of its own denominators."""
+        support of f, on the ints of linalg._integral_views, and every entry
+        of the sum must be zero, as the views' nonzero tests it."""
         _require_cochain(self.table, self.rep, f)
-        v = _c2(f)
-        if isinstance(self.table.field, Rationals):
-            v = _integral(v)
+        (((v,),),), nonzero, _ = _integral_views(self.table.field, ((_c2(f),),))
         acc: dict = {}
         for c, x in v.items():
             _add_scaled(acc, x, self.d2_columns[c])
-        return not any(acc.values())
+        return not any(map(nonzero, acc.values()))
 
     def spaces(self) -> "CohomologySpaces":
         """cohomology_spaces of the pair, from its d2 and d1 rows."""

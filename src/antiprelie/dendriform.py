@@ -19,14 +19,15 @@ two tables and of their associated product, on the ints of
 algebra._law_views (over Q all three scaled by one common denominator, over
 F_p their residues).  Both pairing identities of a form are terms for the
 same kernel, on the ints of the table and the form.  The operator relation is
-summed over the nonzero entries of T, the table and the actions, in Fractions
-over Q and ints over F_p, the induced products as fibers.  An operator, form
-or representation over another field than the table's is refused.
+summed over the nonzero entries of T, the table and the actions, on their
+ints from one linalg._integral_views call (degree 3 in them, the induced
+products degree 2), so no function here asks which field it has.  An
+operator, form or representation over another field than the table's is
+refused.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
@@ -43,7 +44,7 @@ from .algebra import (
     _law_views,
     _support_walk,
 )
-from .fields import Field, Rationals, _record, _require_field
+from .fields import Field, _record, _require_field
 from .linalg import Matrix, Tensor3, _columns, _integral_views, _transport, _transpose, _units, invert, rank
 from .representation import AlgebraLike, Representation, _require_pair, as_table
 
@@ -142,26 +143,17 @@ def left_mult_representation(d: AntiLDendriform) -> Representation:
 LAW_O = "o-operator"
 
 
-def _numbers(field: Field) -> tuple:
-    """(num, nonzero, scalar) for sums on plain numbers: the Fractions
-    themselves over Q, unreduced ints over F_p, tested and reduced mod p."""
-    if isinstance(field, Rationals):
-        return (lambda x: x), bool, Fraction
-    return (lambda x: x.value), field.p.__rmod__, field.of_int
-
-
-def _induced(rep: Representation, t: Matrix, num) -> Iterator[list]:
+def _induced(rows_t: tuple, rho: tuple, mu: tuple, m: int) -> Iterator[list]:
     """u > v = rho(T u) v, then u < v = -mu(T u) v, on the basis of V as [a][b]
-    fibers {w: value}, on values as num makes them: (v_a > v_b)_w is the sum
-    over s of T[s][a] rho(e_s)[w][b], over the stored rows of T and the actions."""
-    m = rep.dim_v
-    for mats, sign in zip(rep.sparse, (1, -1)):
+    fibers {w: int}, from the int views of T's rows and the actions' rows
+    (linalg._integral_views): (v_a > v_b)_w is the sum over s of
+    T[s][a] rho(e_s)[w][b], over the stored rows of T and the actions."""
+    for mats, sign in ((rho, 1), (mu, -1)):
         fibers = [[{} for _ in range(m)] for _ in range(m)]
-        for row_t, mat in zip(t.nonzero, mats):
-            coeffs = [(fibers[a], sign * num(c)) for a, c in row_t.items()]
+        for row_t, mat in zip(rows_t, mats):
+            coeffs = [(fibers[a], sign * c) for a, c in row_t.items()]
             for w, row in enumerate(mat):
                 for b, x in row.items():
-                    x = num(x)
                     for line, c in coeffs:
                         line[b][w] = line[b].get(w, 0) + c * x
         yield fibers
@@ -170,17 +162,19 @@ def _induced(rep: Representation, t: Matrix, num) -> Iterator[list]:
 def check_O_operator(alg: AlgebraLike, rep: Representation, t: Matrix) -> Report:
     """T(u) . T(v) = T(rho(T(u)) v + mu(T(v)) u) on all basis pairs of V: the
     residual T(v_a) . T(v_b) - T(v_a o v_b) at (a, b), with o the associated
-    product v_a > v_b - v_b < v_a of the induced structure, summed on
-    Fractions over Q and on unreduced ints over F_p."""
+    product v_a > v_b - v_b < v_a of the induced structure.  It is summed on
+    the ints of linalg._integral_views, homogeneous of degree 3 in them."""
     table = as_table(alg)
     n, m = table.dim, rep.dim_v
     _require_pair(table, rep)
     if (t.rows, t.cols) != (n, m):
         raise ValueError(f"operator matrix must be {n}x{m}, got {t.rows}x{t.cols}")
     _require_field("operator", t.field, table.field)
-    num, nonzero, scalar = _numbers(table.field)
-    cols = _transpose([{a: num(x) for a, x in row.items()} for row in t.nonzero], m)
-    assoc = _commutators(*_induced(rep, t, num), 1)
+    rho, mu = rep.sparse
+    (prod, rho, mu, (rows_t,)), nonzero, scalar = _integral_views(
+        table.field, table.tensor.fibers, rho, mu, (t.nonzero,), degree=3)
+    cols = _transpose(rows_t, m)
+    assoc = _commutators(*_induced(rows_t, rho, mu, m), 1)
     violations = []
     for a, b in product(range(m), repeat=2):
         res = [0] * n
@@ -189,8 +183,8 @@ def check_O_operator(alg: AlgebraLike, rep: Representation, t: Matrix) -> Report
                 res[z] -= x * u
         for p, x in cols[a].items():
             for q, y in cols[b].items():
-                for z, c in table.tensor.fibers[p][q].items():
-                    res[z] += x * y * num(c)
+                for z, c in prod[p][q].items():
+                    res[z] += x * y * c
         if any(map(nonzero, res)):
             violations.append(Violation(LAW_O, (a, b), tuple(map(scalar, res))))
     return Report("o-operator", tuple(violations))
@@ -210,8 +204,9 @@ def induced_dendriform(alg: AlgebraLike, rep: Representation, t: Matrix) -> Anti
     """
     table = as_table(alg)
     check_O_operator(table, rep, t).require("matrix is not an O-operator")
-    num, _, scalar = _numbers(table.field)
-    grids = ([[{w: scalar(x) for w, x in f.items()} for f in line] for line in g] for g in _induced(rep, t, num))
+    (rho, mu, (rows_t,)), _, scalar = _integral_views(table.field, *rep.sparse, (t.nonzero,))
+    grids = ([[{w: scalar(x) for w, x in f.items()} for f in line] for line in g]
+             for g in _induced(rows_t, rho, mu, rep.dim_v))
     return verify_anti_L_dendriform(AntiLDendriform(*(MultTable(Tensor3(table.field, (rep.dim_v,) * 3, g))
                                                       for g in grids)))
 

@@ -83,21 +83,24 @@ class AbelianExtension:
 def extension_table(alg_table: MultTable, rep: Representation, theta: Cochain2) -> MultTable:
     """The standard-coordinate product table built from (product, theta, rho, mu).
 
-    Its fibers are written from theirs, theta's at the V coordinates n + k.
+    Its fibers are written from theirs, theta's at the V coordinates n + k,
+    and only where they are nonzero: one empty dict stands for every empty
+    fiber, and a product fiber is kept as stored where theta's is empty.
     No verification happens here; build_extension adds the cocycle gate.
     """
     n, m = alg_table.dim, rep.dim_v
     _require_pair(alg_table, rep)
     _require_cochain(alg_table, rep, theta)
-    total = [[{} for _ in range(n + m)] for _ in range(n + m)]
+    empty = {}
+    total = [[empty] * (n + m) for _ in range(n + m)]
     for i, (prods, values) in enumerate(zip(alg_table.tensor.fibers, theta.tensor.fibers)):
-        total[i][:n] = [{**p, **{n + k: x for k, x in t.items()}} for p, t in zip(prods, values)]
-    for i, (rho, mu) in enumerate(zip(*rep.sparse)):
-        for r, (rho_row, mu_row) in enumerate(zip(rho, mu)):
-            for b, x in rho_row.items():
-                total[i][n + b][n + r] = x
-            for b, x in mu_row.items():
-                total[n + b][i][n + r] = x
+        total[i][:n] = [{**p, **{n + k: x for k, x in t.items()}} if t else p for p, t in zip(prods, values)]
+    for i, mats in enumerate(zip(*rep.sparse)):
+        for b, (rho_col, mu_col) in enumerate(zip(*(_transpose(mat, m) for mat in mats))):
+            if rho_col:
+                total[i][n + b] = {n + r: x for r, x in rho_col.items()}
+            if mu_col:
+                total[n + b][i] = {n + r: x for r, x in mu_col.items()}
     return MultTable(Tensor3(alg_table.field, (n + m,) * 3, total))
 
 

@@ -47,10 +47,10 @@ out(w(left., right.)), over the nonzero entries of w and the maps only,
 never multiplying a unit entry: basis changes, morphism checks, deformation
 pull-backs, extension read-backs and `Tensor3.contract` call it.  The law
 residuals on basis triples and pairs are summed by `algebra._support_walk`
-instead, on the ints of `_integral_views` (the residuals are homogeneous of
-degree 2: over Q an int residual is the rational one times the views' common
-denominator squared, over F_p it is reduced mod p only where it is tested
-and reported).
+instead, on the ints of `_integral_views`, the one int form of both fields
+(values times a common denominator over Q, residues over F_p): the d2 rows,
+the cocycle gate, the law walks and the operator relation all run on it, and
+it and `_rref` are the only code that asks which field it has.
 """
 
 from __future__ import annotations
@@ -268,7 +268,8 @@ def _rref(field: Field, rows_in: Iterable[dict]):
     """Reduced row echelon form of sparse rows; returns (rows, pivot columns).
 
     `rows_in` holds {column: value} dicts of nonzero entries, which are left
-    unchanged; the result lists the nonzero reduced rows, as such dicts, in
+    unchanged; an int entry (`_integral_views`) is read as its residue over
+    F_p.  The result lists the nonzero reduced rows, as dicts of values, in
     pivot-column order.  Every route takes the same steps, none of which
     changes the row space, and so the form:
     - empty rows and exact duplicates are dropped;
@@ -287,7 +288,8 @@ def _rref(field: Field, rows_in: Iterable[dict]):
         scaled = _primitive
     else:
         p = field.p
-        rows_in = ({j: v for j, x in row.items() if (v := x.value)} for row in rows_in)
+        rows_in = ({j: v for j, x in row.items() if (v := x % p if type(x) is int else x.value)}
+                   for row in rows_in)
 
         def scaled(row):
             inv = pow(row[min(row)], -1, p)
@@ -399,21 +401,22 @@ def _integral(row: dict, scale: Optional[int] = None) -> dict:
     return {j: x.numerator * (scale // d) for (j, x), d in zip(row.items(), dens)}
 
 
-def _integral_views(field: Field, *views) -> tuple:
-    """(scaled, nonzero, scalar) for a walk whose residuals are sums of
-    products of two view values.  Each view is a tuple of tuples of sparse
-    {index: value} fibers, and scaled holds every view with int values.
+def _integral_views(field: Field, *views, degree: int = 2) -> tuple:
+    """(scaled, nonzero, scalar): the int form every kernel sums on, for sums
+    of products of degree view values (3 for the operator relation).  Each
+    view is a tuple of tuples of sparse {index: value} fibers, and scaled
+    holds every view with int values.
 
     Over Q every view is multiplied by d, the lcm of all their denominators,
-    so an int residual r is d^2 times the rational one: scalar(r) is
-    Fraction(r, d^2) and nonzero(r) is bool(r).  Over F_p every value is its
-    residue in [0, p), r is congruent to the residual mod p: scalar(r) is
+    so an int sum r is d^degree times the rational one: scalar(r) is
+    Fraction(r, d^degree) and nonzero(r) is bool(r).  Over F_p every value
+    is its residue in [0, p), r is congruent to the sum mod p: scalar(r) is
     r mod p and nonzero(r) is r % p, true when r is nonzero mod p.
     """
     if isinstance(field, Rationals):
         d = lcm(*(x.denominator for v in views for line in v for f in line for x in f.values()))
         scaled = tuple(tuple(tuple(f and _integral(f, d) for f in line) for line in v) for v in views)
-        scale = d * d
+        scale = d ** degree
         return scaled, bool, lambda r: Fraction(r, scale)
     scaled = tuple(tuple(tuple(f and {j: x.value for j, x in f.items()} for f in line) for line in v)
                    for v in views)

@@ -484,6 +484,77 @@ def naive_d2_values(table, rep, f):
     return comp1, comp2
 
 
+def oracle_d2_rows(table, rep):
+    """The 2 n^3 m rows of the d2 linearization, each as {C2 coordinate:
+    nonzero value}, written straight off the two formulas of the cohomology
+    module docstring.  Row ((a n + b) n + c) m + l of the first n^3 m is
+    component l of (d2_1 f)(e_a, e_b, e_c), the next n^3 m rows are d2_2 in
+    the same order, and f(e_p, e_q)_k is C2 coordinate (p n + q) m + k.
+    Only the dense entries of the table and the actions are read; their
+    nonzero ones are listed here, so each row costs its terms only."""
+    n, m = table.dim, rep.dim_v
+    c = _c(table)
+    prod = [[[(w, x) for w, x in enumerate(c[p][q]) if x] for q in range(n)] for p in range(n)]
+    br = [[[(w, c[p][q][w] - c[q][p][w]) for w in range(n) if c[p][q][w] != c[q][p][w]]
+           for q in range(n)] for p in range(n)]
+    rho, mu = ([[[(k, x) for k, x in enumerate(line) if x] for line in mat.entries] for mat in mats]
+               for mats in (rep.rho, rep.mu))
+
+    def at(p, q, k):
+        return (p * n + q) * m + k
+
+    def row(terms):
+        out = {}
+        for x, coord in terms:
+            out[coord] = x if coord not in out else out[coord] + x
+        return {coord: x for coord, x in out.items() if x}
+
+    first, second = [], []
+    for a, b, cc in product(range(n), repeat=3):
+        for l in range(m):
+            first.append(row(
+                [(x, at(b, cc, k)) for k, x in rho[a][l]] + [(-x, at(a, cc, k)) for k, x in rho[b][l]]
+                + [(-x, at(b, a, k)) for k, x in mu[cc][l]] + [(x, at(a, b, k)) for k, x in mu[cc][l]]
+                + [(-x, at(b, w, l)) for w, x in prod[a][cc]] + [(x, at(a, w, l)) for w, x in prod[b][cc]]
+                + [(x, at(w, cc, l)) for w, x in br[a][b]]))
+            second.append(row(
+                [(x, at(b, cc, k)) for k, x in mu[a][l]] + [(-x, at(cc, b, k)) for k, x in mu[a][l]]
+                + [(x, at(cc, a, k)) for k, x in mu[b][l]] + [(-x, at(a, cc, k)) for k, x in mu[b][l]]
+                + [(x, at(a, b, k)) for k, x in mu[cc][l]] + [(-x, at(b, a, k)) for k, x in mu[cc][l]]
+                + [(x, at(w, cc, l)) for w, x in br[a][b]] + [(x, at(w, a, l)) for w, x in br[b][cc]]
+                + [(x, at(w, b, l)) for w, x in br[cc][a]]))
+    return first + second
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """The rank mod p of sparse rows {column: value} (Fraction or Fp), by
+    plain row reduction in the order given: no singleton pass, no scaling to
+    primitive rows, no reordering.  A Fraction is read as its residue, so
+    its denominator must be prime to p."""
+    def residue(x):
+        if isinstance(x, Fp):
+            return x.value
+        return x.numerator * pow(x.denominator, -1, p) % p
+
+    pivots = {}
+    for source in rows:
+        row = {j: r for j, x in source.items() if (r := residue(x))}
+        while row:
+            col = min(row)
+            if col not in pivots:
+                inv = pow(row[col], -1, p)
+                pivots[col] = {j: x * inv % p for j, x in row.items()}
+                break
+            f = row[col]
+            for j, y in pivots[col].items():
+                x = (row.get(j, 0) - f * y) % p
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
+    return len(pivots)
+
+
 @dataclass(frozen=True)
 class Cochain3Pair:
     """Values of the two degree-3 coboundary components on all basis triples.

@@ -9,7 +9,7 @@ from antiprelie.cohomology import Cochain2, cohomology_spaces
 from antiprelie.deformation import TruncatedDeformation, TruncatedIsomorphism, apply_isomorphism
 from antiprelie.dendriform import AntiLDendriform
 from antiprelie.extension import build_extension
-from antiprelie.fields import QQ
+from antiprelie.fields import QQ, PrimeField
 from antiprelie.linalg import Matrix
 from antiprelie.representation import Representation, regular_representation
 
@@ -448,6 +448,22 @@ def test_search_context_commands(write_doc, capsys, f3_algebras):
         "--context", ctx,
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("p", [None, 5], ids=["Q", "F5"])
+def test_search_refuses_a_context_over_another_field(write_doc, capsys, p):
+    """An o-operator search over F_3 with its context algebra and
+    representation over Q or over F_5 is an input error."""
+    field = QQ if p is None else PrimeField(p)
+    alg = AntiPreLieAlgebra.verify(MultTable.from_dict(field, 2, {(0, 1, 1): 1}))
+    ctx = write_doc(docs.encode_algebra(alg))
+    rep = write_doc(docs.encode_representation(regular_representation(alg)))
+    code, out, err = run_cli(
+        capsys, "search", "--kind", "o-operator", "--dim", "2", "--prime", "3",
+        "--dim-v", "2", "--context", ctx, "--rep", rep,
+    )
+    assert (code, out) == (2, "")
+    assert "context algebra must live over the searched prime field" in err
 
 
 def test_search_refusal_exit(capsys):

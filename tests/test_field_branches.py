@@ -1,22 +1,25 @@
 """Where the package branches on its number system, pinned.
 
 Every computation runs over Q (`Rationals`) or a prime field
-(`PrimeField`), and most code is the same for both.  This lists every
-function of the package that asks which one it has, by a call to
-`isinstance` whose class argument names `Rationals` or `PrimeField`.  A new
-per-field fork then shows up here as a one-line diff.  The scan is the one
-of `tests/test_dense_reads.py`, over each module's syntax tree.
+(`PrimeField`), and the kernels run on one int form of both
+(`linalg._integral_views`).  This lists every function of the package that
+asks which field it has, by a call to `isinstance` whose class argument
+names `Rationals` or `PrimeField`, and every function outside `fields.py`
+that reads an attribute `value`, the residue of an `Fp`.  A new per-field
+fork, or a kernel that reads residues itself instead of through the int
+form, then shows up here as a one-line diff.  The scan is the one of
+`tests/test_dense_reads.py`, over each module's syntax tree.
 """
 
 import ast
 
 from test_dense_reads import SOURCES, scopes_where
 
-FIELD_BRANCHES = {
-    "cli": ["_search"],
-    "cohomology": ["_Complex.d2", "_Complex.is_cocycle"],
-    "dendriform": ["_numbers"],
+FIELD_BRANCHES = {"linalg": ["_integral_views", "_rref"]}
+
+VALUE_READS = {
     "linalg": ["_integral_views", "_rref"],
+    "search": ["_coordinates", "_lift_scalar"],
 }
 
 FIELDS = {"Rationals", "PrimeField"}
@@ -34,6 +37,11 @@ def field_branches(source: str) -> list:
     return scopes_where(source, hit)
 
 
+def value_readers(source: str) -> list:
+    """The functions of source that read an attribute `value`."""
+    return scopes_where(source, lambda node: isinstance(node, ast.Attribute) and node.attr == "value")
+
+
 def test_the_scan_finds_a_field_branch():
     source = ("class C:\n    def rational(self, f):\n        return isinstance(f, Rationals)\n\n"
               "def kernel(f):\n    def inner():\n        if isinstance(f, (int, PrimeField)):\n"
@@ -47,3 +55,17 @@ def test_the_scan_finds_a_field_branch():
 def test_field_branches_are_pinned():
     found = {p.stem: field_branches(p.read_text(encoding="utf-8")) for p in SOURCES}
     assert {module: names for module, names in found.items() if names} == FIELD_BRANCHES
+
+
+def test_the_scan_finds_a_value_read():
+    source = ("class C:\n    def residue(self, x):\n        return x.value % 2\n\n"
+              "def kernel(rows):\n    def inner(row):\n        return {j: v.value for j, v in row.items()}\n"
+              "    return inner\n\n"
+              "def clean(x, value):\n    return value, x.values(), getattr(x, 'value')\n\n"
+              "TOP = ONE.value\n")
+    assert value_readers(source) == ["<module>", "C.residue", "kernel.inner"]
+
+
+def test_value_reads_are_pinned():
+    found = {p.stem: value_readers(p.read_text(encoding="utf-8")) for p in SOURCES if p.stem != "fields"}
+    assert {module: names for module, names in found.items() if names} == VALUE_READS

@@ -210,8 +210,9 @@ def test_elimination_leaves_its_rows_unchanged(field):
 
 
 def test_prime_field_elimination_makes_fp_only_for_the_rows_it_returns(monkeypatch):
-    """Over F_3 the d2 rows of the dim-4 tower are eliminated on residues:
-    the only `Fp` values constructed are the entries of the reduced rows."""
+    """Over F_3 the d2 rows of the dim-4 tower, ints read as residues, are
+    eliminated on residues: the only `Fp` values constructed are the entries
+    of the reduced rows."""
     from antiprelie.cohomology import _Complex
     from antiprelie.fields import Fp
     from antiprelie.representation import semidirect_product
@@ -231,7 +232,7 @@ def test_prime_field_elimination_makes_fp_only_for_the_rows_it_returns(monkeypat
     rows, pivots = _rref(f3, d2_rows)
     monkeypatch.undo()
     assert pivots and made[0] <= sum(map(len, rows))
-    m = Matrix.from_rows(f3, [[r.get(j, f3.zero()) for j in range(16)] for r in d2_rows])
+    m = Matrix.from_rows(f3, [[f3.of_int(r.get(j, 0)) for j in range(16)] for r in d2_rows])
     assert [_dense(r, 16, f3.zero()) for r in rows] == dense_rref(f3, m.entries, 16)[0][: len(pivots)]
 
 
